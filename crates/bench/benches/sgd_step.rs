@@ -1,6 +1,9 @@
 //! End-to-end SGD **step latency**: parameter read + minibatch gradient +
 //! publication, per workload × algorithm — the quantity the paper's
-//! convergence-per-second results are made of (`T_it ≈ Tc + Tu`).
+//! convergence-per-second results are made of (`T_it ≈ Tc + Tu`). Every
+//! row runs the trainer's own `WorkerState::step`, so the heartbeat, the
+//! `Tc`/`Tu` timers and the statistics are inside the measured step, as
+//! they are in `lsgd_core::train`.
 //!
 //! Workloads: the Table II MLP (`d = 134,794`), the Table III CNN
 //! (`d = 27,354`, im2col-dominated `Tc`), and the PR 4 sparse
@@ -26,15 +29,16 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use lsgd_core::baseline::{HogwildParams, LockedParams};
+use lsgd_core::heartbeat::HeartbeatBoard;
 use lsgd_core::mem::MemoryGauge;
 use lsgd_core::pool::BufferPool;
 use lsgd_core::prelude::*;
 use lsgd_core::shard::default_shards;
-use lsgd_core::{LeashedShared, ShardedShared};
+use lsgd_core::trainer::{WorkerCtx, WorkerState};
+use lsgd_core::{LeashedShared, ParamStore, ShardedShared};
 use lsgd_data::sparse_logreg::sparse_logreg;
 use lsgd_data::SynthDigits;
 use lsgd_nn::ComputeOpts;
-use lsgd_tensor::SmallRng64;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -43,85 +47,55 @@ use std::time::{Duration, Instant};
 /// timing mid-measurement).
 const ETA: f32 = 1e-4;
 
-/// One shared-parameter backend per benchmarked algorithm.
-#[allow(clippy::large_enum_variant)] // one long-lived instance per bench run; size is irrelevant
-enum Shared {
-    Locked(LockedParams),
-    Hog(HogwildParams),
-    Leashed(LeashedShared),
-    Sharded(ShardedShared),
-}
-
-impl Shared {
-    fn build(kind: &str, theta0: &[f32], workers_hint: usize) -> Shared {
+/// Builds the parameter store behind bench row `$kind` over `$theta0` and
+/// evaluates `$body` with `$store` bound to it and `$cfg` to the
+/// [`TrainConfig`] its workers step under. A macro because the four stores
+/// are four types: `$body` is instantiated once per store, exactly as
+/// `lsgd_core::train` instantiates its worker loop.
+macro_rules! with_store {
+    ($kind:expr, $theta0:expr, $workers:expr, |$store:ident, $cfg:ident| $body:expr) => {{
         let gauge = Arc::new(MemoryGauge::new());
-        match kind {
-            "SEQ" => Shared::Locked(LockedParams::new(theta0.to_vec(), gauge)),
-            "HOG" => Shared::Hog(HogwildParams::new(theta0, gauge)),
-            "LSH" => {
-                let pool = BufferPool::new_with_recycling(theta0.len(), gauge, true);
-                Shared::Leashed(LeashedShared::new(theta0, pool))
+        let cfg_for = |algorithm| TrainConfig {
+            algorithm,
+            eta: ETA,
+            seed: 99,
+            ..TrainConfig::default()
+        };
+        match $kind {
+            "SEQ" => {
+                let $cfg = cfg_for(Algorithm::Sequential);
+                let $store = LockedParams::new($theta0.to_vec(), gauge);
+                $body
             }
-            "LSH_sharded" => Shared::Sharded(ShardedShared::new(
-                theta0,
-                default_shards(theta0.len(), workers_hint),
-                gauge,
-                true,
-            )),
+            "HOG" => {
+                let $cfg = cfg_for(Algorithm::Hogwild);
+                let $store = HogwildParams::new($theta0, gauge);
+                $body
+            }
+            "LSH" => {
+                let $cfg = cfg_for(Algorithm::Leashed { persistence: None });
+                let pool = BufferPool::new_with_recycling($theta0.len(), gauge, true);
+                let $store = LeashedShared::new($theta0, pool);
+                $body
+            }
+            "LSH_sharded" => {
+                let shards = default_shards($theta0.len(), $workers);
+                let $cfg = cfg_for(Algorithm::ShardedLeashed {
+                    persistence: None,
+                    shards,
+                    snapshot: SnapshotMode::Fast,
+                });
+                let $store = ShardedShared::new($theta0, shards, gauge, true);
+                $body
+            }
             other => unreachable!("unknown algorithm {other}"),
         }
-    }
-
-    /// One full SGD step: read the shared parameters, compute a minibatch
-    /// gradient, publish the scaled update.
-    fn step<P: Problem>(
-        &self,
-        problem: &P,
-        local: &mut [f32],
-        grad: &mut [f32],
-        pairs: &mut Vec<(u32, f32)>,
-        scratch: &mut P::Scratch,
-        rng: &mut SmallRng64,
-    ) {
-        match self {
-            Shared::Locked(p) => {
-                p.read_into(local);
-                problem.grad(local, grad, scratch, rng);
-                p.update(grad, ETA);
-            }
-            Shared::Hog(p) => {
-                p.read_into(local);
-                problem.grad(local, grad, scratch, rng);
-                p.update(grad, ETA);
-            }
-            Shared::Leashed(s) => {
-                let loss;
-                {
-                    let guard = s.latest();
-                    // Zero-copy read (paper P3): gradient straight from
-                    // the published buffer.
-                    loss = problem.grad(guard.theta(), grad, scratch, rng);
-                }
-                let _ = loss;
-                s.publish_update(grad, ETA, None, |_| {});
-            }
-            Shared::Sharded(s) => {
-                {
-                    let snap = s.snapshot(SnapshotMode::Fast, 8);
-                    snap.gather_into(local);
-                }
-                if let Some(_loss) = problem.grad_sparse(local, pairs, scratch, rng) {
-                    s.publish_sparse(pairs, ETA, None, None, |_| {});
-                } else {
-                    problem.grad(local, grad, scratch, rng);
-                    s.publish_dense(grad, ETA, None, None, |_| {});
-                }
-            }
-        }
-    }
+    }};
 }
 
-/// Benchmarks `algos` step latency on one workload under `name`.
+/// Benchmarks `algos` step latency on one workload under `name`: one
+/// worker running the trainer's own [`WorkerState::step`] (read the shared
+/// parameters, compute a minibatch gradient, publish the scaled update).
 fn bench_workload<P: Problem>(
     group: &mut criterion::BenchmarkGroup<'_>,
     name: &str,
@@ -129,27 +103,16 @@ fn bench_workload<P: Problem>(
     algos: &[&str],
 ) {
     let theta0 = problem.init_theta(1);
-    let dim = problem.dim();
-    group.throughput(Throughput::Elements(dim as u64));
+    group.throughput(Throughput::Elements(problem.dim() as u64));
     for &kind in algos {
-        let shared = Shared::build(kind, &theta0, 4);
-        let mut local = vec![0.0f32; dim];
-        let mut grad = vec![0.0f32; dim];
-        let mut pairs: Vec<(u32, f32)> = Vec::new();
-        let mut scratch = problem.scratch();
-        let mut rng = SmallRng64::new(99);
-        group.bench_with_input(BenchmarkId::new(name, kind), &(), |bench, _| {
-            bench.iter(|| {
-                shared.step(
-                    problem,
-                    &mut local,
-                    &mut grad,
-                    &mut pairs,
-                    &mut scratch,
-                    &mut rng,
-                );
-            });
-        });
+        with_store!(kind, &theta0, 4, |store, cfg| bench_steps(
+            group,
+            BenchmarkId::new(name, kind),
+            problem,
+            &store,
+            &cfg,
+            None
+        ));
     }
 }
 
@@ -170,46 +133,60 @@ fn bench_scaling<P: Problem>(
     algos: &[&str],
 ) {
     let theta0 = problem.init_theta(1);
-    let dim = problem.dim();
-    group.throughput(Throughput::Elements((dim * workers) as u64));
-    let rt = lsgd_runtime::global();
+    group.throughput(Throughput::Elements((problem.dim() * workers) as u64));
     for &kind in algos {
-        let shared = Shared::build(kind, &theta0, workers);
-        // Per-worker step state, handed to the scoped tasks through
-        // `iter_mut` the same way the trainer distributes stats slots.
-        let mut states: Vec<_> = (0..workers)
-            .map(|w| {
-                (
-                    vec![0.0f32; dim],
-                    vec![0.0f32; dim],
-                    Vec::<(u32, f32)>::new(),
-                    problem.scratch(),
-                    SmallRng64::new(99 ^ (w as u64).wrapping_mul(0x9e3779b97f4a7c15)),
-                )
-            })
-            .collect();
-        group.bench_with_input(
+        with_store!(kind, &theta0, workers, |store, cfg| bench_steps(
+            group,
             BenchmarkId::new(format!("scaling_{name}_w{workers}"), kind),
-            &(),
-            |bench, _| {
-                bench.iter_custom(|iters| {
-                    let shared = &shared;
-                    let start = Instant::now();
-                    rt.scope(|scope| {
-                        for st in states.iter_mut() {
-                            scope.spawn(move || {
-                                let (local, grad, pairs, scratch, rng) = st;
-                                for _ in 0..iters {
-                                    shared.step(problem, local, grad, pairs, scratch, rng);
-                                }
-                            });
+            problem,
+            &store,
+            &cfg,
+            Some(workers)
+        ));
+    }
+}
+
+/// Times [`WorkerState::step`] against `store`: one worker on the calling
+/// thread (`scoped = None`), or `Some(w)` workers as scoped runtime tasks.
+fn bench_steps<P: Problem, S: ParamStore>(
+    group: &mut criterion::BenchmarkGroup<'_>,
+    id: BenchmarkId,
+    problem: &P,
+    store: &S,
+    cfg: &TrainConfig,
+    scoped: Option<usize>,
+) {
+    let workers = scoped.unwrap_or(1);
+    let board = HeartbeatBoard::new(workers);
+    let start = Instant::now();
+    // Per-worker step state, handed to the scoped tasks through
+    // `iter_mut` the same way the trainer distributes stats slots.
+    let mut states: Vec<_> = (0..workers)
+        .map(|worker_id| {
+            let ctx = WorkerCtx { board: &board, worker_id, start };
+            WorkerState::new(problem, store, cfg, ctx)
+        })
+        .collect();
+    let rt = lsgd_runtime::global();
+    group.bench_with_input(id, &(), |bench, _| {
+        if scoped.is_none() {
+            bench.iter(|| states[0].step());
+            return;
+        }
+        bench.iter_custom(|iters| {
+            let start = Instant::now();
+            rt.scope(|scope| {
+                for state in states.iter_mut() {
+                    scope.spawn(move || {
+                        for _ in 0..iters {
+                            state.step();
                         }
                     });
-                    start.elapsed()
-                });
-            },
-        );
-    }
+                }
+            });
+            start.elapsed()
+        });
+    });
 }
 
 fn bench_sgd_step(c: &mut Criterion) {

@@ -1,10 +1,14 @@
 //! Shared parameter state for the baseline algorithms (paper Algorithms 2
 //! and 4): the lock-based AsyncSGD and the synchronisation-free HOGWILD!.
 
-use crate::mem::MemoryGauge;
+use crate::algorithm::Algorithm;
+use crate::mem::{GaugeHold, MemoryGauge};
+use crate::store::{Direction, ParamStore, StepOutcome};
+use lsgd_metrics::OnlineStats;
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::Instant;
 
 /// Lock-protected shared parameters — Algorithm 2. Reads (full copy) and
 /// updates are serialised through one mutex; a global sequence number
@@ -55,15 +59,21 @@ impl LockedParams {
         self.seq.fetch_add(1, Ordering::SeqCst) + 1
     }
 
+    /// [`update`](Self::update) for a direction given as `(index, value)`
+    /// pairs: `theta[i] -= eta * v` under the lock.
+    pub fn update_sparse(&self, pairs: &[(u32, f32)], eta: f32) -> u64 {
+        let mut guard = self.theta.lock();
+        for &(i, v) in pairs {
+            guard[i as usize] -= eta * v;
+        }
+        // ORDERING: SeqCst — as in `update`.
+        self.seq.fetch_add(1, Ordering::SeqCst) + 1
+    }
+
     /// Current sequence number.
     pub fn current_seq(&self) -> u64 {
         // ORDERING: SeqCst — same total order as read_into/update.
         self.seq.load(Ordering::SeqCst)
-    }
-
-    /// The memory gauge this state reports to.
-    pub fn gauge(&self) -> &Arc<MemoryGauge> {
-        &self.gauge
     }
 }
 
@@ -135,12 +145,19 @@ impl HogwildParams {
         // ORDERING: SeqCst — the paper's FetchAndAdd total order on t.
         let t = self.seq.fetch_add(1, Ordering::SeqCst) + 1;
         for (a, &g) in self.theta.iter().zip(grad) {
-            // Racy RMW, exactly like the unsynchronised C++: concurrent
-            // updates to the same component can be lost.
-            // ORDERING: Relaxed — deliberately unsynchronised; see `get`.
-            let cur = f32::from_bits(a.load(Ordering::Relaxed));
-            // ORDERING: Relaxed — see above.
-            a.store((cur - eta * g).to_bits(), Ordering::Relaxed);
+            racy_sub(a, eta * g);
+        }
+        t
+    }
+
+    /// [`update`](Self::update) for a direction given as `(index, value)`
+    /// pairs: the same racy read-modify-write, on the listed components
+    /// only.
+    pub fn update_sparse(&self, pairs: &[(u32, f32)], eta: f32) -> u64 {
+        // ORDERING: SeqCst — the paper's FetchAndAdd total order on t.
+        let t = self.seq.fetch_add(1, Ordering::SeqCst) + 1;
+        for &(i, v) in pairs {
+            racy_sub(&self.theta[i as usize], eta * v);
         }
         t
     }
@@ -150,11 +167,17 @@ impl HogwildParams {
         // ORDERING: SeqCst — same total order as read_into/update.
         self.seq.load(Ordering::SeqCst)
     }
+}
 
-    /// The memory gauge this state reports to.
-    pub fn gauge(&self) -> &Arc<MemoryGauge> {
-        &self.gauge
-    }
+/// `*a -= delta` as a racy read-modify-write, exactly like the
+/// unsynchronised C++: concurrent updates to the same component can be
+/// lost.
+#[inline]
+fn racy_sub(a: &AtomicU32, delta: f32) {
+    // ORDERING: Relaxed — deliberately unsynchronised; see `get`.
+    let cur = f32::from_bits(a.load(Ordering::Relaxed));
+    // ORDERING: Relaxed — see above.
+    a.store((cur - delta).to_bits(), Ordering::Relaxed);
 }
 
 impl Drop for HogwildParams {
@@ -162,6 +185,76 @@ impl Drop for HogwildParams {
         self.gauge.sub(self.bytes);
     }
 }
+
+/// Worker state of the two copy-on-read stores: the local copy of θ and
+/// the sequence number it was read at. Holds the gauge bytes for that
+/// copy and the worker's gradient (ASYNC/HOG hold `2m + 1` vectors in the
+/// paper's memory model: copy + gradient per thread, plus the shared
+/// one).
+pub struct CopyWorker {
+    local: Vec<f32>,
+    t0: u64,
+    _hold: GaugeHold,
+}
+
+/// `LockedParams` and `HogwildParams` plug into the step the same way:
+/// `read_into` a local copy, `update` in place, one `Tu` sample per
+/// update, staleness from the global sequence number.
+macro_rules! copy_on_read_store {
+    ($store:ty) => {
+        impl ParamStore for $store {
+            type Worker = CopyWorker;
+
+            fn worker(&self, _algorithm: &Algorithm) -> CopyWorker {
+                CopyWorker {
+                    local: vec![0.0; self.bytes / std::mem::size_of::<f32>()],
+                    t0: 0,
+                    _hold: GaugeHold::new(Arc::clone(&self.gauge), self.worker_bytes()),
+                }
+            }
+
+            fn read<R>(&self, w: &mut CopyWorker, f: impl FnOnce(&[f32]) -> R) -> R {
+                w.t0 = self.read_into(&mut w.local);
+                f(&w.local)
+            }
+
+            fn tau_est(&self, w: &CopyWorker) -> u64 {
+                self.current_seq().saturating_sub(w.t0)
+            }
+
+            fn publish(
+                &self,
+                w: &mut CopyWorker,
+                direction: Direction<'_>,
+                eta: f32,
+                tu: &mut OnlineStats,
+            ) -> StepOutcome {
+                let tu_start = Instant::now();
+                let t_pub = match direction {
+                    Direction::Dense(g) => self.update(g, eta),
+                    Direction::Sparse(pairs) => self.update_sparse(pairs, eta),
+                };
+                tu.record(tu_start.elapsed().as_secs_f64());
+                StepOutcome {
+                    published: true,
+                    tau: t_pub - 1 - w.t0,
+                    ..StepOutcome::default()
+                }
+            }
+
+            fn snapshot_into(&self, dst: &mut [f32]) {
+                self.read_into(dst);
+            }
+
+            fn worker_bytes(&self) -> usize {
+                2 * self.bytes
+            }
+        }
+    };
+}
+
+copy_on_read_store!(LockedParams);
+copy_on_read_store!(HogwildParams);
 
 #[cfg(test)]
 mod tests {

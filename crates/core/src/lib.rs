@@ -13,7 +13,10 @@
 //!   configurable persistence bound `Tp`.
 //! * [`baseline`] — the evaluated baselines: lock-based AsyncSGD
 //!   (Algorithm 2) and HOGWILD! (Algorithm 4).
-//! * [`trainer`] — the `m`-thread asynchronous training executor with the
+//! * [`store`] — the [`ParamStore`] trait those four shared-parameter
+//!   types implement: how θ is read and how an update lands.
+//! * [`trainer`] — the `m`-thread asynchronous training executor — one
+//!   worker loop over any [`ParamStore`] — with the
 //!   paper's full measurement instrumentation (staleness distributions,
 //!   `Tc`/`Tu` timings, ε-convergence with Crash/Diverge classification,
 //!   memory accounting).
@@ -54,6 +57,7 @@ pub mod problem;
 pub mod result;
 pub mod shard;
 pub mod sparsify;
+pub mod store;
 pub mod trainer;
 
 /// Checked `LSGD_*` environment-variable parsing (re-exported from
@@ -67,6 +71,7 @@ pub use paramvec::{LeashedShared, PublishOutcome, ReadGuard};
 pub use problem::{NnProblem, Problem, RegressionProblem, SparseLogRegProblem};
 pub use result::{RunResult, UpdateHistograms, WorkerCrash};
 pub use shard::{ShardedPublish, ShardedShared, ShardedSnapshot, SnapshotMode};
+pub use store::{Direction, ParamStore, StepOutcome};
 pub use trainer::{train, EtaPolicy, TrainConfig};
 
 /// Convenient glob import for examples and harnesses.

@@ -6,6 +6,7 @@
 //! live/peak counters that every allocation site in this crate reports to.
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::Arc;
 
 /// Live/peak byte accounting shared by one training run.
 ///
@@ -129,10 +130,32 @@ impl MemoryGauge {
     }
 }
 
+/// RAII gauge accounting for worker-local buffers: the matching `sub`
+/// must run even when the worker unwinds from a contained panic, or the
+/// run's live-byte accounting (and any cap) leaks permanently.
+#[derive(Debug)]
+pub struct GaugeHold {
+    gauge: Arc<MemoryGauge>,
+    bytes: usize,
+}
+
+impl GaugeHold {
+    /// Registers `bytes` with `gauge` until the hold is dropped.
+    pub fn new(gauge: Arc<MemoryGauge>, bytes: usize) -> GaugeHold {
+        gauge.add(bytes);
+        GaugeHold { gauge, bytes }
+    }
+}
+
+impl Drop for GaugeHold {
+    fn drop(&mut self) {
+        self.gauge.sub(self.bytes);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
 
     #[test]
     fn add_sub_tracks_live() {

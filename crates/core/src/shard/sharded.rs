@@ -2,9 +2,12 @@
 //! logical parameter vector.
 
 use super::snapshot::{ShardedSnapshot, SnapshotMode};
-use crate::mem::MemoryGauge;
+use crate::algorithm::Algorithm;
+use crate::mem::{GaugeHold, MemoryGauge};
 use crate::paramvec::{LeashedShared, PublishOutcome};
 use crate::pool::BufferPool;
+use crate::store::{Direction, ParamStore, StepOutcome};
+use lsgd_metrics::OnlineStats;
 use std::sync::Arc;
 
 /// Aggregate outcome of one multi-shard publication: how many shards the
@@ -305,6 +308,131 @@ impl ShardedShared {
             i = j;
         }
         agg
+    }
+}
+
+/// Per-worker bound on the consistent snapshot's validate-and-retry loop:
+/// after this many failed double-collects the worker proceeds with its
+/// last (possibly mixed-version) view — SGD tolerates the relaxation, and
+/// a bounded loop keeps read latency predictable under heavy publishing.
+const WORKER_SNAPSHOT_RETRIES: u32 = 32;
+
+/// Worker state for [`ShardedShared`]: the gathered local copy of θ (the
+/// shards are not contiguous in memory), the per-shard sequence vector it
+/// was read at, and the algorithm's read/publish parameters. Like
+/// ASYNC/HOG it holds gauge bytes for local copy + local gradient.
+pub struct ShardedWorker {
+    local: Vec<f32>,
+    base_seqs: Vec<u64>,
+    persistence: Option<u32>,
+    mode: SnapshotMode,
+    degraded: u64,
+    _hold: GaugeHold,
+}
+
+/// Sharded Leashed-SGD as a [`ParamStore`]: multi-shard counted read
+/// gathered into a local copy, and a dirty-shards-only publication —
+/// sparse `(index, value)` pairs straight into
+/// [`publish_sparse`](ShardedShared::publish_sparse), dense per-shard
+/// sub-gradients otherwise.
+impl ParamStore for ShardedShared {
+    type Worker = ShardedWorker;
+
+    const SPARSE_NATIVE: bool = true;
+
+    fn worker(&self, algorithm: &Algorithm) -> ShardedWorker {
+        let Algorithm::ShardedLeashed {
+            persistence,
+            snapshot,
+            ..
+        } = *algorithm
+        else {
+            panic!("ShardedShared runs Algorithm::ShardedLeashed, not {algorithm}");
+        };
+        ShardedWorker {
+            local: vec![0.0; self.dim],
+            base_seqs: Vec::with_capacity(self.num_shards()),
+            persistence,
+            mode: snapshot,
+            degraded: 0,
+            _hold: GaugeHold::new(Arc::clone(self.gauge()), self.worker_bytes()),
+        }
+    }
+
+    fn read<R>(&self, w: &mut ShardedWorker, f: impl FnOnce(&[f32]) -> R) -> R {
+        {
+            let snap = self.snapshot(w.mode, WORKER_SNAPSHOT_RETRIES);
+            if snap.is_degraded() {
+                w.degraded += 1;
+            }
+            w.base_seqs.clear();
+            w.base_seqs.extend_from_slice(snap.seqs());
+            snap.gather_into(&mut w.local);
+        }
+        f(&w.local)
+    }
+
+    /// τ estimate in *update* units (matching the unsharded stores): the
+    /// max per-shard seq advance since the read. Each concurrent update
+    /// bumps every shard it touches by exactly 1, so the max over shards
+    /// counts concurrent updates (exactly for dense updates, a lower
+    /// bound for sparse ones) — summing shard seqs would instead count
+    /// shard-publications and inflate τ by up to S.
+    fn tau_est(&self, w: &ShardedWorker) -> u64 {
+        self.shards
+            .iter()
+            .zip(&w.base_seqs)
+            .map(|(shard, &base)| shard.current_seq().saturating_sub(base))
+            .max()
+            .unwrap_or(0)
+    }
+
+    fn publish(
+        &self,
+        w: &mut ShardedWorker,
+        direction: Direction<'_>,
+        eta: f32,
+        tu: &mut OnlineStats,
+    ) -> StepOutcome {
+        let base = Some(w.base_seqs.as_slice());
+        let on_attempt = |secs| tu.record(secs);
+        let out = match direction {
+            Direction::Dense(g) => self.publish_dense(g, eta, w.persistence, base, on_attempt),
+            Direction::Sparse(pairs) => {
+                self.publish_sparse(pairs, eta, w.persistence, base, on_attempt)
+            }
+        };
+        StepOutcome {
+            // An update counts as published when at least one of its
+            // dirty shards landed; fully abandoned updates count as
+            // aborted. An exactly-zero gradient (dirty = 0) is a
+            // successful no-op — the unsharded store publishes it as one;
+            // counting it here keeps the max_updates budget advancing
+            // (and the run terminating) when gradients vanish at
+            // convergence.
+            published: out.published > 0 || out.dirty == 0,
+            failed_cas: out.failed_cas,
+            tau: out.tau_max,
+            tau_s: Some(out.tau_s_max),
+            dirty: Some(out.dirty),
+        }
+    }
+
+    fn snapshot_into(&self, dst: &mut [f32]) {
+        // The inherent method of the same name (it also returns the seq).
+        ShardedShared::snapshot_into(self, dst);
+    }
+
+    fn worker_bytes(&self) -> usize {
+        2 * self.dim * std::mem::size_of::<f32>()
+    }
+
+    fn pool_outstanding_peak(&self) -> usize {
+        ShardedShared::pool_outstanding_peak(self)
+    }
+
+    fn degraded_reads(&self, w: &ShardedWorker) -> u64 {
+        w.degraded
     }
 }
 

@@ -1,26 +1,35 @@
-//! The parallel training executor.
+//! The parallel training executor: **one loop, four stores**.
 //!
-//! [`train`] runs `m` asynchronous worker threads executing one of the
-//! paper's algorithms against a [`Problem`], while the calling thread acts
-//! as the convergence monitor: it periodically snapshots the shared
-//! parameters, evaluates the loss, drives the ε-convergence tracker
-//! (including the Crash/Diverge classification of §V.2) and samples the
-//! memory gauge. Workers record per-update staleness, `Tc`/`Tu` timings
-//! and iteration latency — the raw series behind every figure in the
-//! paper's evaluation.
+//! The paper's SEQ, ASYNC, HOGWILD! and Leashed-SGD thread bodies
+//! (Algorithms 2–4) are one skeleton — read θ, compute a gradient, make
+//! the update visible — and this module says so once. [`WorkerState::step`]
+//! is that skeleton; how θ is read and how an update lands are the two
+//! verbs of a [`ParamStore`], implemented by the four stores (see the
+//! table in [`crate::store`]). [`train`] matches on the algorithm exactly
+//! once, to pick the store; everything after that is generic and
+//! monomorphised per store, so the step pays no dispatch.
+//!
+//! [`train`] runs `m` workers, each looping `step` until told to stop,
+//! while one more task acts as the convergence monitor: it periodically
+//! snapshots the shared parameters, evaluates the loss, drives the
+//! ε-convergence tracker (including the Crash/Diverge classification of
+//! §V.2) and samples the memory gauge. Workers record per-update
+//! staleness, `Tc`/`Tu` timings and iteration latency — the raw series
+//! behind every figure in the paper's evaluation.
 
 use crate::algorithm::Algorithm;
 use crate::baseline::{HogwildParams, LockedParams};
 use crate::heartbeat::{BeatPhase, HeartbeatBoard};
 use crate::mem::MemoryGauge;
-use crate::paramvec::{LeashedShared, PublishOutcome};
+use crate::paramvec::LeashedShared;
 use crate::pool::BufferPool;
 use crate::problem::Problem;
 use crate::result::{RunResult, UpdateHistograms, WorkerCrash};
 use crate::shard::{effective_shards, ShardedShared};
+use crate::store::{Direction, ParamStore};
 use lsgd_metrics::{ConvergenceTracker, OnlineStats, Series};
-use lsgd_trace::Phase;
 use lsgd_tensor::SmallRng64;
+use lsgd_trace::Phase;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -121,16 +130,23 @@ impl Default for TrainConfig {
 
 /// Per-worker statistics merged into the [`RunResult`].
 #[derive(Debug)]
-struct WorkerStats {
-    hists: UpdateHistograms,
-    published: u64,
-    aborted: u64,
-    failed_cas: u64,
+pub struct WorkerStats {
+    /// Staleness τ, scheduling staleness τs and dirty-shard histograms.
+    pub hists: UpdateHistograms,
+    /// Updates that took effect.
+    pub published: u64,
+    /// Updates abandoned by the persistence bound.
+    pub aborted: u64,
+    /// Lost CAS races.
+    pub failed_cas: u64,
     /// Consistent snapshots this worker saw degrade to a Fast re-read.
-    degraded: u64,
-    tc: OnlineStats,
-    tu: OnlineStats,
-    iter_time: OnlineStats,
+    pub degraded: u64,
+    /// Gradient computation time `Tc`.
+    pub tc: OnlineStats,
+    /// Update time `Tu` (per CAS attempt for the LAU-SPC stores).
+    pub tu: OnlineStats,
+    /// Whole-iteration latency.
+    pub iter_time: OnlineStats,
 }
 
 impl WorkerStats {
@@ -159,34 +175,6 @@ impl WorkerStats {
     }
 }
 
-/// Shared algorithm state, dispatched per config.
-#[allow(clippy::large_enum_variant)] // one instance per run; size is irrelevant
-enum SharedState {
-    Locked(LockedParams),
-    Hogwild(HogwildParams),
-    Leashed(LeashedShared),
-    Sharded(ShardedShared),
-}
-
-impl SharedState {
-    fn snapshot_into(&self, dst: &mut [f32]) {
-        match self {
-            SharedState::Locked(p) => {
-                p.read_into(dst);
-            }
-            SharedState::Hogwild(p) => {
-                p.read_into(dst);
-            }
-            SharedState::Leashed(s) => {
-                s.snapshot_into(dst);
-            }
-            SharedState::Sharded(s) => {
-                s.snapshot_into(dst);
-            }
-        }
-    }
-}
-
 /// Control block shared by workers and the monitor.
 struct Control {
     stop: AtomicBool,
@@ -196,27 +184,6 @@ struct Control {
     /// exit (normal or contained panic); the monitor stops the run when
     /// it hits 0 before `stop` was set (= every worker crashed).
     alive: AtomicUsize,
-}
-
-/// RAII gauge accounting for worker-local buffers: the matching `sub`
-/// must run even when the worker's loop unwinds from a contained panic,
-/// or the run's live-byte accounting (and any cap) leaks permanently.
-struct GaugeHold {
-    gauge: Arc<MemoryGauge>,
-    bytes: usize,
-}
-
-impl GaugeHold {
-    fn new(gauge: Arc<MemoryGauge>, bytes: usize) -> GaugeHold {
-        gauge.add(bytes);
-        GaugeHold { gauge, bytes }
-    }
-}
-
-impl Drop for GaugeHold {
-    fn drop(&mut self) {
-        self.gauge.sub(self.bytes);
-    }
 }
 
 /// Stringifies a panic payload for [`WorkerCrash`].
@@ -230,12 +197,16 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// Per-worker context for heartbeats and fault probes, threaded through
-/// every algorithm loop.
-struct WorkerCtx<'a> {
-    board: &'a HeartbeatBoard,
-    worker_id: usize,
-    start: Instant,
+/// Per-worker context for heartbeats: which cell of which board this
+/// worker beats on, and the run's time origin.
+#[derive(Clone, Copy)]
+pub struct WorkerCtx<'a> {
+    /// The run's heartbeat board.
+    pub board: &'a HeartbeatBoard,
+    /// This worker's cell on `board`; also selects its RNG stream.
+    pub worker_id: usize,
+    /// Run start (beats carry nanoseconds since then).
+    pub start: Instant,
 }
 
 impl WorkerCtx<'_> {
@@ -272,33 +243,48 @@ pub fn train<P: Problem>(problem: &P, cfg: &TrainConfig) -> RunResult {
     let gauge = Arc::new(MemoryGauge::new());
 
     let theta0 = problem.init_theta(cfg.seed);
-    // The monitor evaluates concurrently with the workers; its splits
-    // run on the same work-stealing runtime, so no fan-out budget is
-    // needed.
-    let mut monitor_scratch = problem.scratch();
-    let initial_loss = problem.eval_loss(&theta0, &mut monitor_scratch);
 
-    let shared = match cfg.algorithm {
+    // The one place the algorithm selects code: which store the generic
+    // run is instantiated with.
+    match cfg.algorithm {
         Algorithm::Sequential | Algorithm::AsyncLock => {
-            SharedState::Locked(LockedParams::new(theta0, Arc::clone(&gauge)))
+            let store = LockedParams::new(theta0, Arc::clone(&gauge));
+            run_on(problem, cfg, threads, &gauge, &store)
         }
         Algorithm::Hogwild => {
-            SharedState::Hogwild(HogwildParams::new(&theta0, Arc::clone(&gauge)))
+            let store = HogwildParams::new(&theta0, Arc::clone(&gauge));
+            run_on(problem, cfg, threads, &gauge, &store)
         }
         Algorithm::Leashed { .. } => {
             let pool =
                 BufferPool::new_with_recycling(dim, Arc::clone(&gauge), cfg.pool_recycling);
-            SharedState::Leashed(LeashedShared::new(&theta0, pool))
+            run_on(problem, cfg, threads, &gauge, &LeashedShared::new(&theta0, pool))
         }
-        Algorithm::ShardedLeashed { shards, .. } => SharedState::Sharded(ShardedShared::new(
-            &theta0,
+        Algorithm::ShardedLeashed { shards, .. } => {
             // `shards == 0` selects the dim/worker heuristic; LSGD_SHARDS
             // still overrides either way.
-            effective_shards(shards, dim, threads),
-            Arc::clone(&gauge),
-            cfg.pool_recycling,
-        )),
-    };
+            let shards = effective_shards(shards, dim, threads);
+            let store = ShardedShared::new(&theta0, shards, Arc::clone(&gauge), cfg.pool_recycling);
+            run_on(problem, cfg, threads, &gauge, &store)
+        }
+    }
+}
+
+/// Runs `threads` workers and the monitor against `store`, which holds θ₀.
+fn run_on<P: Problem, S: ParamStore>(
+    problem: &P,
+    cfg: &TrainConfig,
+    threads: usize,
+    gauge: &Arc<MemoryGauge>,
+    store: &S,
+) -> RunResult {
+    // The monitor evaluates concurrently with the workers; its splits
+    // run on the same work-stealing runtime, so no fan-out budget is
+    // needed.
+    let mut monitor_scratch = problem.scratch();
+    let mut snapshot = vec![0.0f32; problem.dim()];
+    store.snapshot_into(&mut snapshot);
+    let initial_loss = problem.eval_loss(&snapshot, &mut monitor_scratch);
 
     // Advisory memory cap: the pool's pressure path reads it through
     // the shared gauge.
@@ -343,13 +329,12 @@ pub fn train<P: Problem>(problem: &P, cfg: &TrainConfig) -> RunResult {
     {
         // Monitor-owned state, moved into its task as one bundle.
         let monitor_scratch = &mut monitor_scratch;
+        let snapshot = &mut snapshot;
         let tracker = &mut tracker;
         let iters_to_eps = &mut iters_to_eps;
         let loss_trace = &mut loss_trace;
         let mem_trace = &mut mem_trace;
-        let shared = &shared;
         let control = &control;
-        let gauge = &gauge;
         let collector = &mut collector;
         let board = &board;
         let crashes = &crashes;
@@ -366,11 +351,12 @@ pub fn train<P: Problem>(problem: &P, cfg: &TrainConfig) -> RunResult {
                     // take down the run. `AssertUnwindSafe` is justified
                     // because every shared structure the loop touches is
                     // panic-safe by construction — snapshot guards
-                    // release their counted read on drop, `GaugeHold`
-                    // returns gauge bytes, and the LAU-SPC CAS is a
-                    // single atomic (no partially-published state).
+                    // release their counted read on drop, the store's
+                    // `Worker` returns its gauge bytes on drop, and the
+                    // LAU-SPC CAS is a single atomic (no
+                    // partially-published state).
                     match catch_unwind(AssertUnwindSafe(|| {
-                        run_worker(problem, shared, control, cfg, worker_id, &ctx)
+                        worker_loop(WorkerState::new(problem, store, cfg, ctx), control)
                     })) {
                         Ok(stats) => {
                             ctx.phase(BeatPhase::Done);
@@ -398,7 +384,6 @@ pub fn train<P: Problem>(problem: &P, cfg: &TrainConfig) -> RunResult {
             // ---- Monitor task (paper §V.2: halts executions at ε, flags
             // Crash on numerical instability, samples memory). ----
             scope.spawn(move || {
-                let mut snapshot = vec![0.0f32; dim];
                 // Heartbeat watchdog state: last observed tick per worker,
                 // when it last changed, and whether the worker is currently
                 // flagged as stalled (so one stall counts once, not once
@@ -457,7 +442,7 @@ pub fn train<P: Problem>(problem: &P, cfg: &TrainConfig) -> RunResult {
 
                     let loss = {
                         let _span = lsgd_trace::span(Phase::MonitorEval);
-                        shared.snapshot_into(&mut snapshot);
+                        store.snapshot_into(snapshot);
                         // ORDERING: Relaxed — crash flag, eventually
                         // observed.
                         if control.crashed.load(Ordering::Relaxed) {
@@ -467,7 +452,7 @@ pub fn train<P: Problem>(problem: &P, cfg: &TrainConfig) -> RunResult {
                             // grad) must not kill the monitor — treat it
                             // like numerical instability.
                             catch_unwind(AssertUnwindSafe(|| {
-                                problem.eval_loss(&snapshot, monitor_scratch)
+                                problem.eval_loss(snapshot, monitor_scratch)
                             }))
                             .unwrap_or(f64::NAN)
                         }
@@ -478,8 +463,7 @@ pub fn train<P: Problem>(problem: &P, cfg: &TrainConfig) -> RunResult {
                     loss_trace.push(elapsed.as_secs_f64(), loss);
                     mem_trace.push(elapsed.as_secs_f64(), gauge.live() as f64);
                     let done = tracker.observe(elapsed, loss);
-                    for (i, (frac, it)) in iters_to_eps.iter_mut().enumerate() {
-                        let _ = frac;
+                    for (i, (_, it)) in iters_to_eps.iter_mut().enumerate() {
                         if it.is_none() && tracker.outcome(i).converged() {
                             *it = Some(published);
                         }
@@ -518,12 +502,6 @@ pub fn train<P: Problem>(problem: &P, cfg: &TrainConfig) -> RunResult {
     }
 
     let wall = start.elapsed();
-    let pool_peak = match &shared {
-        SharedState::Leashed(s) => s.pool().outstanding_peak(),
-        SharedState::Sharded(s) => s.pool_outstanding_peak(),
-        _ => 0,
-    };
-
     RunResult {
         algorithm: cfg.algorithm,
         threads,
@@ -548,7 +526,7 @@ pub fn train<P: Problem>(problem: &P, cfg: &TrainConfig) -> RunResult {
         iter_time: merged.iter_time,
         wall,
         mem_peak_bytes: gauge.peak(),
-        pool_outstanding_peak: pool_peak,
+        pool_outstanding_peak: store.pool_outstanding_peak(),
         mem_allocs: gauge.total_allocs(),
         mem_reuses: gauge.pool_reuses(),
         worker_crashes: crashes.into_inner().unwrap_or_else(|e| e.into_inner()),
@@ -560,7 +538,6 @@ pub fn train<P: Problem>(problem: &P, cfg: &TrainConfig) -> RunResult {
 /// A worker whose heartbeat tick count stays flat this long (while not
 /// terminated) is reported as stalled by the monitor's watchdog.
 const STALL_WINDOW: Duration = Duration::from_secs(1);
-
 
 /// Folds the freshly computed gradient into the worker's velocity buffer
 /// (`v ← μ·v + g`) and returns the slice to apply. With `μ = 0` the
@@ -578,432 +555,170 @@ fn fold_momentum<'g>(grad: &'g mut [f32], velocity: &'g mut Vec<f32>, mu: f32) -
     velocity
 }
 
-/// One worker's training loop (dispatches on the algorithm).
-fn run_worker<P: Problem>(
-    problem: &P,
-    shared: &SharedState,
-    control: &Control,
-    cfg: &TrainConfig,
-    worker_id: usize,
-    ctx: &WorkerCtx<'_>,
-) -> WorkerStats {
-    let dim = problem.dim();
-    let mut stats = WorkerStats::new(cfg.staleness_cap);
-    // Intra-step splits (NnProblem's GEMM fan-out) execute on the same
-    // work-stealing runtime that runs the m trainer workers, so scratch
-    // needs no worker-count-aware sizing: total parallelism is bounded
-    // by LSGD_THREADS regardless of m.
-    let mut scratch = problem.scratch();
-    let mut rng = SmallRng64::new(cfg.seed ^ (0x5bd1e995u64.wrapping_mul(worker_id as u64 + 1)));
-    let mut grad = vec![0.0f32; dim];
-    let vec_bytes = dim * std::mem::size_of::<f32>();
-    // Worker-local buffers count towards the paper's memory model
-    // (ASYNC/HOG hold 2m + 1 vectors: local copy + local gradient per
-    // thread, plus the shared one; Leashed holds the gradient only, its
-    // working vectors come from the recycling pool). `GaugeHold` returns
-    // the bytes even when the loop unwinds from a contained panic.
-    let _hold = match shared {
-        SharedState::Leashed(s) => {
-            GaugeHold::new(Arc::clone(s.pool().gauge()), vec_bytes) // local gradient
+/// How one [`WorkerState::step`] ended.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Step {
+    /// The update took effect.
+    Published,
+    /// The persistence bound abandoned the update.
+    Aborted,
+    /// The minibatch loss was not finite; nothing was published.
+    NonFinite,
+}
+
+/// Everything one worker owns: its store-side state, its problem scratch,
+/// RNG stream and gradient buffers, and the statistics it has recorded.
+pub struct WorkerState<'a, P: Problem, S: ParamStore> {
+    problem: &'a P,
+    store: &'a S,
+    cfg: &'a TrainConfig,
+    ctx: WorkerCtx<'a>,
+    worker: S::Worker,
+    scratch: P::Scratch,
+    rng: SmallRng64,
+    grad: Vec<f32>,
+    pairs: Vec<(u32, f32)>,
+    sparsify_scratch: Vec<f32>,
+    velocity: Vec<f32>,
+    steps: u64,
+    stats: WorkerStats,
+}
+
+impl<'a, P: Problem, S: ParamStore> WorkerState<'a, P, S> {
+    /// State for worker `ctx.worker_id` of a run of `cfg` on `store`.
+    pub fn new(problem: &'a P, store: &'a S, cfg: &'a TrainConfig, ctx: WorkerCtx<'a>) -> Self {
+        WorkerState {
+            problem,
+            store,
+            cfg,
+            ctx,
+            worker: store.worker(&cfg.algorithm),
+            // Intra-step splits (NnProblem's GEMM fan-out) execute on the
+            // same work-stealing runtime that runs the m trainer workers,
+            // so scratch needs no worker-count-aware sizing: total
+            // parallelism is bounded by LSGD_THREADS regardless of m.
+            scratch: problem.scratch(),
+            rng: SmallRng64::new(
+                cfg.seed ^ (0x5bd1e995u64.wrapping_mul(ctx.worker_id as u64 + 1)),
+            ),
+            grad: vec![0.0f32; problem.dim()],
+            pairs: Vec::new(),
+            sparsify_scratch: Vec::new(),
+            velocity: Vec::new(),
+            steps: 0,
+            stats: WorkerStats::new(cfg.staleness_cap),
         }
-        SharedState::Locked(p) => {
-            // local copy + local gradient
-            let _hold = GaugeHold::new(Arc::clone(p.gauge()), 2 * vec_bytes);
-            let mut local = vec![0.0f32; dim];
-            return run_locked_worker(
-                problem, p, control, cfg, &mut scratch, &mut rng, &mut grad, &mut local,
-                stats, ctx,
-            );
-        }
-        SharedState::Hogwild(p) => {
-            let _hold = GaugeHold::new(Arc::clone(p.gauge()), 2 * vec_bytes);
-            let mut local = vec![0.0f32; dim];
-            return run_hogwild_worker(
-                problem, p, control, cfg, &mut scratch, &mut rng, &mut grad, &mut local,
-                stats, ctx,
-            );
-        }
-        SharedState::Sharded(s) => {
-            // Sharded workers gather into a local theta copy (the shards
-            // are not contiguous in memory), so like ASYNC/HOG they hold
-            // local copy + local gradient.
-            let _hold = GaugeHold::new(Arc::clone(s.gauge()), 2 * vec_bytes);
-            let mut local = vec![0.0f32; dim];
-            return run_sharded_worker(
-                problem, s, control, cfg, &mut scratch, &mut rng, &mut grad, &mut local,
-                stats, ctx,
-            );
-        }
-    };
-    // ---- Leashed-SGD worker (Algorithm 3 thread body). ----
-    let Algorithm::Leashed { persistence } = cfg.algorithm else {
-        unreachable!("leashed shared state implies leashed algorithm");
-    };
-    let SharedState::Leashed(s) = shared else {
-        unreachable!();
-    };
-    let mut sparsify_scratch = Vec::new();
-    let mut velocity = Vec::new();
-    let mut step: u64 = 0;
-    // ORDERING: Relaxed — stop is an eventually-observed flag; the
-    // worker re-polls it every iteration and carries no data through it.
-    while !control.stop.load(Ordering::Relaxed) {
-        ctx.beat(BeatPhase::Snapshot, step);
-        lsgd_fault::worker_step(step);
-        step += 1;
+    }
+
+    /// One SGD iteration — the thread body of Algorithms 2–4: read θ,
+    /// compute a minibatch gradient, publish `θ -= η·direction`.
+    pub fn step(&mut self) -> Step {
+        let (store, cfg, ctx) = (self.store, self.cfg, self.ctx);
+        ctx.beat(BeatPhase::Snapshot, self.steps);
+        lsgd_fault::worker_step(self.steps);
+        self.steps += 1;
         let iter_start = Instant::now();
-        let t0;
-        let loss;
-        {
-            let guard = {
-                let _span = lsgd_trace::span(Phase::SnapshotRead);
-                s.latest()
-            };
-            t0 = guard.seq();
+        // A sparse direction bypasses the dense gradient buffer entirely;
+        // momentum needs a dense velocity fold, so it forces the dense
+        // path.
+        let sparse_ok = S::SPARSE_NATIVE && cfg.momentum == 0.0;
+
+        let read_span = lsgd_trace::span(Phase::SnapshotRead);
+        let (loss, mut sparse) = store.read(&mut self.worker, |theta| {
+            drop(read_span);
             ctx.phase(BeatPhase::Grad);
             let tc_start = Instant::now();
             let _span = lsgd_trace::span(Phase::GradCompute);
-            // Gradient computed directly from the published memory — the
-            // zero-copy read of paper P3.
-            loss = problem.grad(guard.theta(), &mut grad, &mut scratch, &mut rng);
-            stats.tc.record(tc_start.elapsed().as_secs_f64());
-        }
+            let (scratch, rng) = (&mut self.scratch, &mut self.rng);
+            let native = if sparse_ok && cfg.sparsify.is_none() {
+                self.problem.grad_sparse(theta, &mut self.pairs, scratch, rng)
+            } else {
+                None
+            };
+            let out = match native {
+                Some(loss) => (loss, true),
+                None => (self.problem.grad(theta, &mut self.grad, scratch, rng), false),
+            };
+            self.stats.tc.record(tc_start.elapsed().as_secs_f64());
+            out
+        });
+        let stats = &mut self.stats;
+        stats.degraded = store.degraded_reads(&self.worker);
         if !loss.is_finite() {
-            // ORDERING: SeqCst pair — crash must be visible no later
-            // than stop in the single total order, so the monitor that
-            // sees stop cannot miss the crash verdict behind it.
-            control.crashed.store(true, Ordering::SeqCst);
-            // ORDERING: SeqCst — see above.
-            control.stop.store(true, Ordering::SeqCst);
-            break;
+            return Step::NonFinite;
         }
         if let Some(frac) = cfg.sparsify {
-            crate::sparsify::sparsify_top_frac(&mut grad, frac, &mut sparsify_scratch);
+            let tmp = &mut self.sparsify_scratch;
+            if sparse_ok {
+                // Index extraction feeds the dirty-shard path directly —
+                // no zeroing pass, no dense re-scan at publish time.
+                crate::sparsify::sparsify_top_frac_indices(&self.grad, frac, tmp, &mut self.pairs);
+                sparse = true;
+            } else {
+                crate::sparsify::sparsify_top_frac(&mut self.grad, frac, tmp);
+            }
         }
-        let eta = cfg
-            .eta_policy
-            .effective(cfg.eta, s.current_seq().saturating_sub(t0));
-        let direction = fold_momentum(&mut grad, &mut velocity, cfg.momentum);
-        ctx.phase(BeatPhase::Publish);
-        let tu_stats = &mut stats.tu;
-        let outcome = {
-            let _span = lsgd_trace::span(Phase::Publish);
-            s.publish_update(direction, eta, persistence, |secs| {
-                tu_stats.record(secs);
-            })
+        let eta = cfg.eta_policy.effective(cfg.eta, store.tau_est(&self.worker));
+        let direction = if sparse {
+            Direction::Sparse(&self.pairs)
+        } else {
+            Direction::Dense(fold_momentum(&mut self.grad, &mut self.velocity, cfg.momentum))
         };
-        match outcome {
-            PublishOutcome::Published {
-                t_new,
-                t_first_base,
-                failed_cas,
-                ..
-            } => {
-                stats.published += 1;
-                stats.failed_cas += failed_cas as u64;
-                // τ: concurrent updates between the read (t0) and this
-                // update taking effect (t_new labels position t_new-1+1).
-                stats.hists.staleness.record(t_new - 1 - t0);
-                // τs: competitors that won the LAU-SPC race after this
-                // update was first ready to publish (§IV.2); exactly 0 for
-                // every published update when Tp = 0.
-                stats.hists.tau_s.record(t_new - 1 - t_first_base);
+        ctx.phase(BeatPhase::Publish);
+        let out = {
+            let _span = lsgd_trace::span(Phase::Publish);
+            store.publish(&mut self.worker, direction, eta, &mut stats.tu)
+        };
+        stats.failed_cas += out.failed_cas as u64;
+        let step = if out.published {
+            stats.published += 1;
+            stats.hists.staleness.record(out.tau);
+            if let Some(tau_s) = out.tau_s {
+                stats.hists.tau_s.record(tau_s);
+            }
+            if let Some(dirty) = out.dirty {
+                stats.hists.dirty_shards.record(dirty as u64);
+            }
+            Step::Published
+        } else {
+            stats.aborted += 1;
+            Step::Aborted
+        };
+        stats.iter_time.record(iter_start.elapsed().as_secs_f64());
+        step
+    }
+
+    /// The statistics recorded so far.
+    pub fn stats(&self) -> &WorkerStats {
+        &self.stats
+    }
+}
+
+/// One worker's training loop: [`WorkerState::step`] until the run stops.
+fn worker_loop<P: Problem, S: ParamStore>(
+    mut state: WorkerState<'_, P, S>,
+    control: &Control,
+) -> WorkerStats {
+    // ORDERING: Relaxed — stop is an eventually-observed flag; the
+    // worker re-polls it every iteration and carries no data through it.
+    while !control.stop.load(Ordering::Relaxed) {
+        match state.step() {
+            Step::Published => {
                 // ORDERING: Relaxed — monotone progress tally; exact
                 // totals are only read after the scope join.
                 control.total_published.fetch_add(1, Ordering::Relaxed);
             }
-            PublishOutcome::Aborted { failed_cas } => {
-                stats.aborted += 1;
-                stats.failed_cas += failed_cas as u64;
+            Step::Aborted => {}
+            Step::NonFinite => {
+                // ORDERING: SeqCst pair — crash must be visible no later
+                // than stop in the single total order, so the monitor that
+                // sees stop cannot miss the crash verdict behind it.
+                control.crashed.store(true, Ordering::SeqCst);
+                // ORDERING: SeqCst — see above.
+                control.stop.store(true, Ordering::SeqCst);
+                break;
             }
         }
-        stats.iter_time.record(iter_start.elapsed().as_secs_f64());
     }
-    stats
-}
-
-/// Per-worker bound on the consistent snapshot's validate-and-retry loop:
-/// after this many failed double-collects the worker proceeds with its
-/// last (possibly mixed-version) view — SGD tolerates the relaxation, and
-/// a bounded loop keeps read latency predictable under heavy publishing.
-const WORKER_SNAPSHOT_RETRIES: u32 = 32;
-
-/// Worker loop for sharded Leashed-SGD: multi-shard counted read
-/// (gathered into a local copy), gradient, and a dirty-shards-only
-/// publication — sparse `(index, value)` pairs when the problem provides
-/// them ([`Problem::grad_sparse`]) or top-k sparsification is on, dense
-/// per-shard sub-gradients otherwise.
-#[allow(clippy::too_many_arguments)]
-fn run_sharded_worker<P: Problem>(
-    problem: &P,
-    shared: &ShardedShared,
-    control: &Control,
-    cfg: &TrainConfig,
-    scratch: &mut P::Scratch,
-    rng: &mut SmallRng64,
-    grad: &mut [f32],
-    local: &mut [f32],
-    mut stats: WorkerStats,
-    ctx: &WorkerCtx<'_>,
-) -> WorkerStats {
-    let Algorithm::ShardedLeashed {
-        persistence,
-        snapshot: snapshot_mode,
-        ..
-    } = cfg.algorithm
-    else {
-        unreachable!("sharded shared state implies sharded algorithm");
-    };
-    let mut base_seqs: Vec<u64> = Vec::with_capacity(shared.num_shards());
-    let mut pairs: Vec<(u32, f32)> = Vec::new();
-    let mut sparsify_scratch = Vec::new();
-    let mut velocity: Vec<f32> = Vec::new();
-    // The sparse-native path bypasses the dense gradient buffer entirely;
-    // momentum needs a dense velocity fold, so it forces the dense path.
-    let sparse_native_ok = cfg.momentum == 0.0 && cfg.sparsify.is_none();
-    let mut step: u64 = 0;
-    // ORDERING: Relaxed — stop is an eventually-observed flag; the
-    // worker re-polls it every iteration and carries no data through it.
-    while !control.stop.load(Ordering::Relaxed) {
-        ctx.beat(BeatPhase::Snapshot, step);
-        lsgd_fault::worker_step(step);
-        step += 1;
-        let iter_start = Instant::now();
-        {
-            let _span = lsgd_trace::span(Phase::SnapshotRead);
-            let snap = shared.snapshot(snapshot_mode, WORKER_SNAPSHOT_RETRIES);
-            if snap.is_degraded() {
-                stats.degraded += 1;
-            }
-            base_seqs.clear();
-            base_seqs.extend_from_slice(snap.seqs());
-            snap.gather_into(local);
-        }
-        ctx.phase(BeatPhase::Grad);
-        let tc_start = Instant::now();
-        let mut sparse_ready = false;
-        let mut loss = f32::NAN;
-        {
-            let _span = lsgd_trace::span(Phase::GradCompute);
-            if sparse_native_ok {
-                if let Some(l) = problem.grad_sparse(local, &mut pairs, scratch, rng) {
-                    loss = l;
-                    sparse_ready = true;
-                }
-            }
-            if !sparse_ready {
-                loss = problem.grad(local, grad, scratch, rng);
-            }
-        }
-        stats.tc.record(tc_start.elapsed().as_secs_f64());
-        if !loss.is_finite() {
-            // ORDERING: SeqCst pair — crash must be visible no later
-            // than stop in the single total order, so the monitor that
-            // sees stop cannot miss the crash verdict behind it.
-            control.crashed.store(true, Ordering::SeqCst);
-            // ORDERING: SeqCst — see above.
-            control.stop.store(true, Ordering::SeqCst);
-            break;
-        }
-        // τ estimate in *update* units (matching the unsharded path): the
-        // max per-shard seq advance since our read. Each concurrent update
-        // bumps every shard it touches by exactly 1, so the max over
-        // shards counts concurrent updates (exactly for dense updates,
-        // a lower bound for sparse ones) — summing shard seqs would
-        // instead count shard-publications and inflate τ by up to S.
-        let tau_est = (0..shared.num_shards())
-            .map(|s| shared.shard(s).current_seq().saturating_sub(base_seqs[s]))
-            .max()
-            .unwrap_or(0);
-        let eta = cfg.eta_policy.effective(cfg.eta, tau_est);
-        ctx.phase(BeatPhase::Publish);
-        let tu_stats = &mut stats.tu;
-        let outcome = {
-            let _span = lsgd_trace::span(Phase::Publish);
-            if sparse_ready {
-                shared.publish_sparse(&pairs, eta, persistence, Some(&base_seqs), |secs| {
-                    tu_stats.record(secs)
-                })
-            } else if cfg.momentum == 0.0 {
-                if let Some(frac) = cfg.sparsify {
-                    // Index extraction feeds the dirty-shard path directly —
-                    // no zeroing pass, no dense re-scan at publish time.
-                    crate::sparsify::sparsify_top_frac_indices(
-                        grad,
-                        frac,
-                        &mut sparsify_scratch,
-                        &mut pairs,
-                    );
-                    shared.publish_sparse(&pairs, eta, persistence, Some(&base_seqs), |secs| {
-                        tu_stats.record(secs)
-                    })
-                } else {
-                    shared.publish_dense(grad, eta, persistence, Some(&base_seqs), |secs| {
-                        tu_stats.record(secs)
-                    })
-                }
-            } else {
-                if let Some(frac) = cfg.sparsify {
-                    crate::sparsify::sparsify_top_frac(grad, frac, &mut sparsify_scratch);
-                }
-                let direction = fold_momentum(grad, &mut velocity, cfg.momentum);
-                shared.publish_dense(direction, eta, persistence, Some(&base_seqs), |secs| {
-                    tu_stats.record(secs)
-                })
-            }
-        };
-        // An update counts as published when at least one of its dirty
-        // shards landed; fully abandoned updates count as aborted. An
-        // exactly-zero gradient (dirty = 0) is a successful no-op — the
-        // unsharded path publishes it as one; counting it here keeps the
-        // max_updates budget advancing (and the run terminating) when
-        // gradients vanish at convergence.
-        if outcome.published > 0 || outcome.dirty == 0 {
-            stats.published += 1;
-            stats.hists.staleness.record(outcome.tau_max);
-            stats.hists.tau_s.record(outcome.tau_s_max);
-            stats.hists.dirty_shards.record(outcome.dirty as u64);
-            // ORDERING: Relaxed — monotone progress tally; see above.
-            control.total_published.fetch_add(1, Ordering::Relaxed);
-        } else {
-            stats.aborted += 1;
-        }
-        stats.failed_cas += outcome.failed_cas as u64;
-        stats.iter_time.record(iter_start.elapsed().as_secs_f64());
-    }
-    stats
-}
-
-/// Worker loop for SEQ / lock-based ASYNC (Algorithm 2 thread body).
-#[allow(clippy::too_many_arguments)]
-fn run_locked_worker<P: Problem>(
-    problem: &P,
-    shared: &LockedParams,
-    control: &Control,
-    cfg: &TrainConfig,
-    scratch: &mut P::Scratch,
-    rng: &mut SmallRng64,
-    grad: &mut [f32],
-    local: &mut [f32],
-    mut stats: WorkerStats,
-    ctx: &WorkerCtx<'_>,
-) -> WorkerStats {
-    let mut velocity: Vec<f32> = Vec::new();
-    let mut sparsify_scratch = Vec::new();
-    let mut step: u64 = 0;
-    // ORDERING: Relaxed — stop is an eventually-observed flag; the
-    // worker re-polls it every iteration and carries no data through it.
-    while !control.stop.load(Ordering::Relaxed) {
-        ctx.beat(BeatPhase::Snapshot, step);
-        lsgd_fault::worker_step(step);
-        step += 1;
-        let iter_start = Instant::now();
-        let t0 = {
-            let _span = lsgd_trace::span(Phase::SnapshotRead);
-            shared.read_into(local) // lock, copy, unlock
-        };
-        ctx.phase(BeatPhase::Grad);
-        let tc_start = Instant::now();
-        let loss = {
-            let _span = lsgd_trace::span(Phase::GradCompute);
-            problem.grad(local, grad, scratch, rng)
-        };
-        stats.tc.record(tc_start.elapsed().as_secs_f64());
-        if !loss.is_finite() {
-            // ORDERING: SeqCst pair — crash must be visible no later
-            // than stop in the single total order, so the monitor that
-            // sees stop cannot miss the crash verdict behind it.
-            control.crashed.store(true, Ordering::SeqCst);
-            // ORDERING: SeqCst — see above.
-            control.stop.store(true, Ordering::SeqCst);
-            break;
-        }
-        if let Some(frac) = cfg.sparsify {
-            crate::sparsify::sparsify_top_frac(grad, frac, &mut sparsify_scratch);
-        }
-        let eta = cfg
-            .eta_policy
-            .effective(cfg.eta, shared.current_seq().saturating_sub(t0));
-        let direction = fold_momentum(grad, &mut velocity, cfg.momentum);
-        ctx.phase(BeatPhase::Publish);
-        let tu_start = Instant::now();
-        let t_pub = {
-            let _span = lsgd_trace::span(Phase::Publish);
-            shared.update(direction, eta) // lock, axpy, unlock
-        };
-        stats.tu.record(tu_start.elapsed().as_secs_f64());
-        stats.hists.staleness.record(t_pub - 1 - t0);
-        stats.published += 1;
-        // ORDERING: Relaxed — monotone progress tally; see above.
-        control.total_published.fetch_add(1, Ordering::Relaxed);
-        stats.iter_time.record(iter_start.elapsed().as_secs_f64());
-    }
-    stats
-}
-
-/// Worker loop for HOGWILD! (Algorithm 4 thread body).
-#[allow(clippy::too_many_arguments)]
-fn run_hogwild_worker<P: Problem>(
-    problem: &P,
-    shared: &HogwildParams,
-    control: &Control,
-    cfg: &TrainConfig,
-    scratch: &mut P::Scratch,
-    rng: &mut SmallRng64,
-    grad: &mut [f32],
-    local: &mut [f32],
-    mut stats: WorkerStats,
-    ctx: &WorkerCtx<'_>,
-) -> WorkerStats {
-    let mut velocity: Vec<f32> = Vec::new();
-    let mut sparsify_scratch = Vec::new();
-    let mut step: u64 = 0;
-    // ORDERING: Relaxed — stop is an eventually-observed flag; the
-    // worker re-polls it every iteration and carries no data through it.
-    while !control.stop.load(Ordering::Relaxed) {
-        ctx.beat(BeatPhase::Snapshot, step);
-        lsgd_fault::worker_step(step);
-        step += 1;
-        let iter_start = Instant::now();
-        let t0 = {
-            let _span = lsgd_trace::span(Phase::SnapshotRead);
-            shared.read_into(local) // unsynchronised copy
-        };
-        ctx.phase(BeatPhase::Grad);
-        let tc_start = Instant::now();
-        let loss = {
-            let _span = lsgd_trace::span(Phase::GradCompute);
-            problem.grad(local, grad, scratch, rng)
-        };
-        stats.tc.record(tc_start.elapsed().as_secs_f64());
-        if !loss.is_finite() {
-            // ORDERING: SeqCst pair — crash must be visible no later
-            // than stop in the single total order, so the monitor that
-            // sees stop cannot miss the crash verdict behind it.
-            control.crashed.store(true, Ordering::SeqCst);
-            // ORDERING: SeqCst — see above.
-            control.stop.store(true, Ordering::SeqCst);
-            break;
-        }
-        if let Some(frac) = cfg.sparsify {
-            crate::sparsify::sparsify_top_frac(grad, frac, &mut sparsify_scratch);
-        }
-        let eta = cfg
-            .eta_policy
-            .effective(cfg.eta, shared.current_seq().saturating_sub(t0));
-        let direction = fold_momentum(grad, &mut velocity, cfg.momentum);
-        ctx.phase(BeatPhase::Publish);
-        let tu_start = Instant::now();
-        let t_pub = {
-            let _span = lsgd_trace::span(Phase::Publish);
-            shared.update(direction, eta) // racy component updates
-        };
-        stats.tu.record(tu_start.elapsed().as_secs_f64());
-        stats.hists.staleness.record(t_pub - 1 - t0);
-        stats.published += 1;
-        // ORDERING: Relaxed — monotone progress tally; see above.
-        control.total_published.fetch_add(1, Ordering::Relaxed);
-        stats.iter_time.record(iter_start.elapsed().as_secs_f64());
-    }
-    stats
+    state.stats
 }

@@ -44,8 +44,8 @@
 //! a clean git worktree (see the README performance section).
 
 use crate::layer::{Layer, LayerCache, RowsPtr, StepCtx};
+use lsgd_runtime::split_ranges;
 use lsgd_tensor::gemm::{gemm_flex, gemm_slices, ASource, BSource, Transpose};
-use lsgd_tensor::threadpool::split_ranges;
 use lsgd_tensor::{Matrix, PackedA, PackedB};
 use std::cell::RefCell;
 use std::ops::Range;

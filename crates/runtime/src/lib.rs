@@ -3,7 +3,7 @@
 //! One scheduler for both thread populations the repo used to run side by
 //! side: long-lived trainer workers (previously `std::thread::scope` in
 //! `lsgd_core::trainer`) and fine-grained intra-step GEMM/sample splits
-//! (previously the condvar work-sharing pool in `lsgd_tensor::threadpool`).
+//! (previously a condvar work-sharing pool inside `lsgd_tensor`).
 //! Because both kinds of work execute on the *same* workers, m trainer
 //! workers × GEMM fan-out can never oversubscribe the machine, and one knob
 //! (`LSGD_THREADS`) sizes everything.
@@ -653,8 +653,7 @@ impl std::fmt::Debug for Handle {
     }
 }
 
-/// The process-global runtime. Sized by `LSGD_THREADS` (≥ 1), else by the
-/// deprecated `LSGD_GEMM_THREADS` (one-time stderr warning), else by
+/// The process-global runtime. Sized by `LSGD_THREADS` (≥ 1), else by
 /// `available_parallelism()`.
 pub fn global() -> &'static Runtime {
     static GLOBAL: OnceLock<Runtime> = OnceLock::new();
@@ -662,48 +661,16 @@ pub fn global() -> &'static Runtime {
 }
 
 fn default_threads() -> usize {
-    let hw = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    // The shared checked parser warns once on malformed/zero values; the
-    // sizing precedence itself stays a pure function for tests.
-    let (n, legacy) = size_from_env(
-        lsgd_check::env::positive_usize("LSGD_THREADS"),
-        lsgd_check::env::positive_usize("LSGD_GEMM_THREADS"),
-        hw,
-    );
-    if legacy {
-        static WARNED: AtomicBool = AtomicBool::new(false);
-        // ORDERING: Relaxed — one-shot warning latch; emitting the warning
-        // twice under a race would be harmless.
-        if !WARNED.swap(true, Ordering::Relaxed) {
-            eprintln!(
-                "lsgd_runtime: LSGD_GEMM_THREADS is deprecated; \
-                 set LSGD_THREADS={n} instead (one runtime now sizes both \
-                 trainer workers and GEMM splits)"
-            );
-        }
-    }
-    n
-}
-
-/// Pure sizing rule, split out for tests: the primary knob wins, the
-/// deprecated legacy knob is honored second (reported via the bool),
-/// default last. Malformed/zero values arrive here as `None` — the
-/// checked parser in `lsgd_check::env` already rejected and reported
-/// them.
-fn size_from_env(primary: Option<usize>, legacy: Option<usize>, default: usize) -> (usize, bool) {
-    if let Some(n) = primary {
-        return (n, false);
-    }
-    if let Some(n) = legacy {
-        return (n, true);
-    }
-    (default, false)
+    // The shared checked parser warns once on malformed/zero values.
+    lsgd_check::env::positive_usize("LSGD_THREADS").unwrap_or_else(|| {
+        std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1)
+    })
 }
 
 // ---------------------------------------------------------------------------
-// split_ranges (moved from lsgd_tensor::threadpool)
+// split_ranges
 // ---------------------------------------------------------------------------
 
 /// Split `0..n` into at most `max_tasks` contiguous near-equal ranges
@@ -936,18 +903,6 @@ mod tests {
                 assert!(lens[0] - lens[lens.len() - 1] <= 1);
             }
         }
-    }
-
-    #[test]
-    fn size_from_env_precedence_and_deprecation() {
-        // Primary knob wins, no deprecation flag. (Malformed/zero values
-        // reach this function as `None` — `lsgd_check::env` rejects them
-        // with a one-time warning.)
-        assert_eq!(size_from_env(Some(3), Some(7), 8), (3, false));
-        // Legacy knob honored when primary is absent — flagged.
-        assert_eq!(size_from_env(None, Some(7), 8), (7, true));
-        // Neither knob set: the default.
-        assert_eq!(size_from_env(None, None, 6), (6, false));
     }
 
     #[test]

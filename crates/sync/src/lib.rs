@@ -16,7 +16,7 @@
 //!   differential tests.
 //!
 //! This crate depends on nothing but `std` so every other workspace
-//! member (including the vendored `crossbeam` shim) can build on it.
+//! member can build on it.
 
 #![warn(missing_docs)]
 

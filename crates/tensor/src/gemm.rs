@@ -14,7 +14,7 @@
 //!   structure) and must be multiplied in place without copies;
 //! * [`gemm_parallel`] / [`gemm_slices_parallel`] — the same contract,
 //!   with the M (or, for wide outputs, N) panel loop split across the
-//!   in-tree worker pool in [`crate::threadpool`]. Small products fall
+//!   work-stealing runtime ([`lsgd_runtime`]). Small products fall
 //!   back to the serial path so the paper's tiny CNN im2col GEMMs never
 //!   pay dispatch overhead;
 //! * [`gemm_naive`] / [`gemm_naive_slices`] — the previous blocked-loop
@@ -52,7 +52,7 @@
 use crate::matrix::Matrix;
 use crate::pack::{pack_a, pack_b};
 use crate::panels::{PackedA, PackedB};
-use crate::threadpool::{self, ThreadPool};
+use lsgd_runtime::Runtime;
 use std::cell::RefCell;
 
 /// Whether an operand participates as itself or transposed.
@@ -247,7 +247,7 @@ pub fn gemm_slices_parallel(
     c_shape: (usize, usize),
 ) {
     gemm_slices_parallel_in(
-        threadpool::global(),
+        lsgd_runtime::global(),
         alpha,
         a,
         a_shape,
@@ -261,12 +261,12 @@ pub fn gemm_slices_parallel(
     );
 }
 
-/// [`gemm_slices_parallel`] against an explicit [`ThreadPool`] (used by the
+/// [`gemm_slices_parallel`] against an explicit [`Runtime`] (used by the
 /// differential tests to exercise the parallel path regardless of the
 /// host's core count).
 #[allow(clippy::too_many_arguments)]
 pub fn gemm_slices_parallel_in(
-    pool: &ThreadPool,
+    pool: &Runtime,
     alpha: f32,
     a: &[f32],
     a_shape: (usize, usize),
@@ -501,7 +501,7 @@ pub fn gemm_flex(
 /// [`gemm_slices_parallel`]: tasks own disjoint row bands of `C` and run
 /// the identical blocked loop over them.
 pub fn gemm_flex_parallel_in(
-    pool: &ThreadPool,
+    pool: &Runtime,
     alpha: f32,
     a: &ASource<'_>,
     b: &BSource<'_>,
@@ -547,7 +547,7 @@ pub fn gemm_flex_parallel(
     c: &mut [f32],
     c_shape: (usize, usize),
 ) {
-    gemm_flex_parallel_in(threadpool::global(), alpha, a, b, beta, c, c_shape);
+    gemm_flex_parallel_in(lsgd_runtime::global(), alpha, a, b, beta, c, c_shape);
 }
 
 /// Shape validation for the flexible-source entry points.
@@ -1354,7 +1354,7 @@ mod tests {
         // directions: (256, 256, 64) row-splits, (16, 160, 512) and
         // (12, 2048, 50) have too few rows for 4 threads and N-split —
         // the arm where AVX2 panel pairing must stay chunk-invariant.
-        let pool = ThreadPool::new(4);
+        let pool = Runtime::new(4);
         for (m, n, k) in [
             (70, 33, 129),
             (257, 64, 40),

@@ -13,8 +13,8 @@
 //! * [`gemm`] — packed, register-blocked matrix multiplication with
 //!   transpose variants (`C = alpha * op(A) * op(B) + beta * C`), the
 //!   workhorse of both the dense layers and the im2col convolution
-//!   lowering. [`pack`] holds the panel-packing routines; [`threadpool`]
-//!   the small worker pool behind `gemm::gemm_parallel`.
+//!   lowering. [`pack`] holds the panel-packing routines;
+//!   `gemm::gemm_parallel` splits across the `lsgd_runtime` workers.
 //! * [`ops`] — BLAS-1 style vector kernels (`axpy`, `dot`, `scale`, …) used
 //!   by the SGD update rule itself.
 //! * [`rng`] — seeded random sources, including the Box–Muller normal
@@ -31,7 +31,6 @@ pub mod ops;
 pub mod pack;
 pub mod panels;
 pub mod rng;
-pub mod threadpool;
 
 pub use gemm::{gemm, gemm_naive, gemm_parallel, Transpose};
 pub use matrix::Matrix;

@@ -6,16 +6,17 @@
 //! * `packed/*`   — the packed micro-kernel path ([`lsgd_tensor::gemm::gemm`]),
 //! * `naive/*`    — the retained pre-packing kernel
 //!   ([`lsgd_tensor::gemm::gemm_naive`]), kept as the regression baseline,
-//! * `parallel/*` — [`lsgd_tensor::gemm::gemm_parallel`] over the global
-//!   work-stealing runtime (equals `packed` when the host or `LSGD_THREADS`
-//!   gives the runtime a single thread, or for sub-threshold products).
+//! * `parallel/*` — [`lsgd_tensor::gemm::gemm_slices_parallel_in`] on the
+//!   global work-stealing runtime (equals `packed` when the host or
+//!   `LSGD_THREADS` gives the runtime a single thread, or for
+//!   sub-threshold products).
 //!
 //! Set `LSGD_BENCH_SMOKE=1` to shrink warm-up/measurement windows — used
 //! by the CI smoke step so throughput regressions show up in logs without
 //! a full measurement run.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use lsgd_tensor::gemm::{gemm, gemm_naive, gemm_parallel, Transpose};
+use lsgd_tensor::gemm::{gemm, gemm_naive, gemm_slices_parallel_in, Transpose};
 use lsgd_tensor::{Matrix, SmallRng64};
 use std::hint::black_box;
 use std::time::Duration;
@@ -26,6 +27,36 @@ fn rand_mat(rows: usize, cols: usize, seed: u64) -> Matrix {
 }
 
 type Kernel = fn(f32, &Matrix, Transpose, &Matrix, Transpose, f32, &mut Matrix);
+
+/// The `parallel/*` kernel: the slice entry point on the global runtime.
+fn parallel_kernel(
+    alpha: f32,
+    a: &Matrix,
+    ta: Transpose,
+    b: &Matrix,
+    tb: Transpose,
+    beta: f32,
+    c: &mut Matrix,
+) {
+    let (a_shape, b_shape, c_shape) = (
+        (a.rows(), a.cols()),
+        (b.rows(), b.cols()),
+        (c.rows(), c.cols()),
+    );
+    gemm_slices_parallel_in(
+        lsgd_runtime::global(),
+        alpha,
+        a.as_slice(),
+        a_shape,
+        ta,
+        b.as_slice(),
+        b_shape,
+        tb,
+        beta,
+        c.as_mut_slice(),
+        c_shape,
+    );
+}
 
 fn bench_gemm(c: &mut Criterion) {
     let smoke = lsgd_core::env::flag("LSGD_BENCH_SMOKE");
@@ -54,7 +85,7 @@ fn bench_gemm(c: &mut Criterion) {
     let kernels: [(&str, Kernel); 3] = [
         ("packed", gemm),
         ("naive", gemm_naive),
-        ("parallel", gemm_parallel),
+        ("parallel", parallel_kernel),
     ];
     for (name, m, k, n) in shapes {
         let a = rand_mat(m, k, 1);

@@ -1,173 +1,17 @@
-//! Scheduling-overhead microbench: the work-stealing runtime's
-//! `parallel_for` vs the retired condvar work-sharing pool it replaced.
-//!
-//! The baseline is an in-bench copy of the old `lsgd_tensor` pool (one
-//! shared atomic ticket counter, workers woken through a mutex +
-//! condvar per call) — kept here because the real one was deleted when
-//! the tensor crate moved onto `lsgd_runtime`. Both schedulers run the
-//! same synthetic panel kernel at the same total parallelism, so the
-//! rows isolate pure dispatch + join cost:
+//! Scheduling-overhead microbench: dispatch + join cost of the
+//! work-stealing runtime's `parallel_for` on a synthetic panel kernel.
 //!
 //! * `fanout_<n>x<w>` — `n` tasks of `w` inner saxpy passes each. The
 //!   small-`w` rows are dominated by scheduling (the regime where the
-//!   deque's lock-free claim path matters); the large-`w` rows confirm
-//!   both schedulers converge once tasks carry real GEMM-panel-sized
-//!   work.
+//!   deque's lock-free claim path matters); the large-`w` rows carry real
+//!   GEMM-panel-sized work per task.
 //!
 //! `LSGD_BENCH_SMOKE=1` shortens the windows for CI.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use lsgd_runtime::Runtime;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
-use std::thread::JoinHandle;
+use std::sync::Mutex;
 use std::time::Duration;
-
-// ---------------------------------------------------------------------
-// Baseline: the old condvar work-sharing pool, verbatim in structure
-// (ticket counter + per-call condvar wake), trimmed of panic plumbing
-// docs. See git history of crates/tensor/src/threadpool.rs.
-// ---------------------------------------------------------------------
-
-struct ForJob {
-    f: &'static (dyn Fn(usize) + Sync),
-    next: AtomicUsize,
-    total: usize,
-    pending: AtomicUsize,
-    poisoned: AtomicBool,
-    done: Mutex<bool>,
-    done_cv: Condvar,
-}
-
-impl ForJob {
-    fn run(&self) {
-        loop {
-            // ORDERING: Relaxed — a pure work-claim ticket counter; task
-            // data is published by the job installation, not here.
-            let i = self.next.fetch_add(1, Ordering::Relaxed);
-            if i >= self.total {
-                return;
-            }
-            if std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| (self.f)(i))).is_err() {
-                // ORDERING: Release — pairs with the caller's Acquire load
-                // after the join.
-                self.poisoned.store(true, Ordering::Release);
-            }
-            // ORDERING: AcqRel — completion latch; the last decrement
-            // synchronizes every task's writes with the caller's wake-up.
-            if self.pending.fetch_sub(1, Ordering::AcqRel) == 1 {
-                *self.done.lock().unwrap() = true;
-                self.done_cv.notify_all();
-            }
-        }
-    }
-}
-
-struct PoolShared {
-    jobs: Mutex<Vec<Arc<ForJob>>>,
-    available: Condvar,
-    shutdown: AtomicBool,
-}
-
-struct CondvarPool {
-    shared: Arc<PoolShared>,
-    handles: Vec<JoinHandle<()>>,
-}
-
-impl CondvarPool {
-    fn new(threads: usize) -> Self {
-        let shared = Arc::new(PoolShared {
-            jobs: Mutex::new(Vec::new()),
-            available: Condvar::new(),
-            shutdown: AtomicBool::new(false),
-        });
-        let handles = (0..threads.saturating_sub(1))
-            .map(|i| {
-                let shared = Arc::clone(&shared);
-                std::thread::Builder::new()
-                    .name(format!("bench-condvar-{i}"))
-                    .spawn(move || worker_loop(&shared))
-                    .expect("spawn baseline worker")
-            })
-            .collect();
-        CondvarPool { shared, handles }
-    }
-
-    fn parallel_for(&self, ntasks: usize, f: &(dyn Fn(usize) + Sync)) {
-        if ntasks == 0 {
-            return;
-        }
-        if self.handles.is_empty() || ntasks == 1 {
-            for i in 0..ntasks {
-                f(i);
-            }
-            return;
-        }
-        // SAFETY: lifetime erasure only; we block until `pending == 0`
-        // below, after which no worker dereferences `f` again.
-        let f_static: &'static (dyn Fn(usize) + Sync) = unsafe { std::mem::transmute(f) };
-        let job = Arc::new(ForJob {
-            f: f_static,
-            next: AtomicUsize::new(0),
-            total: ntasks,
-            pending: AtomicUsize::new(ntasks),
-            poisoned: AtomicBool::new(false),
-            done: Mutex::new(false),
-            done_cv: Condvar::new(),
-        });
-        {
-            let mut jobs = self.shared.jobs.lock().unwrap();
-            for _ in 0..self.handles.len().min(ntasks - 1) {
-                jobs.push(Arc::clone(&job));
-            }
-        }
-        self.shared.available.notify_all();
-        job.run();
-        let mut done = job.done.lock().unwrap();
-        while !*done {
-            done = job.done_cv.wait(done).unwrap();
-        }
-        drop(done);
-        // ORDERING: Acquire — see the Release store in ForJob::run.
-        if job.poisoned.load(Ordering::Acquire) {
-            panic!("baseline pool: a task panicked");
-        }
-    }
-}
-
-impl Drop for CondvarPool {
-    fn drop(&mut self) {
-        // ORDERING: Release/Acquire pair with worker_loop's shutdown load.
-        self.shared.shutdown.store(true, Ordering::Release);
-        self.shared.available.notify_all();
-        for h in self.handles.drain(..) {
-            let _ = h.join();
-        }
-    }
-}
-
-fn worker_loop(shared: &PoolShared) {
-    loop {
-        let job = {
-            let mut jobs = shared.jobs.lock().unwrap();
-            loop {
-                // ORDERING: Acquire — pairs with Drop's Release store.
-                if shared.shutdown.load(Ordering::Acquire) {
-                    return;
-                }
-                if let Some(job) = jobs.pop() {
-                    break job;
-                }
-                jobs = shared.available.wait(jobs).unwrap();
-            }
-        };
-        job.run();
-    }
-}
-
-// ---------------------------------------------------------------------
-// Workload + harness
-// ---------------------------------------------------------------------
 
 /// One task: `passes` saxpy sweeps over a private 1 KiB panel — the
 /// shape of a packed GEMM micro-tile, scaled by `passes` to move the
@@ -187,7 +31,6 @@ fn bench_runtime_steal(c: &mut Criterion) {
         .map(|n| n.get())
         .unwrap_or(1);
     let rt = Runtime::new(threads);
-    let pool = CondvarPool::new(threads);
 
     let mut group = c.benchmark_group("runtime_steal");
     if smoke {
@@ -212,13 +55,6 @@ fn bench_runtime_steal(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new(&name, "steal"), &(), |bench, _| {
             bench.iter(|| {
                 rt.parallel_for(ntasks, &|i| {
-                    panel_kernel(&mut slots[i].lock().unwrap(), passes);
-                });
-            });
-        });
-        group.bench_with_input(BenchmarkId::new(&name, "condvar"), &(), |bench, _| {
-            bench.iter(|| {
-                pool.parallel_for(ntasks, &|i| {
                     panel_kernel(&mut slots[i].lock().unwrap(), passes);
                 });
             });

@@ -11,17 +11,6 @@
 //! SEQ-style locked, HOGWILD!, Leashed-SGD, and sharded Leashed-SGD at
 //! the heuristic shard count.
 //!
-//! The `*_prepr/` rows re-run the NN workloads on the **ablation
-//! baseline** ([`ComputeOpts::baseline`]: fresh packing per GEMM, serial
-//! materialised im2col) — isolating the cost of the panel cache, fused
-//! lowering, and intra-step threading. Gradients on the two paths are
-//! bitwise identical (see `crates/nn/tests/fastpath_differential.rs`),
-//! so the rows differ in time only. On a single core the two sit near
-//! parity (the shared-kernel optimisations lift both); the gap opens
-//! with pool threads. The PR's ≥ 1.5× CNN step claim is measured against
-//! the *actual pre-PR tree* from a clean `git worktree` (see the README
-//! performance section), which this in-tree ablation cannot reproduce.
-//!
 //! Set `LSGD_BENCH_SMOKE=1` for short windows (CI) and
 //! `LSGD_BENCH_JSON=BENCH_sgd_step.json` to emit the machine-readable
 //! trajectory file. Throughput is reported as parameters/s
@@ -38,7 +27,6 @@ use lsgd_core::trainer::{WorkerCtx, WorkerState};
 use lsgd_core::{LeashedShared, ParamStore, ShardedShared};
 use lsgd_data::sparse_logreg::sparse_logreg;
 use lsgd_data::SynthDigits;
-use lsgd_nn::ComputeOpts;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -214,20 +202,13 @@ fn bench_sgd_step(c: &mut Criterion) {
 
     // Table II MLP, minibatch 128.
     let mlp_data = SynthDigits::default().generate(samples, 1);
-    let mlp = NnProblem::new(lsgd_nn::mlp_mnist(), mlp_data.clone(), 128, 1);
+    let mlp = NnProblem::new(lsgd_nn::mlp_mnist(), mlp_data, 128, 1);
     bench_workload(&mut group, "mlp", &mlp, &all);
-    let mlp_pre =
-        NnProblem::new(lsgd_nn::mlp_mnist(), mlp_data, 128, 1).with_compute_opts(ComputeOpts::baseline());
-    bench_workload(&mut group, "mlp_prepr", &mlp_pre, &["LSH"]);
 
-    // Table III CNN, minibatch 64 — the im2col-dominated workload this
-    // PR's >= 1.5x step-latency target is measured on (fast vs _prepr).
+    // Table III CNN, minibatch 64 — the im2col-dominated workload.
     let cnn_data = SynthDigits::default().generate(samples, 8);
-    let cnn = NnProblem::new(lsgd_nn::cnn_mnist(), cnn_data.clone(), 64, 1);
+    let cnn = NnProblem::new(lsgd_nn::cnn_mnist(), cnn_data, 64, 1);
     bench_workload(&mut group, "cnn", &cnn, &all);
-    let cnn_pre =
-        NnProblem::new(lsgd_nn::cnn_mnist(), cnn_data, 64, 1).with_compute_opts(ComputeOpts::baseline());
-    bench_workload(&mut group, "cnn_prepr", &cnn_pre, &["LSH"]);
 
     // Sparse logistic regression (PR 4 workload), minibatch 16: the
     // sharded row exercises the native sparse dirty-shard publication.

@@ -6,14 +6,14 @@
 //! so there is exactly one timing path to trust.
 //!
 //! ```text
-//! cargo run --release -p lsgd_bench --features trace --bin profile_step [baseline]
+//! cargo run --release -p lsgd_bench --features trace --bin profile_step
 //! ```
 
 use lsgd_metrics::table::Table;
-use lsgd_nn::{ComputeOpts, Layer, LayerCache, Network, StepCtx};
+use lsgd_nn::{Layer, LayerCache, Network, StepCtx};
 use lsgd_tensor::{Matrix, SmallRng64};
 
-fn time_network(name: &str, net: &Network, batch: usize, baseline: bool) {
+fn time_network(name: &str, net: &Network, batch: usize) {
     let theta = net.init_params(1);
     let mut rng = SmallRng64::new(2);
     let x = Matrix::from_fn(batch, net.in_dim(), |_, _| rng.next_f32() - 0.5);
@@ -21,9 +21,6 @@ fn time_network(name: &str, net: &Network, batch: usize, baseline: bool) {
         .map(|_| rng.next_below(net.n_classes()) as u8)
         .collect();
     let mut ws = net.workspace(batch);
-    if baseline {
-        ws.set_compute_opts(ComputeOpts::baseline());
-    }
     let mut grad = vec![0.0f32; net.param_len()];
     // Warm up.
     for _ in 0..5 {
@@ -38,7 +35,7 @@ fn time_network(name: &str, net: &Network, batch: usize, baseline: bool) {
 
 /// Times one layer's forward and backward in isolation, one labeled span
 /// per rep.
-fn time_layer(l: &dyn Layer, batch: usize, baseline: bool) {
+fn time_layer(l: &dyn Layer, batch: usize) {
     let mut rng = SmallRng64::new(3);
     let mut params = vec![0.0f32; l.param_len()];
     for v in &mut params {
@@ -50,15 +47,7 @@ fn time_layer(l: &dyn Layer, batch: usize, baseline: bool) {
     let mut dx = Matrix::zeros(batch, l.in_dim());
     let mut dp = vec![0.0f32; l.param_len()];
     let mut cache = LayerCache::default();
-    let mut ctx = if baseline {
-        StepCtx {
-            use_panels: false,
-            threads: 1,
-            ..StepCtx::default()
-        }
-    } else {
-        StepCtx::default()
-    };
+    let mut ctx = StepCtx::default();
     for _ in 0..5 {
         ctx.panels.begin_step();
         l.forward(&params, &x, &mut yv, &mut cache, &mut ctx);
@@ -87,12 +76,8 @@ fn main() {
         std::process::exit(2);
     }
     lsgd_trace::enable();
-    let baseline = std::env::args().any(|a| a == "baseline");
     let batch = 64;
-    println!(
-        "== per-layer (batch {batch}, {} path) ==",
-        if baseline { "baseline" } else { "fast" }
-    );
+    println!("== per-layer (batch {batch}) ==");
     use lsgd_nn::activation::Relu;
     use lsgd_nn::conv::Conv2d;
     use lsgd_nn::dense::Dense;
@@ -108,12 +93,12 @@ fn main() {
     ];
     let mut collector = lsgd_trace::Collector::new();
     for l in &layers {
-        time_layer(l.as_ref(), batch, baseline);
+        time_layer(l.as_ref(), batch);
         collector.sample(); // keep the ring from wrapping between layers
     }
-    time_network("cnn", &lsgd_nn::cnn_mnist(), 64, baseline);
+    time_network("cnn", &lsgd_nn::cnn_mnist(), 64);
     collector.sample();
-    time_network("mlp", &lsgd_nn::mlp_mnist(), 128, baseline);
+    time_network("mlp", &lsgd_nn::mlp_mnist(), 128);
 
     let dump = collector.finish();
     let mut t = Table::new(vec!["site", "reps", "p50 µs", "p95 µs", "p99 µs"]);
@@ -129,8 +114,7 @@ fn main() {
     }
     print!("{}", t.render());
     if let Some(path) = lsgd_trace::chrome_path() {
-        let tag = if baseline { "profile_step baseline" } else { "profile_step fast" };
-        match lsgd_trace::chrome::append_run(&path, tag, &dump) {
+        match lsgd_trace::chrome::append_run(&path, "profile_step", &dump) {
             Ok(_) => println!("chrome trace appended to {path}"),
             Err(e) => eprintln!("failed to write {path}: {e}"),
         }

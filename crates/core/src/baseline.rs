@@ -126,7 +126,11 @@ impl HogwildParams {
     /// Copies the (possibly inconsistent) current state into `dst` with
     /// relaxed per-component loads; returns the sequence number observed
     /// *before* the copy, matching the paper's staleness bookkeeping.
+    ///
+    /// # Panics
+    /// Panics if `dst.len() != d`, like [`LockedParams::read_into`].
     pub fn read_into(&self, dst: &mut [f32]) -> u64 {
+        assert_eq!(dst.len(), self.theta.len(), "read_into: length mismatch");
         // ORDERING: SeqCst — seq labels stay totally ordered even though
         // the component reads below are deliberately unordered.
         let t = self.seq.load(Ordering::SeqCst);
@@ -141,7 +145,11 @@ impl HogwildParams {
     /// `theta[i] -= eta * grad[i]` with no coordination (Algorithm 1 line
     /// 15–18 applied directly to the shared vector). Returns the new
     /// sequence number (`FetchAndAdd`, as in Algorithm 1 line 16).
+    ///
+    /// # Panics
+    /// Panics if `grad.len() != d`, like [`LockedParams::update`].
     pub fn update(&self, grad: &[f32], eta: f32) -> u64 {
+        assert_eq!(grad.len(), self.theta.len(), "update: length mismatch");
         // ORDERING: SeqCst — the paper's FetchAndAdd total order on t.
         let t = self.seq.fetch_add(1, Ordering::SeqCst) + 1;
         for (a, &g) in self.theta.iter().zip(grad) {
@@ -327,6 +335,32 @@ mod tests {
             assert!(v <= 8000.0 + 0.5);
             assert!(v > 0.0);
         }
+    }
+
+    // A wrong-length buffer is an upstream shape bug; both stores reject
+    // it instead of copying or updating a prefix.
+    #[test]
+    #[should_panic]
+    fn locked_read_into_rejects_length_mismatch() {
+        LockedParams::new(vec![0.0; 4], gauge()).read_into(&mut [0.0; 3]);
+    }
+
+    #[test]
+    #[should_panic]
+    fn locked_update_rejects_length_mismatch() {
+        LockedParams::new(vec![0.0; 4], gauge()).update(&[1.0; 5], 0.1);
+    }
+
+    #[test]
+    #[should_panic]
+    fn hogwild_read_into_rejects_length_mismatch() {
+        HogwildParams::new(&[0.0; 4], gauge()).read_into(&mut [0.0; 3]);
+    }
+
+    #[test]
+    #[should_panic]
+    fn hogwild_update_rejects_length_mismatch() {
+        HogwildParams::new(&[0.0; 4], gauge()).update(&[1.0; 5], 0.1);
     }
 
     #[test]

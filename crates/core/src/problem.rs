@@ -68,7 +68,6 @@ pub struct NnProblem {
     data: Dataset,
     eval: Dataset,
     batch: usize,
-    compute: lsgd_nn::ComputeOpts,
 }
 
 /// Scratch for [`NnProblem`]: forward/backward workspace + batch buffers.
@@ -88,35 +87,7 @@ impl NnProblem {
         assert_eq!(data.dim(), net.in_dim(), "data/network dimension mismatch");
         assert!(batch > 0 && !data.is_empty());
         let eval = data.head(eval_subset.max(1));
-        NnProblem {
-            net,
-            data,
-            eval,
-            batch,
-            compute: lsgd_nn::ComputeOpts::default(),
-        }
-    }
-
-    /// Selects the compute path applied to every worker workspace this
-    /// problem creates (panel caching / intra-step threading). The
-    /// default is the fast path; benchmarks pass
-    /// [`lsgd_nn::ComputeOpts::baseline`] to measure the pre-packing
-    /// reference. Gradients are bitwise identical either way.
-    pub fn with_compute_opts(mut self, opts: lsgd_nn::ComputeOpts) -> Self {
-        self.compute = opts;
-        self
-    }
-
-    /// Builds an [`NnScratch`] with explicit compute options.
-    fn scratch_with(&self, opts: lsgd_nn::ComputeOpts) -> NnScratch {
-        let max_batch = self.batch.max(self.eval.len());
-        let mut ws = self.net.workspace(max_batch);
-        ws.set_compute_opts(opts);
-        NnScratch {
-            ws,
-            x: Matrix::zeros(self.batch, self.data.dim()),
-            y: Vec::with_capacity(self.batch),
-        }
+        NnProblem { net, data, eval, batch }
     }
 
     /// The wrapped network.
@@ -153,7 +124,12 @@ impl Problem for NnProblem {
     }
 
     fn scratch(&self) -> NnScratch {
-        self.scratch_with(self.compute.clone())
+        let max_batch = self.batch.max(self.eval.len());
+        NnScratch {
+            ws: self.net.workspace(max_batch),
+            x: Matrix::zeros(self.batch, self.data.dim()),
+            y: Vec::with_capacity(self.batch),
+        }
     }
 
     fn grad(

@@ -10,10 +10,10 @@
 //! convolution becomes one GEMM per sample — the same "many small GEMMs"
 //! cost profile the paper measures for its CNN (high `Tc`, low `Tu`).
 //!
-//! # The zero-realloc fast path
+//! # The zero-realloc path
 //!
-//! The default execution path restructures that cost profile in three
-//! ways, all bitwise-neutral to the result:
+//! The execution path restructures that cost profile in three ways, all
+//! bitwise-neutral to the result:
 //!
 //! 1. **Fused lowering** — the forward pass never materialises the im2col
 //!    matrix. The GEMM's `B` operand is generated *directly in packed
@@ -27,21 +27,18 @@
 //!    packings are produced once per SGD step via the worker's
 //!    [`PackedPanelCache`] and reused across all samples.
 //! 3. **Threaded sample loop** — per-sample work (lowering, GEMMs,
-//!    col2im) fans out over the tensor crate's worker pool in contiguous
-//!    sample ranges. Weight gradients are computed into per-sample slab
+//!    col2im) fans out over the [`StepCtx`] runtime in contiguous sample
+//!    ranges when it has more than one thread and the pass is heavy
+//!    enough. Weight gradients are computed into per-sample slab
 //!    entries (`LayerCache::grad_slab`) and reduced in ascending sample
 //!    order afterwards, so the floating-point association — and thus
-//!    every output bit — matches the serial sweep.
+//!    every output bit — is the same at every runtime width.
 //!
-//! A serial, fresh-pack, materialised-im2col path is kept (reached when
-//! the [`StepCtx`] disables both panels and threading) as the benchmark
-//! *ablation* baseline; differential tests assert the two paths agree
-//! bitwise. Note the baseline is not a byte-faithful replica of the
-//! pre-PR code: its backward shares the per-sample-slab accumulation
-//! structure above (the bitwise-parity guarantee requires one shared
-//! association), so it isolates the cost of panels + fusion + threading
-//! specifically — comparisons against the true pre-PR tree are done from
-//! a clean git worktree (see the README performance section).
+//! The references for this path are independent of it: a direct
+//! convolution (`conv_ref`), the fused packer against materialised
+//! im2col + `pack_b` panels, finite-difference `gradcheck`, and
+//! runtime-width invariance (`Runtime::new(1)` vs `Runtime::new(4)` vs a
+//! warm second step) in `tests/fastpath_differential.rs`.
 
 use crate::layer::{Layer, LayerCache, RowsPtr, StepCtx};
 use lsgd_runtime::split_ranges;
@@ -51,7 +48,7 @@ use std::cell::RefCell;
 use std::ops::Range;
 
 /// Minimum per-call flop count (`2 · filters · patch · ohw · batch`)
-/// before the per-sample loop fans out across the worker pool; below it
+/// before the per-sample loop fans out across the runtime; below it
 /// the dispatch overhead exceeds the win.
 const CONV_PAR_MIN_FLOPS: usize = 1 << 20;
 
@@ -276,16 +273,16 @@ impl Conv2d {
             >= CONV_PAR_MIN_FLOPS
     }
 
-    /// Runs `work` over `0..batch` split into at most `threads` contiguous
-    /// ranges — on the runtime when that is more than one range, inline
-    /// otherwise. `work` must touch only sample-disjoint state.
+    /// Runs `work` over `0..batch` split into at most `rt.threads()`
+    /// contiguous ranges — on the runtime when that is more than one
+    /// range, inline otherwise. `work` must touch only sample-disjoint
+    /// state.
     fn for_sample_ranges(
         rt: &lsgd_runtime::Runtime,
-        threads: usize,
         batch: usize,
         work: &(dyn Fn(Range<usize>) + Sync),
     ) {
-        let ranges = split_ranges(batch, threads);
+        let ranges = split_ranges(batch, rt.threads());
         if ranges.len() <= 1 {
             work(0..batch);
         } else {
@@ -295,14 +292,7 @@ impl Conv2d {
 
     /// One sample's forward product + bias: `out_row = W · colsᵀ + b`,
     /// with `colsᵀ` generated in packed layout straight from the sample.
-    fn forward_sample(
-        &self,
-        w: &[f32],
-        pa: Option<&PackedA>,
-        bias: &[f32],
-        sample: &[f32],
-        out_row: &mut [f32],
-    ) {
+    fn forward_sample(&self, pa: &PackedA, bias: &[f32], sample: &[f32], out_row: &mut [f32]) {
         let ohw = self.out_h() * self.out_w();
         let patch = self.patch_len();
         let packer = |dst: &mut [f32], k0: usize, j0: usize, kc: usize, nc: usize| {
@@ -312,14 +302,7 @@ impl Conv2d {
             pack: &packer,
             shape: (patch, ohw),
         };
-        let asrc = match pa {
-            Some(pa) => ASource::Prepacked(pa),
-            None => ASource::Slices {
-                a: w,
-                shape: (self.filters, patch),
-                trans: Transpose::No,
-            },
-        };
+        let asrc = ASource::Prepacked(pa);
         gemm_flex(1.0, &asrc, &bsrc, 0.0, out_row, (self.filters, ohw));
         for f in 0..self.filters {
             let b = bias[f];
@@ -427,65 +410,29 @@ impl Layer for Conv2d {
         params: &[f32],
         input: &Matrix,
         output: &mut Matrix,
-        cache: &mut LayerCache,
+        _cache: &mut LayerCache,
         ctx: &mut StepCtx,
     ) {
         let batch = input.rows();
         let (w, b) = self.split(params);
-        let (oh, ow) = (self.out_h(), self.out_w());
-        let ohw = oh * ow;
         let patch = self.patch_len();
-        let (panels, use_panels, pool, threads) = ctx.split();
-        let par = threads.min(batch) > 1 && self.parallel_worthwhile(batch);
+        let (panels, pool) = (&mut ctx.panels, ctx.runtime.get());
+        let par = pool.threads().min(batch) > 1 && self.parallel_worthwhile(batch);
 
-        if !use_panels && !par {
-            // Baseline path (benchmark reference): materialised im2col +
-            // fresh-pack GEMM, serial. Bitwise identical to the fast path
-            // below — the fused packer generates the same panels `pack_b`
-            // derives from this matrix.
-            if cache.im2col.rows() != ohw || cache.im2col.cols() != patch {
-                cache.im2col.resize_zeroed(ohw, patch);
-            }
-            for s in 0..batch {
-                self.im2col(input.row(s), &mut cache.im2col);
-                // out_sample (filters, ohw) = W (filters, patch) x colsᵀ
-                let out_row = output.row_mut(s);
-                gemm_slices(
-                    1.0,
-                    w,
-                    (self.filters, patch),
-                    Transpose::No,
-                    cache.im2col.as_slice(),
-                    (ohw, patch),
-                    Transpose::Yes,
-                    0.0,
-                    out_row,
-                    (self.filters, ohw),
-                );
-                for f in 0..self.filters {
-                    let bias = b[f];
-                    for v in &mut out_row[f * ohw..(f + 1) * ohw] {
-                        *v += bias;
-                    }
-                }
-            }
-            return;
-        }
-
-        // Fast path: filters prepacked once per step, fused lowering, and
-        // (when worthwhile) the sample loop split across the pool.
-        let pa = use_panels.then(|| panels.get_a(w, (self.filters, patch), Transpose::No));
+        // Filters prepacked once per step, fused lowering, and (when
+        // worthwhile) the sample loop split across the pool.
+        let pa = panels.get_a(w, (self.filters, patch), Transpose::No);
         let out = RowsPtr::of(output);
         let work = |range: Range<usize>| {
             for s in range {
                 // SAFETY: ranges are disjoint, tasks are joined before
                 // `output`'s borrow ends (RowsPtr contract).
                 let out_row = unsafe { out.row(s) };
-                self.forward_sample(w, pa, b, input.row(s), out_row);
+                self.forward_sample(pa, b, input.row(s), out_row);
             }
         };
         if par {
-            Self::for_sample_ranges(pool, threads, batch, &work);
+            Self::for_sample_ranges(pool, batch, &work);
         } else {
             work(0..batch);
         }
@@ -508,8 +455,8 @@ impl Layer for Conv2d {
         let pl = self.param_len();
 
         grad_in.fill_zero();
-        let (panels, use_panels, pool, threads) = ctx.split();
-        let par = threads.min(batch) > 1 && self.parallel_worthwhile(batch);
+        let (panels, pool) = (&mut ctx.panels, ctx.runtime.get());
+        let par = pool.threads().min(batch) > 1 && self.parallel_worthwhile(batch);
 
         // Per-sample gradients land in the slab (fully overwritten per
         // sample — no zero-fill) and are reduced in ascending sample
@@ -519,11 +466,10 @@ impl Layer for Conv2d {
         // also take the packed kernel (m = out_h·out_w rows in the dcols
         // product); tiny outputs prefer the streaming naive kernel, and
         // matching that policy keeps the paths bitwise identical.
-        let use_pb = use_panels
-            && !lsgd_tensor::gemm::small_m_prefers_naive(
-                self.out_h() * self.out_w(),
-                Transpose::No,
-            );
+        let use_pb = !lsgd_tensor::gemm::small_m_prefers_naive(
+            self.out_h() * self.out_w(),
+            Transpose::No,
+        );
         let pb = use_pb.then(|| panels.get_b(w, (self.filters, patch), Transpose::No));
         let gi = RowsPtr::of(grad_in);
         let slab = RowsPtr::of_slab(&mut cache.grad_slab, pl);
@@ -549,7 +495,7 @@ impl Layer for Conv2d {
             });
         };
         if par {
-            Self::for_sample_ranges(pool, threads, batch, &work);
+            Self::for_sample_ranges(pool, batch, &work);
         } else {
             work(0..batch);
         }
@@ -669,60 +615,45 @@ mod tests {
         }
     }
 
+    /// Runtime-width invariance through the layer API: a fresh context on
+    /// `Runtime::new(1)` is the reference; a 4-thread runtime, and a warm
+    /// second step through the same context and cache, must match it bit
+    /// for bit. The batch is big enough that the 4-thread run really
+    /// splits the sample loop (`CONV_PAR_MIN_FLOPS`).
     #[test]
-    fn fast_and_baseline_paths_agree_bitwise() {
-        let l = Conv2d::new(2, 9, 8, 4, 3);
-        let batch = 5;
+    fn runtime_widths_and_warm_steps_agree_bitwise() {
+        use lsgd_runtime::Runtime;
+        let l = Conv2d::new(2, 14, 13, 4, 3);
+        let batch = 60;
+        assert!(l.parallel_worthwhile(batch));
         let mut rng = lsgd_tensor::SmallRng64::new(11);
         let params: Vec<f32> = (0..l.param_len()).map(|_| rng.next_f32() - 0.5).collect();
         let x = Matrix::from_fn(batch, l.in_dim(), |_, _| rng.next_f32() - 0.5);
         let dy = Matrix::from_fn(batch, l.out_dim(), |_, _| rng.next_f32() - 0.5);
 
-        let mut baseline_ctx = StepCtx {
-            use_panels: false,
-            threads: 1,
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let step = |ctx: &mut StepCtx, cache: &mut LayerCache| {
+            ctx.panels.begin_step();
+            let mut y = Matrix::zeros(batch, l.out_dim());
+            l.forward(&params, &x, &mut y, cache, ctx);
+            let mut dp = vec![0.0f32; l.param_len()];
+            let mut dx = Matrix::zeros(batch, l.in_dim());
+            l.backward(&params, &x, &y, &dy, cache, ctx, &mut dp, &mut dx);
+            (bits(y.as_slice()), bits(&dp), bits(dx.as_slice()))
+        };
+        let ctx_on = |threads: usize| StepCtx {
+            runtime: Runtime::new(threads).into(),
             ..StepCtx::default()
         };
-        let mut fast_ctx = StepCtx::default();
-        fast_ctx.panels.begin_step();
-
-        let mut y_base = Matrix::zeros(batch, l.out_dim());
-        let mut y_fast = Matrix::zeros(batch, l.out_dim());
-        l.forward(&params, &x, &mut y_base, &mut LayerCache::default(), &mut baseline_ctx);
-        l.forward(&params, &x, &mut y_fast, &mut LayerCache::default(), &mut fast_ctx);
+        let (mut serial, mut serial_cache) = (ctx_on(1), LayerCache::default());
+        let reference = step(&mut serial, &mut serial_cache);
         assert!(
-            y_base
-                .as_slice()
-                .iter()
-                .zip(y_fast.as_slice())
-                .all(|(a, b)| a.to_bits() == b.to_bits()),
-            "fused forward diverged from baseline"
+            step(&mut serial, &mut serial_cache) == reference,
+            "warm second step, 1 thread"
         );
-
-        let mut dp_base = vec![0.0f32; l.param_len()];
-        let mut dp_fast = vec![0.0f32; l.param_len()];
-        let mut dx_base = Matrix::zeros(batch, l.in_dim());
-        let mut dx_fast = Matrix::zeros(batch, l.in_dim());
-        l.backward(
-            &params, &x, &y_base, &dy, &mut LayerCache::default(), &mut baseline_ctx,
-            &mut dp_base, &mut dx_base,
-        );
-        l.backward(
-            &params, &x, &y_fast, &dy, &mut LayerCache::default(), &mut fast_ctx,
-            &mut dp_fast, &mut dx_fast,
-        );
-        assert!(
-            dp_base.iter().zip(&dp_fast).all(|(a, b)| a.to_bits() == b.to_bits()),
-            "param gradient diverged"
-        );
-        assert!(
-            dx_base
-                .as_slice()
-                .iter()
-                .zip(dx_fast.as_slice())
-                .all(|(a, b)| a.to_bits() == b.to_bits()),
-            "input gradient diverged"
-        );
+        let (mut wide, mut wide_cache) = (ctx_on(4), LayerCache::default());
+        assert!(step(&mut wide, &mut wide_cache) == reference, "cold step, 4 threads");
+        assert!(step(&mut wide, &mut wide_cache) == reference, "warm second step, 4 threads");
     }
 
     #[test]

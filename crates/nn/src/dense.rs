@@ -8,15 +8,16 @@
 //! step issues — forward `Y = X·Wᵀ` and backward `dX = dY·W` — in two
 //! different pack orientations. Both packings are served from the
 //! per-step [`PackedPanelCache`] (packed on first touch, reused by the
-//! other pass), and the large batch-dimension products run on the worker
-//! pool via the parallel kernels, whose results are bitwise identical to
-//! the serial ones. `dW = dYᵀ·X` involves only per-batch operands, so it
-//! packs fresh (but also fans out across the pool).
+//! other pass), and every product goes through the `_in` parallel kernels
+//! on the [`StepCtx`] runtime: they fan out when the runtime has more
+//! than one thread and the product is large enough, run the serial rect
+//! otherwise, and are bitwise identical either way. `dW = dYᵀ·X` involves
+//! only per-batch operands, so it packs fresh.
 
 use crate::layer::{Layer, LayerCache, StepCtx};
 use lsgd_tensor::gemm::{
-    gemm_flex, gemm_flex_parallel_in, gemm_slices, gemm_slices_parallel_in,
-    small_m_prefers_naive, ASource, BSource, Transpose,
+    gemm_flex_parallel_in, gemm_slices_parallel_in, small_m_prefers_naive, ASource, BSource,
+    Transpose,
 };
 use lsgd_tensor::Matrix;
 
@@ -76,52 +77,19 @@ impl Layer for Dense {
         let batch = input.rows();
         let (w, b) = self.split(params);
         let w_shape = (self.out_dim, self.in_dim);
-        let (panels, use_panels, pool, threads) = ctx.split();
+        let (panels, pool) = (&mut ctx.panels, ctx.runtime.get());
         // Y = X · Wᵀ   (batch,in) x (out,in)ᵀ -> (batch,out)
         // `tb = Yes` always takes the packed kernel, so the prepacked
         // orientation of W is usable at every batch size.
-        if use_panels {
-            let pb = panels.get_b(w, w_shape, Transpose::Yes);
-            let asrc = ASource::Slices {
-                a: input.as_slice(),
-                shape: (batch, self.in_dim),
-                trans: Transpose::No,
-            };
-            let bsrc = BSource::Prepacked(pb);
-            let c_shape = (batch, self.out_dim);
-            if threads > 1 {
-                gemm_flex_parallel_in(pool, 1.0, &asrc, &bsrc, 0.0, output.as_mut_slice(), c_shape);
-            } else {
-                gemm_flex(1.0, &asrc, &bsrc, 0.0, output.as_mut_slice(), c_shape);
-            }
-        } else if threads > 1 {
-            gemm_slices_parallel_in(
-                pool,
-                1.0,
-                input.as_slice(),
-                (batch, self.in_dim),
-                Transpose::No,
-                w,
-                w_shape,
-                Transpose::Yes,
-                0.0,
-                output.as_mut_slice(),
-                (batch, self.out_dim),
-            );
-        } else {
-            gemm_slices(
-                1.0,
-                input.as_slice(),
-                (batch, self.in_dim),
-                Transpose::No,
-                w,
-                w_shape,
-                Transpose::Yes,
-                0.0,
-                output.as_mut_slice(),
-                (batch, self.out_dim),
-            );
-        }
+        let pb = panels.get_b(w, w_shape, Transpose::Yes);
+        let asrc = ASource::Slices {
+            a: input.as_slice(),
+            shape: (batch, self.in_dim),
+            trans: Transpose::No,
+        };
+        let bsrc = BSource::Prepacked(pb);
+        let c_shape = (batch, self.out_dim);
+        gemm_flex_parallel_in(pool, 1.0, &asrc, &bsrc, 0.0, output.as_mut_slice(), c_shape);
         // += bias, broadcast over rows.
         for r in 0..batch {
             let row = output.row_mut(r);
@@ -146,42 +114,26 @@ impl Layer for Dense {
         let (w, _) = self.split(params);
         let w_shape = (self.out_dim, self.in_dim);
         let (dw, db) = self.split_mut(grad_params);
-        let (panels, use_panels, pool, threads) = ctx.split();
+        let (panels, pool) = (&mut ctx.panels, ctx.runtime.get());
 
         // dW = dYᵀ · X   (out,batch) x (batch,in) -> (out,in)
         // `tn` rides the packed kernel via A-panel packing — no
         // transposed copy of dY is materialised and no scalar fallback
         // runs (this product dominated Tc before the packed kernel).
-        // Both operands are fresh per step, so nothing to prepack; the
-        // parallel kernel is bitwise identical to the serial one.
-        if threads > 1 {
-            gemm_slices_parallel_in(
-                pool,
-                1.0,
-                grad_out.as_slice(),
-                (batch, self.out_dim),
-                Transpose::Yes,
-                input.as_slice(),
-                (batch, self.in_dim),
-                Transpose::No,
-                0.0,
-                dw,
-                w_shape,
-            );
-        } else {
-            gemm_slices(
-                1.0,
-                grad_out.as_slice(),
-                (batch, self.out_dim),
-                Transpose::Yes,
-                input.as_slice(),
-                (batch, self.in_dim),
-                Transpose::No,
-                0.0,
-                dw,
-                w_shape,
-            );
-        }
+        // Both operands are fresh per step, so nothing to prepack.
+        gemm_slices_parallel_in(
+            pool,
+            1.0,
+            grad_out.as_slice(),
+            (batch, self.out_dim),
+            Transpose::Yes,
+            input.as_slice(),
+            (batch, self.in_dim),
+            Transpose::No,
+            0.0,
+            dw,
+            w_shape,
+        );
         // db = column sums of dY.
         db.iter_mut().for_each(|v| *v = 0.0);
         for r in 0..batch {
@@ -194,7 +146,7 @@ impl Layer for Dense {
         // Tiny batches prefer the streaming naive kernel; matching that
         // policy here (instead of forcing the prepacked packed kernel)
         // keeps results bitwise identical to the fresh-operand path.
-        if use_panels && !small_m_prefers_naive(batch, Transpose::No) {
+        if !small_m_prefers_naive(batch, Transpose::No) {
             let pb = panels.get_b(w, w_shape, Transpose::No);
             let asrc = ASource::Slices {
                 a: grad_out.as_slice(),
@@ -203,27 +155,10 @@ impl Layer for Dense {
             };
             let bsrc = BSource::Prepacked(pb);
             let c_shape = (batch, self.in_dim);
-            if threads > 1 {
-                gemm_flex_parallel_in(pool, 1.0, &asrc, &bsrc, 0.0, grad_in.as_mut_slice(), c_shape);
-            } else {
-                gemm_flex(1.0, &asrc, &bsrc, 0.0, grad_in.as_mut_slice(), c_shape);
-            }
-        } else if threads > 1 {
+            gemm_flex_parallel_in(pool, 1.0, &asrc, &bsrc, 0.0, grad_in.as_mut_slice(), c_shape);
+        } else {
             gemm_slices_parallel_in(
                 pool,
-                1.0,
-                grad_out.as_slice(),
-                (batch, self.out_dim),
-                Transpose::No,
-                w,
-                w_shape,
-                Transpose::No,
-                0.0,
-                grad_in.as_mut_slice(),
-                (batch, self.in_dim),
-            );
-        } else {
-            gemm_slices(
                 1.0,
                 grad_out.as_slice(),
                 (batch, self.out_dim),
@@ -303,42 +238,42 @@ mod tests {
         assert_eq!(&dp[3..6], &[0.0, 0.0, 0.0]);
     }
 
-    /// Prepacked/parallel and fresh-pack/serial dense paths must agree
-    /// bitwise (the same invariant the tensor-level differential suite
-    /// checks, asserted here through the layer API).
+    /// Runtime-width invariance through the layer API: a fresh context on
+    /// `Runtime::new(1)` is the reference; a 4-thread runtime, and a warm
+    /// second step through the same context (panels repacked in place),
+    /// must match it bit for bit. The shapes are big enough that the
+    /// 4-thread run really fans out (`2·m·n·k ≥ 2²¹`, `batch ≥ 2·MC`).
     #[test]
     fn panel_cache_and_parallel_paths_agree_bitwise() {
         use lsgd_runtime::Runtime;
-        let l = Dense::new(37, 19);
-        let batch = 24;
+        let l = Dense::new(128, 64);
+        let batch = 160;
         let mut rng = lsgd_tensor::SmallRng64::new(5);
         let params: Vec<f32> = (0..l.param_len()).map(|_| rng.next_f32() - 0.5).collect();
-        let x = Matrix::from_fn(batch, 37, |_, _| rng.next_f32() - 0.5);
-        let dy = Matrix::from_fn(batch, 19, |_, _| rng.next_f32() - 0.5);
+        let x = Matrix::from_fn(batch, 128, |_, _| rng.next_f32() - 0.5);
+        let dy = Matrix::from_fn(batch, 64, |_, _| rng.next_f32() - 0.5);
 
-        let mut results: Vec<(Vec<f32>, Vec<f32>, Vec<f32>)> = Vec::new();
-        for (use_panels, threads) in [(false, 1usize), (true, 1), (true, 4), (false, 4)] {
-            let mut ctx = StepCtx {
-                use_panels,
-                threads,
-                runtime: Runtime::new(threads).into(),
-                ..StepCtx::default()
-            };
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let step = |ctx: &mut StepCtx| {
             ctx.panels.begin_step();
             let mut cache = LayerCache::default();
-            let mut y = Matrix::zeros(batch, 19);
-            l.forward(&params, &x, &mut y, &mut cache, &mut ctx);
+            let mut y = Matrix::zeros(batch, 64);
+            l.forward(&params, &x, &mut y, &mut cache, ctx);
             let mut dp = vec![0.0f32; l.param_len()];
-            let mut dx = Matrix::zeros(batch, 37);
-            l.backward(&params, &x, &y, &dy, &mut cache, &mut ctx, &mut dp, &mut dx);
-            results.push((y.as_slice().to_vec(), dp, dx.as_slice().to_vec()));
-        }
-        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        for (i, r) in results.iter().enumerate().skip(1) {
-            assert_eq!(bits(&results[0].0), bits(&r.0), "forward mode {i}");
-            assert_eq!(bits(&results[0].1), bits(&r.1), "dparams mode {i}");
-            assert_eq!(bits(&results[0].2), bits(&r.2), "dx mode {i}");
-        }
+            let mut dx = Matrix::zeros(batch, 128);
+            l.backward(&params, &x, &y, &dy, &mut cache, ctx, &mut dp, &mut dx);
+            (bits(y.as_slice()), bits(&dp), bits(dx.as_slice()))
+        };
+        let ctx_on = |threads: usize| StepCtx {
+            runtime: Runtime::new(threads).into(),
+            ..StepCtx::default()
+        };
+        let mut serial = ctx_on(1);
+        let reference = step(&mut serial);
+        assert!(step(&mut serial) == reference, "warm second step, 1 thread");
+        let mut wide = ctx_on(4);
+        assert!(step(&mut wide) == reference, "cold step, 4 threads");
+        assert!(step(&mut wide) == reference, "warm second step, 4 threads");
     }
 
     #[test]

@@ -9,12 +9,12 @@
 //!
 //! Every forward/backward call additionally receives a [`StepCtx`]: the
 //! per-worker, per-SGD-step compute context carrying the prepacked weight
-//! panel cache and the intra-step parallelism policy. Layers are free to
+//! panel cache and the runtime intra-step splits run on. Layers are free to
 //! ignore it (activations, pooling); the GEMM-heavy layers use it to pack
 //! their weight operands once per step and to fan per-sample work out
 //! across the unified work-stealing runtime.
 
-use lsgd_runtime::{Handle, Runtime};
+use lsgd_runtime::Handle;
 use lsgd_tensor::{Matrix, PackedPanelCache};
 use rand::rngs::StdRng;
 
@@ -26,43 +26,16 @@ use rand::rngs::StdRng;
 /// panels are packed at most once per parameter version and shared by
 /// every GEMM of the step — each per-sample conv product in the
 /// minibatch, and both orientations of a dense layer's forward/backward.
+#[derive(Default)]
 pub struct StepCtx {
     /// Prepacked weight panels, keyed per operand and invalidated per
     /// step (see [`PackedPanelCache`]).
     pub panels: PackedPanelCache,
-    /// Whether layers may consult `panels` at all (`false` reproduces the
-    /// fresh-pack-per-call behaviour, kept as the benchmark baseline).
-    pub use_panels: bool,
-    /// Upper bound on intra-step worker threads (`usize::MAX` = as many
-    /// as the runtime provides, `1` = fully serial layers).
-    pub threads: usize,
     /// Which runtime executes intra-step splits: the process-global one
-    /// by default; tests inject a fixed-size runtime here so the parallel
-    /// paths are exercised regardless of the host's core count.
+    /// by default; tests inject a fixed-size runtime here so the serial
+    /// (`Runtime::new(1)`) and parallel paths are exercised regardless of
+    /// the host's core count.
     pub runtime: Handle,
-}
-
-impl Default for StepCtx {
-    fn default() -> Self {
-        StepCtx {
-            panels: PackedPanelCache::new(),
-            use_panels: true,
-            threads: usize::MAX,
-            runtime: Handle::Global,
-        }
-    }
-}
-
-impl StepCtx {
-    /// Splits the context into the pieces a layer's hot path needs, with
-    /// disjoint borrows: the mutable panel cache, the panels-enabled
-    /// flag, the effective runtime, and the effective thread cap (already
-    /// clamped to the runtime size).
-    pub fn split(&mut self) -> (&mut PackedPanelCache, bool, &Runtime, usize) {
-        let rt = self.runtime.get();
-        let threads = self.threads.min(rt.threads()).max(1);
-        (&mut self.panels, self.use_panels, rt, threads)
-    }
 }
 
 /// Per-layer, per-thread scratch space reused across iterations.
@@ -77,10 +50,6 @@ pub struct LayerCache {
     /// Flat argmax indices recorded by max-pool forward (one per output
     /// element), consumed by its backward scatter.
     pub argmax: Vec<u32>,
-    /// im2col lowering buffer used by the conv layer's baseline
-    /// (fresh-pack, serial) forward path; the fast path lowers directly
-    /// into packed panels and never materialises it.
-    pub im2col: Matrix,
     /// Per-sample `(dW_s | db_s)` slab for the conv backward pass: sample
     /// `s` occupies `[s * param_len, (s + 1) * param_len)`. Samples are
     /// computed independently (possibly in parallel) and then reduced in

@@ -36,4 +36,4 @@ pub mod pool;
 
 pub use architectures::{cnn_mnist, mlp_mnist, tiny_mlp};
 pub use layer::{Layer, LayerCache, StepCtx};
-pub use network::{ComputeOpts, Network, Workspace};
+pub use network::{Network, Workspace};

@@ -18,47 +18,6 @@ use lsgd_tensor::Matrix;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-/// Compute-path configuration for a [`Workspace`].
-///
-/// The default is the fast path: per-step prepacked weight panels and as
-/// much intra-step parallelism as the worker pool provides.
-/// [`ComputeOpts::baseline`] reproduces the pre-optimisation behaviour
-/// (fresh packing per GEMM, fully serial layers) and is kept as the
-/// benchmark reference; both paths produce bitwise-identical gradients.
-#[derive(Clone)]
-pub struct ComputeOpts {
-    /// Cache packed weight panels across the GEMMs of one SGD step.
-    pub panel_cache: bool,
-    /// Upper bound on intra-step worker threads (`usize::MAX` = runtime
-    /// size, `1` = serial).
-    pub threads: usize,
-    /// Which runtime executes intra-step splits (default: the
-    /// process-global one, sized by `LSGD_THREADS`).
-    pub runtime: Handle,
-}
-
-impl Default for ComputeOpts {
-    fn default() -> Self {
-        ComputeOpts {
-            panel_cache: true,
-            threads: usize::MAX,
-            runtime: Handle::Global,
-        }
-    }
-}
-
-impl ComputeOpts {
-    /// The pre-optimisation reference path: no panel reuse, no intra-step
-    /// threading.
-    pub fn baseline() -> Self {
-        ComputeOpts {
-            panel_cache: false,
-            threads: 1,
-            runtime: Handle::Global,
-        }
-    }
-}
-
 /// An immutable sequence of layers with precomputed parameter offsets.
 pub struct Network {
     layers: Vec<Box<dyn Layer>>,
@@ -292,7 +251,7 @@ impl Network {
 
 /// Per-thread scratch: activation stack, gradient ping-pong buffers,
 /// layer caches, and the per-step compute context (prepacked panel
-/// cache plus parallelism policy). Create one per worker
+/// cache plus the runtime handle). Create one per worker
 /// via [`Network::workspace`].
 pub struct Workspace {
     activations: Vec<Matrix>,
@@ -310,12 +269,11 @@ impl Workspace {
         &self.activations[i]
     }
 
-    /// Reconfigures the compute path (panel caching / intra-step
-    /// threading) for all subsequent passes through this workspace.
-    pub fn set_compute_opts(&mut self, opts: ComputeOpts) {
-        self.ctx.use_panels = opts.panel_cache;
-        self.ctx.threads = opts.threads;
-        self.ctx.runtime = opts.runtime;
+    /// Runs all subsequent passes through this workspace on `runtime`
+    /// instead of the process-global one (gradients are bitwise identical
+    /// at every runtime width).
+    pub fn set_runtime(&mut self, runtime: Handle) {
+        self.ctx.runtime = runtime;
     }
 
     /// The step context (tests/diagnostics — e.g. panel-cache hit rates).

@@ -12,11 +12,13 @@
 //!   shapes — used by the neural-network layers, whose weight matrices are
 //!   *sub-slices of the flat ParameterVector* (the paper's central data
 //!   structure) and must be multiplied in place without copies;
-//! * [`gemm_parallel`] / [`gemm_slices_parallel`] — the same contract,
-//!   with the M (or, for wide outputs, N) panel loop split across the
-//!   work-stealing runtime ([`lsgd_runtime`]). Small products fall
-//!   back to the serial path so the paper's tiny CNN im2col GEMMs never
-//!   pay dispatch overhead;
+//! * [`gemm_slices_parallel_in`] — the same contract, with the M (or, for
+//!   wide outputs, N) panel loop split across a work-stealing
+//!   [`Runtime`] (callers pass [`lsgd_runtime::global`] or an injected
+//!   one). Small products fall back to the serial path so the paper's
+//!   tiny CNN im2col GEMMs never pay dispatch overhead;
+//! * [`gemm_flex`] / [`gemm_flex_parallel_in`] — either operand may be
+//!   prepacked panels, or (for `B`) a custom block packer;
 //! * [`gemm_naive`] / [`gemm_naive_slices`] — the previous blocked-loop
 //!   kernel, retained as the differential-testing oracle and the
 //!   benchmark baseline.
@@ -36,9 +38,7 @@
 //!    in registers for the full `KC` reduction — `C` traffic per tile is
 //!    one read-modify-write instead of one per `k` step, and the `MR`/`NR`
 //!    loads are contiguous by construction, so the compiler auto-vectorises
-//!    the fused loop without explicit intrinsics. (An optional
-//!    `std::arch` SSE2 micro-kernel sits behind the `simd-intrinsics`
-//!    feature for builds that want guaranteed vector code.)
+//!    the fused loop without explicit intrinsics.
 //!
 //! Because packing resolves the orientation up front, all four `(ta, tb)`
 //! combinations — including `Aᵀ·B` and `Aᵀ·Bᵀ`, which previously ran
@@ -91,7 +91,7 @@ pub const NC: usize = 256;
 const _: () = assert!(NC % (2 * NR) == 0, "NC must be a multiple of 2*NR");
 const _: () = assert!(MC % MR == 0, "MC must be a multiple of MR");
 
-/// Minimum `2·m·n·k` flop count before [`gemm_slices_parallel`] fans out;
+/// Minimum `2·m·n·k` flop count before [`gemm_slices_parallel_in`] fans out;
 /// below this the dispatch overhead exceeds the win (the paper's CNN
 /// im2col products sit well under it).
 const PAR_MIN_FLOPS: usize = 1 << 21;
@@ -124,23 +124,12 @@ pub fn gemm_slices(
     if small_m_prefers_naive(m, tb) {
         return naive_dispatch(alpha, a, b, c, ta, tb, m, n, k);
     }
+    let asrc = ASource::Slices { a, shape: a_shape, trans: ta };
+    let bsrc = BSource::Slices { b, shape: b_shape, trans: tb };
     // SAFETY: `c` is the unique mutable borrow of the full `m × n` output
     // and this call covers the whole rectangle serially.
     unsafe {
-        packed_gemm_rect(
-            alpha,
-            a,
-            a_shape.1,
-            ta.is_t(),
-            b,
-            b_shape.1,
-            tb.is_t(),
-            CPtr(c.as_mut_ptr()),
-            n,
-            (0, m),
-            (0, n),
-            k,
-        );
+        packed_rect(alpha, &asrc, &bsrc, CPtr(c.as_mut_ptr()), n, (0, m), (0, n), k);
     }
 }
 
@@ -227,43 +216,12 @@ pub fn matmul(a: &Matrix, ta: Transpose, b: &Matrix, tb: Transpose) -> Matrix {
 // Parallel entry points
 // ---------------------------------------------------------------------------
 
-/// [`gemm_slices`] with the panel loop split across the global worker pool.
+/// [`gemm_slices`] with the panel loop split across `pool`.
 ///
 /// Falls back to the serial kernel when the pool has a single thread or
 /// the product is too small to amortise dispatch (see `PAR_MIN_FLOPS`).
 /// Results are bitwise identical to the serial kernel: threads partition
 /// `C` disjointly and each partition runs the same blocked loop.
-#[allow(clippy::too_many_arguments)]
-pub fn gemm_slices_parallel(
-    alpha: f32,
-    a: &[f32],
-    a_shape: (usize, usize),
-    ta: Transpose,
-    b: &[f32],
-    b_shape: (usize, usize),
-    tb: Transpose,
-    beta: f32,
-    c: &mut [f32],
-    c_shape: (usize, usize),
-) {
-    gemm_slices_parallel_in(
-        lsgd_runtime::global(),
-        alpha,
-        a,
-        a_shape,
-        ta,
-        b,
-        b_shape,
-        tb,
-        beta,
-        c,
-        c_shape,
-    );
-}
-
-/// [`gemm_slices_parallel`] against an explicit [`Runtime`] (used by the
-/// differential tests to exercise the parallel path regardless of the
-/// host's core count).
 #[allow(clippy::too_many_arguments)]
 pub fn gemm_slices_parallel_in(
     pool: &Runtime,
@@ -288,24 +246,14 @@ pub fn gemm_slices_parallel_in(
         // serial results bitwise identical for every shape.
         return naive_dispatch(alpha, a, b, c, ta, tb, m, n, k);
     }
+    let asrc = ASource::Slices { a, shape: a_shape, trans: ta };
+    let bsrc = BSource::Slices { b, shape: b_shape, trans: tb };
+    let cp = CPtr(c.as_mut_ptr());
     let threads = pool.threads();
     if threads <= 1 || 2 * m * n * k < PAR_MIN_FLOPS {
         // SAFETY: unique borrow of C, whole rectangle, serial.
         unsafe {
-            packed_gemm_rect(
-                alpha,
-                a,
-                a_shape.1,
-                ta.is_t(),
-                b,
-                b_shape.1,
-                tb.is_t(),
-                CPtr(c.as_mut_ptr()),
-                n,
-                (0, m),
-                (0, n),
-                k,
-            );
+            packed_rect(alpha, &asrc, &bsrc, cp, n, (0, m), (0, n), k);
         }
         return;
     }
@@ -328,9 +276,6 @@ pub fn gemm_slices_parallel_in(
     } else {
         (true, m, 1)
     };
-    let cp = CPtr(c.as_mut_ptr());
-    let (a_cols, b_cols) = (a_shape.1, b_shape.1);
-    let (ta, tb) = (ta.is_t(), tb.is_t());
     pool.parallel_for(ntasks, &|t| {
         let (rows, cols) = if split_rows {
             ((t * chunk, ((t + 1) * chunk).min(m)), (0, n))
@@ -342,36 +287,9 @@ pub fn gemm_slices_parallel_in(
         // every task before returning, so the `&mut c` borrow outlives
         // all writes through `cp`.
         unsafe {
-            packed_gemm_rect(alpha, a, a_cols, ta, b, b_cols, tb, cp, n, rows, cols, k);
+            packed_rect(alpha, &asrc, &bsrc, cp, n, rows, cols, k);
         }
     });
-}
-
-/// [`gemm`] with the panel loop split across the global worker pool.
-pub fn gemm_parallel(
-    alpha: f32,
-    a: &Matrix,
-    ta: Transpose,
-    b: &Matrix,
-    tb: Transpose,
-    beta: f32,
-    c: &mut Matrix,
-) {
-    let a_shape = (a.rows(), a.cols());
-    let b_shape = (b.rows(), b.cols());
-    let c_shape = (c.rows(), c.cols());
-    gemm_slices_parallel(
-        alpha,
-        a.as_slice(),
-        a_shape,
-        ta,
-        b.as_slice(),
-        b_shape,
-        tb,
-        beta,
-        c.as_mut_slice(),
-        c_shape,
-    );
 }
 
 // ---------------------------------------------------------------------------
@@ -487,18 +405,18 @@ pub fn gemm_flex(
     }
     // SAFETY: unique mutable borrow of the whole `m × n` output, serial.
     unsafe {
-        flex_gemm_rect(alpha, a, b, CPtr(c.as_mut_ptr()), n, (0, m), (0, n), k);
+        packed_rect(alpha, a, b, CPtr(c.as_mut_ptr()), n, (0, m), (0, n), k);
     }
 }
 
 /// [`gemm_flex`] with the M-panel loop split across `pool`.
 ///
-/// Unlike [`gemm_slices_parallel`] this splits **rows only** (each task
+/// Unlike [`gemm_slices_parallel_in`] this splits **rows only** (each task
 /// sweeps the full `jc`/`pc` block loops from column 0), because
 /// prepacked `B` blocks exist only at `NC`-aligned starts; row chunks are
 /// `MC`-aligned so prepacked `A` blocks line up too. Serial and parallel
 /// results are bitwise identical for the same reason as
-/// [`gemm_slices_parallel`]: tasks own disjoint row bands of `C` and run
+/// [`gemm_slices_parallel_in`]: tasks own disjoint row bands of `C` and run
 /// the identical blocked loop over them.
 pub fn gemm_flex_parallel_in(
     pool: &Runtime,
@@ -519,7 +437,7 @@ pub fn gemm_flex_parallel_in(
     if threads <= 1 || 2 * m * n * k < PAR_MIN_FLOPS || m < 2 * MC {
         // SAFETY: unique borrow of C, whole rectangle, serial.
         unsafe {
-            flex_gemm_rect(alpha, a, b, cp, n, (0, m), (0, n), k);
+            packed_rect(alpha, a, b, cp, n, (0, m), (0, n), k);
         }
         return;
     }
@@ -533,21 +451,9 @@ pub fn gemm_flex_parallel_in(
         // `parallel_for` joins every task before returning, so the
         // `&mut c` borrow outlives all writes through `cp`.
         unsafe {
-            flex_gemm_rect(alpha, a, b, cp, n, rows, (0, n), k);
+            packed_rect(alpha, a, b, cp, n, rows, (0, n), k);
         }
     });
-}
-
-/// [`gemm_flex_parallel_in`] against the global worker pool.
-pub fn gemm_flex_parallel(
-    alpha: f32,
-    a: &ASource<'_>,
-    b: &BSource<'_>,
-    beta: f32,
-    c: &mut [f32],
-    c_shape: (usize, usize),
-) {
-    gemm_flex_parallel_in(lsgd_runtime::global(), alpha, a, b, beta, c, c_shape);
 }
 
 /// Shape validation for the flexible-source entry points.
@@ -615,7 +521,7 @@ fn scale_c(beta: f32, c: &mut [f32]) {
 ///
 /// Each parallel task owns a disjoint rectangle of `C`; sending the base
 /// pointer (rather than overlapping `&mut` slices) keeps the aliasing
-/// model honest. All dereferences happen in [`packed_gemm_rect`] under
+/// model honest. All dereferences happen in [`packed_rect`] under
 /// its documented disjointness contract.
 #[derive(Clone, Copy)]
 struct CPtr(*mut f32);
@@ -629,92 +535,6 @@ thread_local! {
         const { RefCell::new((Vec::new(), Vec::new())) };
 }
 
-/// Internal `A` operand handle for the blocked rect kernel.
-enum ARef<'a> {
-    /// Pack fresh per block from a stored row-major buffer.
-    Pack { a: &'a [f32], a_cols: usize, ta: bool },
-    /// Serve blocks from a full prepacked operand.
-    Pre(&'a PackedA),
-}
-
-/// Internal `B` operand handle for the blocked rect kernel.
-enum BRef<'a> {
-    /// Pack fresh per block from a stored row-major buffer.
-    Pack { b: &'a [f32], b_cols: usize, tb: bool },
-    /// Serve blocks from a full prepacked operand.
-    Pre(&'a PackedB),
-    /// Generate blocks with a caller-supplied packer (fused im2col).
-    Custom(&'a BlockPacker<'a>),
-}
-
-/// Serial packed kernel over the rectangle `rows × cols` of `C`.
-///
-/// # Safety
-/// `cp` must point to a live `.. × c_cols` row-major buffer covering the
-/// rectangle, and no other thread may read or write that rectangle for
-/// the duration of the call.
-#[allow(clippy::too_many_arguments)]
-unsafe fn packed_gemm_rect(
-    alpha: f32,
-    a: &[f32],
-    a_cols: usize,
-    ta: bool,
-    b: &[f32],
-    b_cols: usize,
-    tb: bool,
-    cp: CPtr,
-    c_cols: usize,
-    rows: (usize, usize),
-    cols: (usize, usize),
-    k: usize,
-) {
-    packed_rect(
-        alpha,
-        &ARef::Pack { a, a_cols, ta },
-        &BRef::Pack { b, b_cols, tb },
-        cp,
-        c_cols,
-        rows,
-        cols,
-        k,
-    );
-}
-
-/// [`packed_rect`] over the public flexible sources.
-///
-/// # Safety
-/// Same contract as [`packed_gemm_rect`].
-#[allow(clippy::too_many_arguments)]
-unsafe fn flex_gemm_rect(
-    alpha: f32,
-    a: &ASource<'_>,
-    b: &BSource<'_>,
-    cp: CPtr,
-    c_cols: usize,
-    rows: (usize, usize),
-    cols: (usize, usize),
-    k: usize,
-) {
-    let aref = match a {
-        ASource::Slices { a, shape, trans } => ARef::Pack {
-            a,
-            a_cols: shape.1,
-            ta: trans.is_t(),
-        },
-        ASource::Prepacked(pa) => ARef::Pre(pa),
-    };
-    let bref = match b {
-        BSource::Slices { b, shape, trans } => BRef::Pack {
-            b,
-            b_cols: shape.1,
-            tb: trans.is_t(),
-        },
-        BSource::Prepacked(pb) => BRef::Pre(pb),
-        BSource::Packer { pack, .. } => BRef::Custom(*pack),
-    };
-    packed_rect(alpha, &aref, &bref, cp, c_cols, rows, cols, k);
-}
-
 /// The three-level blocked loop nest over any operand sources. Block
 /// geometry is *identical* regardless of source — prepacked operands
 /// store blocks at exactly the `(MC, KC, NC)`-aligned starts this loop
@@ -723,7 +543,9 @@ unsafe fn flex_gemm_rect(
 /// same order and results are bitwise identical across them.
 ///
 /// # Safety
-/// Same contract as [`packed_gemm_rect`]. Additionally, prepacked
+/// `cp` must point to a live `.. × c_cols` row-major buffer covering the
+/// rectangle `rows × cols`, and no other thread may read or write that
+/// rectangle for the duration of the call. Additionally, prepacked
 /// operands require their aligned block starts: `rows.0 % MC == 0` when
 /// `A` is prepacked, `cols.0 % NC == 0` when `B` is (upheld by the
 /// public entry points, which row-split at `MC` multiples and never
@@ -731,8 +553,8 @@ unsafe fn flex_gemm_rect(
 #[allow(clippy::too_many_arguments)]
 unsafe fn packed_rect(
     alpha: f32,
-    a: &ARef<'_>,
-    b: &BRef<'_>,
+    a: &ASource<'_>,
+    b: &BSource<'_>,
     cp: CPtr,
     c_cols: usize,
     rows: (usize, usize),
@@ -758,12 +580,12 @@ unsafe fn packed_rect(
             for pc in (0..k).step_by(KC) {
                 let kc = KC.min(k - pc);
                 let bpanel: &[f32] = match b {
-                    BRef::Pack { b, b_cols, tb } => {
-                        pack_b(bbuf, b, *b_cols, *tb, pc, jc, kc, nc);
+                    BSource::Slices { b, shape, trans } => {
+                        pack_b(bbuf, b, shape.1, trans.is_t(), pc, jc, kc, nc);
                         bbuf
                     }
-                    BRef::Pre(pb) => pb.block(pc, jc),
-                    BRef::Custom(pack) => {
+                    BSource::Prepacked(pb) => pb.block(pc, jc),
+                    BSource::Packer { pack, .. } => {
                         pack(&mut bbuf[..nc.div_ceil(NR) * NR * kc], pc, jc, kc, nc);
                         bbuf
                     }
@@ -771,11 +593,11 @@ unsafe fn packed_rect(
                 for ic in (i_lo..i_hi).step_by(MC) {
                     let mc = MC.min(i_hi - ic);
                     let apanel: &[f32] = match a {
-                        ARef::Pack { a, a_cols, ta } => {
-                            pack_a(abuf, a, *a_cols, *ta, ic, pc, mc, kc);
+                        ASource::Slices { a, shape, trans } => {
+                            pack_a(abuf, a, shape.1, trans.is_t(), ic, pc, mc, kc);
                             abuf
                         }
-                        ARef::Pre(pa) => pa.block(ic, pc),
+                        ASource::Prepacked(pa) => pa.block(ic, pc),
                     };
                     macro_kernel(alpha, apanel, bpanel, mc, nc, kc, cp, c_cols, ic, jc);
                 }
@@ -788,7 +610,7 @@ unsafe fn packed_rect(
 /// micro-kernel on packed panels and clipping zero-padded edges on
 /// write-back.
 ///
-/// Safety: see [`packed_gemm_rect`] — `cp` covers the block exclusively.
+/// Safety: see [`packed_rect`] — `cp` covers the block exclusively.
 #[allow(clippy::too_many_arguments)]
 fn macro_kernel(
     alpha: f32,
@@ -831,7 +653,7 @@ fn macro_kernel(
             } else {
                 let pb = &packed_b[jp * NR * kc..(jp + 1) * NR * kc];
                 let mut acc = [[0.0f32; NR]; MR];
-                microkernel(kc, pa, pb, &mut acc);
+                microkernel_portable(kc, pa, pb, &mut acc);
                 write_tile(alpha, &acc[..rows], cp, c_cols, ci, cj, cols);
             }
         }
@@ -844,7 +666,7 @@ fn macro_kernel(
 ///
 /// Safety of the raw write: the rows/columns addressed lie inside the
 /// rectangle this thread exclusively owns (contract of
-/// [`packed_gemm_rect`]).
+/// [`packed_rect`]).
 #[inline(always)]
 fn write_tile<const W: usize>(
     alpha: f32,
@@ -920,20 +742,6 @@ unsafe fn microkernel_avx2(
 /// fixed-size inner loops) is what lets the compiler keep `acc` in vector
 /// registers and emit SIMD without intrinsics.
 #[inline(always)]
-fn microkernel(kc: usize, pa: &[f32], pb: &[f32], acc: &mut [[f32; NR]; MR]) {
-    #[cfg(all(feature = "simd-intrinsics", target_arch = "x86_64"))]
-    {
-        // SAFETY: SSE2 is part of the x86_64 baseline.
-        unsafe { microkernel_sse2(kc, pa, pb, acc) };
-        return;
-    }
-    #[allow(unreachable_code)]
-    microkernel_portable(kc, pa, pb, acc);
-}
-
-/// Portable micro-kernel, written for auto-vectorisation.
-#[inline(always)]
-#[cfg_attr(all(feature = "simd-intrinsics", target_arch = "x86_64"), allow(dead_code))]
 fn microkernel_portable(kc: usize, pa: &[f32], pb: &[f32], acc: &mut [[f32; NR]; MR]) {
     for (ach, bch) in pa.chunks_exact(MR).zip(pb.chunks_exact(NR)).take(kc) {
         let bvals: &[f32; NR] = bch.try_into().unwrap();
@@ -942,34 +750,6 @@ fn microkernel_portable(kc: usize, pa: &[f32], pb: &[f32], acc: &mut [[f32; NR];
             for (dst, &bv) in arow.iter_mut().zip(bvals.iter()) {
                 *dst += ar * bv;
             }
-        }
-    }
-}
-
-/// Explicit SSE2 micro-kernel (`simd-intrinsics` feature): the same tile
-/// shape as the portable kernel, with the `NR`-wide rows held in `__m128`
-/// lanes so vectorisation does not depend on the optimiser.
-#[cfg(all(feature = "simd-intrinsics", target_arch = "x86_64"))]
-#[inline(always)]
-unsafe fn microkernel_sse2(kc: usize, pa: &[f32], pb: &[f32], acc: &mut [[f32; NR]; MR]) {
-    use std::arch::x86_64::*;
-    const LANES: usize = NR / 4;
-    let mut vacc = [[_mm_setzero_ps(); LANES]; MR];
-    for (ach, bch) in pa.chunks_exact(MR).zip(pb.chunks_exact(NR)).take(kc) {
-        let mut bv = [_mm_setzero_ps(); LANES];
-        for (l, b) in bv.iter_mut().enumerate() {
-            *b = _mm_loadu_ps(bch.as_ptr().add(l * 4));
-        }
-        for (r, vrow) in vacc.iter_mut().enumerate() {
-            let ar = _mm_set1_ps(ach[r]);
-            for (v, &b) in vrow.iter_mut().zip(bv.iter()) {
-                *v = _mm_add_ps(*v, _mm_mul_ps(ar, b));
-            }
-        }
-    }
-    for (r, vrow) in vacc.iter().enumerate() {
-        for (l, &v) in vrow.iter().enumerate() {
-            _mm_storeu_ps(acc[r].as_mut_ptr().add(l * 4), v);
         }
     }
 }
@@ -1220,7 +1000,7 @@ mod tests {
                 let b = rand_mat(br, bc, seed + 1);
                 let c0 = rand_mat(m, n, seed + 2);
                 let expected = gemm_ref(0.7, &a, ta, &b, tb, 0.3, &c0);
-                for kernel in [gemm, gemm_naive, gemm_parallel] {
+                for kernel in [gemm, gemm_naive] {
                     let mut c = c0.clone();
                     kernel(0.7, &a, ta, &b, tb, 0.3, &mut c);
                     let err = c.max_abs_diff(&expected);

@@ -14,7 +14,8 @@
 //!   transpose variants (`C = alpha * op(A) * op(B) + beta * C`), the
 //!   workhorse of both the dense layers and the im2col convolution
 //!   lowering. [`pack`] holds the panel-packing routines;
-//!   `gemm::gemm_parallel` splits across the `lsgd_runtime` workers.
+//!   `gemm::gemm_slices_parallel_in` / `gemm::gemm_flex_parallel_in` split
+//!   across an `lsgd_runtime::Runtime`'s workers.
 //! * [`ops`] — BLAS-1 style vector kernels (`axpy`, `dot`, `scale`, …) used
 //!   by the SGD update rule itself.
 //! * [`rng`] — seeded random sources, including the Box–Muller normal
@@ -32,7 +33,7 @@ pub mod pack;
 pub mod panels;
 pub mod rng;
 
-pub use gemm::{gemm, gemm_naive, gemm_parallel, Transpose};
+pub use gemm::{gemm, gemm_naive, Transpose};
 pub use matrix::Matrix;
 pub use panels::{PackedA, PackedB, PackedPanelCache};
 pub use rng::SmallRng64;

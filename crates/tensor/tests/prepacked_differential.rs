@@ -178,7 +178,7 @@ proptest! {
         prop_assert!(bits_eq(&c_custom, &c_fresh), "custom packer diverged (m={m} n={n} k={k})");
     }
 
-    /// Slices/Slices `gemm_flex_parallel` must agree bitwise with
+    /// Slices/Slices `gemm_flex_parallel_in` must agree bitwise with
     /// `gemm_slices_parallel_in` *and* serial `gemm_slices` — the two
     /// parallel splits (row-only MC-aligned vs row-or-column) are both
     /// anchored to the serial reduction order.

@@ -7,7 +7,7 @@
 //! * `naive/*`    — the retained pre-packing kernel
 //!   ([`lsgd_tensor::gemm::gemm_naive`]), kept as the regression baseline,
 //! * `parallel/*` — [`lsgd_tensor::gemm::gemm_slices_parallel_in`] on the
-//!   global work-stealing runtime (equals `packed` when the host or
+//!   global runtime (equals `packed` when the host or
 //!   `LSGD_THREADS` gives the runtime a single thread, or for
 //!   sub-threshold products).
 //!

@@ -105,11 +105,11 @@ fn bench_workload<P: Problem>(
 }
 
 /// Fig. 3-style worker-scaling rows: `workers` concurrent trainer-style
-/// tasks step against one shared backend, scheduled as scoped tasks on
-/// the unified work-stealing runtime (exactly how [`lsgd_core::train`]
-/// runs its workers, including any intra-step GEMM splits sharing the
-/// same worker threads). One timed iteration = every worker completes
-/// one step, so the `elements` throughput is `d × workers`: under
+/// tasks step against one shared backend, each on its own scoped thread
+/// (exactly how [`lsgd_core::train`] runs its workers; their intra-step
+/// GEMM splits go to the global runtime's helpers). One timed iteration
+/// = every worker completes one step, so the `elements` throughput is
+/// `d × workers`: under
 /// perfect scaling the per-iteration latency stays flat as `workers`
 /// grows and `Melem/s` grows linearly; lock contention (SEQ) shows up
 /// as latency growth instead.
@@ -135,7 +135,7 @@ fn bench_scaling<P: Problem>(
 }
 
 /// Times [`WorkerState::step`] against `store`: one worker on the calling
-/// thread (`scoped = None`), or `Some(w)` workers as scoped runtime tasks.
+/// thread (`scoped = None`), or `Some(w)` workers on scoped threads.
 fn bench_steps<P: Problem, S: ParamStore>(
     group: &mut criterion::BenchmarkGroup<'_>,
     id: BenchmarkId,
@@ -147,7 +147,7 @@ fn bench_steps<P: Problem, S: ParamStore>(
     let workers = scoped.unwrap_or(1);
     let board = HeartbeatBoard::new(workers);
     let start = Instant::now();
-    // Per-worker step state, handed to the scoped tasks through
+    // Per-worker step state, handed to the scoped threads through
     // `iter_mut` the same way the trainer distributes stats slots.
     let mut states: Vec<_> = (0..workers)
         .map(|worker_id| {
@@ -155,7 +155,6 @@ fn bench_steps<P: Problem, S: ParamStore>(
             WorkerState::new(problem, store, cfg, ctx)
         })
         .collect();
-    let rt = lsgd_runtime::global();
     group.bench_with_input(id, &(), |bench, _| {
         if scoped.is_none() {
             bench.iter(|| states[0].step());
@@ -163,7 +162,7 @@ fn bench_steps<P: Problem, S: ParamStore>(
         }
         bench.iter_custom(|iters| {
             let start = Instant::now();
-            rt.scope(|scope| {
+            std::thread::scope(|scope| {
                 for state in states.iter_mut() {
                     scope.spawn(move || {
                         for _ in 0..iters {
@@ -215,8 +214,8 @@ fn bench_sgd_step(c: &mut Criterion) {
     let logreg = SparseLogRegProblem::new(sparse_logreg(2 * samples, 16_384, 12, 9), 16);
     bench_workload(&mut group, "sparse_logreg", &logreg, &all);
 
-    // Fig. 3-style scaling: m ∈ {1, 2, 4} concurrent workers on the
-    // unified runtime, NN workloads × {SEQ, HOG, LSH}. The w1 medians
+    // Fig. 3-style scaling: m ∈ {1, 2, 4} concurrent worker threads,
+    // NN workloads × {SEQ, HOG, LSH}. The w1 medians
     // double as a regression check against the single-worker rows above.
     let scaling: [&str; 3] = ["SEQ", "HOG", "LSH"];
     for &workers in &[1usize, 2, 4] {

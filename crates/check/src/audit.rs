@@ -260,11 +260,11 @@ mod tests {
 
     #[test]
     fn audit_walk_collects_the_runtime_crate() {
-        // The work-stealing runtime is the densest ordering surface in
-        // the tree; a walk that silently skipped it (renamed dir, broken
-        // recursion) would green-light unjustified sites. Plant a bare
-        // violation in a scratch tree mirroring `crates/runtime/src` and
-        // require the full-tree audit to surface it.
+        // The runtime's parallel_for completion protocol is a hand-rolled
+        // ordering surface; a walk that silently skipped it (renamed dir,
+        // broken recursion) would green-light unjustified sites. Plant a
+        // bare violation in a scratch tree mirroring `crates/runtime/src`
+        // and require the full-tree audit to surface it.
         let root = std::env::temp_dir().join(format!(
             "lsgd-audit-test-{}-{}",
             std::process::id(),
@@ -273,18 +273,18 @@ mod tests {
         let src_dir = root.join("crates").join("runtime").join("src");
         std::fs::create_dir_all(&src_dir).unwrap();
         let site = format!("let x = a.load(Ordering::{});\n", "Relaxed");
-        std::fs::write(src_dir.join("deque.rs"), site).unwrap();
+        std::fs::write(src_dir.join("lib.rs"), site).unwrap();
         let v = audit_crates(&root).unwrap();
         std::fs::remove_dir_all(&root).unwrap();
         assert_eq!(v.len(), 1);
-        assert!(v[0].path.ends_with("crates/runtime/src/deque.rs"));
+        assert!(v[0].path.ends_with("crates/runtime/src/lib.rs"));
 
         // And the real tree: the runtime crate must be among the files
         // the production audit walks (audit_crates reads them all; a
         // clean report plus this presence check pins coverage).
         let real = workspace_root().join("crates").join("runtime").join("src");
         assert!(
-            real.join("deque.rs").is_file() && real.join("lib.rs").is_file(),
+            real.join("lib.rs").is_file(),
             "crates/runtime sources missing from the audited tree"
         );
     }

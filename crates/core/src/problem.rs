@@ -27,8 +27,8 @@ pub trait Problem: Send + Sync {
 
     /// Creates per-thread scratch. Problems with intra-step parallelism
     /// (e.g. [`NnProblem`]'s GEMM fan-out) run their splits on the shared
-    /// work-stealing runtime, so `m` trainer workers can never
-    /// oversubscribe the machine — no per-worker sizing is needed here.
+    /// global runtime, whose `LSGD_THREADS - 1` helpers serve every
+    /// trainer worker — no per-worker sizing is needed here.
     fn scratch(&self) -> Self::Scratch;
 
     /// Computes a stochastic minibatch gradient of the loss at `theta`

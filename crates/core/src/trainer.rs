@@ -279,8 +279,8 @@ fn run_on<P: Problem, S: ParamStore>(
     store: &S,
 ) -> RunResult {
     // The monitor evaluates concurrently with the workers; its splits
-    // run on the same work-stealing runtime, so no fan-out budget is
-    // needed.
+    // share the global runtime's helpers with theirs, so no fan-out
+    // budget is needed.
     let mut monitor_scratch = problem.scratch();
     let mut snapshot = vec![0.0f32; problem.dim()];
     store.snapshot_into(&mut snapshot);
@@ -319,12 +319,12 @@ fn run_on<P: Problem, S: ParamStore>(
     // `trace` feature is compiled in and LSGD_TRACE is set.
     let mut collector = lsgd_trace::Collector::new();
 
-    // Workers and the monitor all run as tasks of the unified runtime: the
-    // same workers also execute the intra-step GEMM splits the tasks fan
-    // out, so m trainer workers × GEMM parallelism can never oversubscribe
-    // the machine (scoped tasks beyond the runtime width degrade to
-    // dedicated threads, preserving the old `thread::scope` semantics).
-    // Each task writes its results through a disjoint `&mut` slot.
+    // Workers and the monitor each get their own scoped thread, so they
+    // always run concurrently. Their intra-step GEMM splits go to the
+    // global runtime, whose `LSGD_THREADS - 1` parked helpers are shared
+    // by every caller: the fan-out adds at most that many runnable
+    // threads, whatever m is. Each task writes its results through a
+    // disjoint `&mut` slot.
     let mut stats_slots: Vec<Option<WorkerStats>> = (0..threads).map(|_| None).collect();
     {
         // Monitor-owned state, moved into its task as one bundle.
@@ -339,12 +339,11 @@ fn run_on<P: Problem, S: ParamStore>(
         let board = &board;
         let crashes = &crashes;
         let heartbeat_stalls = &mut heartbeat_stalls;
-        lsgd_runtime::global().scope(|scope| {
+        std::thread::scope(|scope| {
             for (worker_id, slot) in stats_slots.iter_mut().enumerate() {
                 scope.spawn(move || {
                     // Tag this thread for the fault plane so crash rules
-                    // target trainer workers (restored on drop — the
-                    // runtime thread may run other tasks afterwards).
+                    // target trainer workers (restored on drop).
                     let _tag = lsgd_fault::worker_tag(worker_id as u32);
                     let ctx = WorkerCtx { board, worker_id, start };
                     // Contain worker panics: one dead worker must not
@@ -593,10 +592,9 @@ impl<'a, P: Problem, S: ParamStore> WorkerState<'a, P, S> {
             cfg,
             ctx,
             worker: store.worker(&cfg.algorithm),
-            // Intra-step splits (NnProblem's GEMM fan-out) execute on the
-            // same work-stealing runtime that runs the m trainer workers,
-            // so scratch needs no worker-count-aware sizing: total
-            // parallelism is bounded by LSGD_THREADS regardless of m.
+            // Intra-step splits (NnProblem's GEMM fan-out) go to the
+            // global runtime's helpers, which every worker shares, so
+            // scratch needs no worker-count-aware sizing.
             scratch: problem.scratch(),
             rng: SmallRng64::new(
                 cfg.seed ^ (0x5bd1e995u64.wrapping_mul(ctx.worker_id as u64 + 1)),

@@ -12,7 +12,7 @@
 //! panel cache and the runtime intra-step splits run on. Layers are free to
 //! ignore it (activations, pooling); the GEMM-heavy layers use it to pack
 //! their weight operands once per step and to fan per-sample work out
-//! across the unified work-stealing runtime.
+//! across the runtime's `parallel_for`.
 
 use lsgd_runtime::Handle;
 use lsgd_tensor::{Matrix, PackedPanelCache};

@@ -1,40 +1,21 @@
-//! `lsgd_runtime` — the unified work-stealing runtime.
+//! `lsgd_runtime` — the compute threads behind the trainer and the GEMM
+//! splits.
 //!
-//! One scheduler for both thread populations the repo used to run side by
-//! side: long-lived trainer workers (previously `std::thread::scope` in
-//! `lsgd_core::trainer`) and fine-grained intra-step GEMM/sample splits
-//! (previously a condvar work-sharing pool inside `lsgd_tensor`).
-//! Because both kinds of work execute on the *same* workers, m trainer
-//! workers × GEMM fan-out can never oversubscribe the machine, and one knob
-//! (`LSGD_THREADS`) sizes everything.
+//! The repo has two kinds of parallelism, and each gets the simplest
+//! mechanism that serves it:
 //!
-//! # Architecture
-//!
-//! * **Workers and deques.** `Runtime::new(n)` spawns `n - 1` OS workers (the
-//!   caller of `parallel_for` always participates, so `n` threads compute).
-//!   Each worker permanently owns a seq-claim work-stealing deque
-//!   ([`deque::Deque`]: LIFO owner pop, FIFO steal, model-checkable under
-//!   `--cfg lsgd_model`); extra deque slots are claimed on demand by
-//!   non-worker threads (the main thread, temp scope threads) when *they*
-//!   call `parallel_for`.
-//! * **`parallel_for` with caller participation.** The caller pushes the
-//!   task indices onto its own deque, wakes sleepers, then pops LIFO while
-//!   idle workers steal FIFO. The caller's wait loop runs tasks, so the
-//!   serial case and the uncontended case stay fast; a full ring falls back
-//!   to running the task inline. Nested `parallel_for` (a spawned trainer
-//!   task splitting a GEMM) reuses the current thread's deque slot.
-//! * **`Runtime::scope`.** Long-lived tasks (trainer workers, the monitor)
-//!   are spawned into a scope. Scoped tasks are *guaranteed concurrent*: a
-//!   task is queued to the runtime only when a sleeping worker is reserved
-//!   for it, otherwise it gets a dedicated temporary thread — so
-//!   barrier-style protocols between scope tasks cannot deadlock even on a
-//!   single-core runtime. `scope()` joins and re-raises panics, like
-//!   `std::thread::scope`.
-//! * **Sleeping.** Idle workers park on a condvar behind an epoch counter.
-//!   `parallel_for` publishers skip the lock entirely when nobody sleeps,
-//!   using a SeqCst-fence Dekker handshake with the workers'
-//!   idle-advertisement (`idle_hint`) so a publish and a park can never miss
-//!   each other.
+//! * **Long-lived tasks** (the m trainer workers and the monitor) are plain
+//!   OS threads from `std::thread::scope`. Every spawn is a real thread, so
+//!   scoped tasks are guaranteed to run concurrently and barrier-style
+//!   protocols between them cannot deadlock. [`Runtime::scope`] is a
+//!   one-line forward kept for the `benchmark/` package.
+//! * **Intra-step splits** (GEMM bands, conv sample ranges) go through
+//!   [`Runtime::parallel_for`]. `Runtime::new(n)` parks `n - 1` helper
+//!   threads on one `Mutex` + `Condvar` task queue. The caller queues tasks
+//!   `1..ntasks`, runs task 0 itself, takes back and runs every task no
+//!   helper has claimed, then waits for the claimed ones. A caller only
+//!   ever waits on a task some thread is already running, so nested and
+//!   concurrent `parallel_for` calls on one runtime cannot deadlock.
 //!
 //! # Determinism contract
 //!
@@ -48,254 +29,157 @@
 //! across this runtime.
 
 use std::collections::VecDeque;
-use std::marker::PhantomData;
 use std::ops::Range;
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{fence, AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, OnceLock};
-use std::time::Duration;
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
+use std::thread::JoinHandle;
 
 use lsgd_sync::backoff::Backoff;
 
-pub mod deque;
+/// The scope handle [`Runtime::scope`] passes to its closure.
+pub type Scope<'scope, 'env> = std::thread::Scope<'scope, 'env>;
 
-use deque::Deque;
-
-/// In-flight task bound per deque slot; overflow runs inline at the pusher.
-const DEQUE_CAP: usize = 256;
-
-// ---------------------------------------------------------------------------
-// Tasks
-// ---------------------------------------------------------------------------
-
-/// One `parallel_for` call, stack-allocated in the caller's frame.
-struct SplitJob {
-    /// The task body. Lifetime-erased from the caller's `&dyn`; kept alive
-    /// by the `pending` protocol below (the job frame does not return until
-    /// `pending == 0`, and every runner's last touch is the decrement).
+/// One `parallel_for` call, living in the caller's stack frame.
+struct Job {
+    /// The task body, lifetime-erased from the caller's `&dyn` (see the
+    /// `SAFETY` note in `parallel_for`).
     f: &'static (dyn Fn(usize) + Sync),
-    /// Tasks not yet finished. Runners decrement after running.
+    /// Tasks not yet finished. Each runner decrements after running.
     pending: AtomicUsize,
     /// Set (before the decrement) by any runner whose task panicked.
     poisoned: AtomicBool,
 }
 
-/// A claim on one index of a [`SplitJob`]. Flows through the deques.
-#[derive(Clone, Copy)]
+/// One index of a [`Job`], queued for the helpers.
 struct Task {
-    job: *const SplitJob,
+    job: *const Job,
     index: usize,
 }
 
-// SAFETY: the pointee is a stack frame that provably outlives every Task
-// referring to it (the `pending` counter keeps the frame alive until all
-// tasks ran), and SplitJob's interior is Sync.
+// SAFETY: the pointee is a `Job` in a `parallel_for` frame that outlives
+// every `Task` referring to it (see `parallel_for`), and `Job` is `Sync`.
 unsafe impl Send for Task {}
 
-/// Run one task: catch panics (they must not unwind into a scheduler loop),
-/// record poison, then signal completion.
-fn run_task(t: Task) {
-    // SAFETY: `pending > 0` (we hold an undone task), so the job frame is
-    // alive; see `unsafe impl Send for Task`.
-    let job = unsafe { &*t.job };
-    if catch_unwind(AssertUnwindSafe(|| (job.f)(t.index))).is_err() {
-        // ORDERING: Relaxed — ordered before the caller's observation of
-        // `pending == 0` by the AcqRel decrement below.
-        job.poisoned.store(true, Ordering::Relaxed);
+impl Task {
+    /// Run the task, record a panic instead of unwinding, then signal
+    /// completion. The decrement is the last access to the job.
+    fn run(self) {
+        // SAFETY: this task is unfinished, so `pending > 0` and the job's
+        // frame is still alive (see `parallel_for`).
+        let job = unsafe { &*self.job };
+        if catch_unwind(AssertUnwindSafe(|| (job.f)(self.index))).is_err() {
+            // ORDERING: Relaxed — published to the caller by the Release
+            // decrement below.
+            job.poisoned.store(true, Ordering::Relaxed);
+        }
+        // ORDERING: Release — the completion edge: the caller's Acquire
+        // load of zero sees this task's effects and the poison flag. Every
+        // decrement is an RMW, so the release sequences chain and the final
+        // observer synchronises with all runners.
+        job.pending.fetch_sub(1, Ordering::Release);
     }
-    // ORDERING: AcqRel — the completion edge: Release publishes this task's
-    // effects (and the poison flag) to the caller's Acquire load of zero;
-    // Acquire chains earlier decrements so the final observer sees them all.
-    job.pending.fetch_sub(1, Ordering::AcqRel);
 }
 
-// ---------------------------------------------------------------------------
-// Scheduler state
-// ---------------------------------------------------------------------------
-
-struct SlotEntry {
-    /// Exclusive-owner flag for the deque's single-owner contract.
-    claimed: AtomicBool,
-    deque: Deque<Task>,
-}
-
-/// State behind the sleep lock.
-struct Hub {
-    /// Bumped on every event sleepers could be waiting for (new scoped task,
-    /// scoped-task completion, work published while someone advertised idle,
-    /// shutdown).
-    epoch: u64,
-    /// Workers currently inside `Condvar::wait`.
-    waiters: usize,
-    /// Scoped tasks awaiting a reserved worker. `spawn` only queues here
-    /// when `waiters > scoped.len()` — i.e. a sleeping worker is dedicated
-    /// to every queued entry — which is what makes scoped tasks guaranteed
-    /// concurrent (see module docs).
-    scoped: VecDeque<ScopedTask>,
+/// State behind the queue lock.
+struct Queue {
+    tasks: VecDeque<Task>,
+    /// Helpers currently parked on the condvar.
+    idle: usize,
     shutdown: bool,
 }
 
 struct Shared {
-    /// Process-unique id, so a thread-local slot claim can't leak across
-    /// distinct runtimes.
-    id: u64,
-    /// Total compute threads (workers + participating caller).
-    nthreads: usize,
-    /// Worker-owned slots first (`0..nthreads-1`, claimed forever), then
-    /// claim-on-demand slots for external `parallel_for` callers.
-    slots: Box<[SlotEntry]>,
-    hub: Mutex<Hub>,
-    cv: Condvar,
-    /// Mirror of `hub.waiters` readable without the lock; the Dekker
-    /// handshake in `publish_wakeup`/`worker_loop` keeps it honest.
-    idle_hint: AtomicUsize,
+    queue: Mutex<Queue>,
+    ready: Condvar,
 }
 
-/// The work-stealing runtime. See module docs.
+impl Shared {
+    /// Lock the queue, ignoring poison: the queue is valid whenever the
+    /// lock is released, so `parallel_for` never unwinds here.
+    fn lock(&self) -> MutexGuard<'_, Queue> {
+        self.queue.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
+/// A fixed set of parked helper threads for [`Runtime::parallel_for`].
+/// See the module docs.
 pub struct Runtime {
     shared: Arc<Shared>,
-    workers: Vec<std::thread::JoinHandle<()>>,
-}
-
-thread_local! {
-    /// (runtime id, slot index) this thread currently owns, if any.
-    static CURRENT_SLOT: std::cell::Cell<Option<(u64, usize)>> =
-        const { std::cell::Cell::new(None) };
-}
-
-fn next_runtime_id() -> u64 {
-    static NEXT: AtomicU64 = AtomicU64::new(0);
-    // ORDERING: Relaxed — a pure id counter; uniqueness is all that matters.
-    NEXT.fetch_add(1, Ordering::Relaxed)
+    helpers: Vec<JoinHandle<()>>,
 }
 
 impl Runtime {
-    /// A runtime computing on `threads` threads total: `threads - 1` spawned
-    /// workers plus the participating caller. `Runtime::new(1)` spawns
+    /// A runtime computing on `threads` threads total: `threads - 1` parked
+    /// helpers plus the participating caller. `Runtime::new(1)` spawns
     /// nothing and runs everything inline.
     pub fn new(threads: usize) -> Self {
-        let threads = threads.max(1);
-        let nworkers = threads - 1;
-        // Workers own the first nworkers slots; the rest serve external
-        // callers (main thread, temp scope threads, nested cases).
-        let nslots = if nworkers == 0 { 0 } else { 2 * threads };
         let shared = Arc::new(Shared {
-            id: next_runtime_id(),
-            nthreads: threads,
-            slots: (0..nslots)
-                .map(|i| SlotEntry {
-                    claimed: AtomicBool::new(i < nworkers),
-                    deque: Deque::new(DEQUE_CAP),
-                })
-                .collect(),
-            hub: Mutex::new(Hub {
-                epoch: 0,
-                waiters: 0,
-                scoped: VecDeque::new(),
+            queue: Mutex::new(Queue {
+                tasks: VecDeque::new(),
+                idle: 0,
                 shutdown: false,
             }),
-            cv: Condvar::new(),
-            idle_hint: AtomicUsize::new(0),
+            ready: Condvar::new(),
         });
-        let workers = (0..nworkers)
+        let helpers = (1..threads.max(1))
             .map(|i| {
                 let shared = Arc::clone(&shared);
                 std::thread::Builder::new()
                     .name(format!("lsgd-rt-{i}"))
-                    .spawn(move || worker_loop(&shared, i))
-                    .expect("failed to spawn lsgd runtime worker")
+                    .spawn(move || helper_loop(&shared))
+                    .expect("failed to spawn lsgd runtime helper")
             })
             .collect();
-        Runtime { shared, workers }
+        Runtime { shared, helpers }
     }
 
-    /// Total compute threads (spawned workers + the participating caller).
+    /// Total compute threads (helpers + the participating caller).
     pub fn threads(&self) -> usize {
-        self.shared.nthreads
+        self.helpers.len() + 1
     }
 
     /// Run `f(0)`, …, `f(ntasks - 1)` exactly once each, in parallel across
-    /// the runtime's workers with the caller participating; returns when all
-    /// are done. Serial (plain ascending loop on the caller) when the
-    /// runtime has no workers or `ntasks <= 1`. If any task panics, panics
-    /// after all tasks finished.
+    /// the helpers with the caller participating; returns when all are
+    /// done. Serial (plain ascending loop on the caller) when the runtime
+    /// has no helpers or `ntasks <= 1`. If any task panics, panics after
+    /// all tasks finished.
     pub fn parallel_for(&self, ntasks: usize, f: &(dyn Fn(usize) + Sync)) {
-        if ntasks == 0 {
+        if self.helpers.is_empty() || ntasks <= 1 {
+            (0..ntasks).for_each(f);
             return;
         }
-        if self.workers.is_empty() || ntasks == 1 {
-            for i in 0..ntasks {
-                f(i);
-            }
-            return;
-        }
-        let shared = &*self.shared;
-        // Find our deque slot: workers/nested callers already own one;
-        // external callers claim one for the duration of the call.
-        let (slot_idx, temp_claim) = match CURRENT_SLOT.get() {
-            Some((id, s)) if id == shared.id => (s, false),
-            _ => match claim_slot(shared) {
-                Some(s) => {
-                    CURRENT_SLOT.set(Some((shared.id, s)));
-                    (s, true)
-                }
-                // Every slot busy (wildly oversubscribed externals): the
-                // serial fallback is always correct.
-                None => {
-                    for i in 0..ntasks {
-                        f(i);
-                    }
-                    return;
-                }
-            },
-        };
-        // SAFETY: lifetime erasure — `job` (and the `&dyn` it captures) must
-        // outlive every Task. Guaranteed by the wait loop below: this frame
-        // does not return until `pending == 0`, and the decrement is each
-        // runner's final access.
-        let f_static: &'static (dyn Fn(usize) + Sync) = unsafe { std::mem::transmute(f) };
-        let job = SplitJob {
-            f: f_static,
+        // SAFETY: lifetime erasure so queued tasks can name `f`. This frame
+        // does not return before every task referring to `job` has run: the
+        // caller runs task 0, takes back every task still queued, and waits
+        // until `pending == 0` for the ones helpers claimed. Each runner's
+        // last access to the job is its decrement. Task panics are caught
+        // and queue locking ignores poison, so nothing unwinds out of this
+        // frame while a task is queued or running.
+        let f: &'static (dyn Fn(usize) + Sync) = unsafe { std::mem::transmute(f) };
+        let job = Job {
+            f,
             pending: AtomicUsize::new(ntasks),
             poisoned: AtomicBool::new(false),
         };
-        let deque = &shared.slots[slot_idx].deque;
-        let mut pushed_any = false;
-        for i in 0..ntasks {
-            // SAFETY: we own slot `slot_idx` (permanent worker ownership or
-            // the claim above), so we are the unique deque owner.
-            if unsafe { deque.push(Task { job: &job, index: i }) }.is_err() {
-                // Ring full — run inline; the LIFO pop below keeps draining
-                // so this is rare and only means less parallelism.
-                run_task(Task { job: &job, index: i });
-            } else {
-                pushed_any = true;
-            }
+        let task = |index| Task { job: &job, index };
+        let idle = {
+            let mut queue = self.shared.lock();
+            queue.tasks.extend((1..ntasks).map(task));
+            queue.idle
+        };
+        for _ in 0..idle.min(ntasks - 1) {
+            self.shared.ready.notify_one();
         }
-        if pushed_any {
-            publish_wakeup(shared);
+        task(0).run();
+        while let Some(t) = self.take_back(&job) {
+            t.run();
         }
-        // Participate: drain our own deque LIFO; when it runs dry, wait for
-        // thieves to finish the stolen tasks. A popped task may belong to an
-        // *outer* nested job — running it here is correct (it only shortens
-        // the outer frame's wait).
         let mut backoff = Backoff::new();
-        loop {
-            if let Some(t) = unsafe { deque.pop() } {
-                run_task(t);
-                backoff = Backoff::new();
-                continue;
-            }
-            // ORDERING: Acquire — pairs with runners' AcqRel decrements so
-            // observing zero makes every task's effects visible here.
-            if job.pending.load(Ordering::Acquire) == 0 {
-                break;
-            }
+        // ORDERING: Acquire — pairs with every runner's Release decrement,
+        // so zero makes all task effects (and `poisoned`) visible here.
+        while job.pending.load(Ordering::Acquire) != 0 {
             backoff.snooze();
-        }
-        if temp_claim {
-            CURRENT_SLOT.set(None);
-            release_slot(shared, slot_idx);
         }
         // ORDERING: Relaxed — ordered by the Acquire load of zero above.
         if job.poisoned.load(Ordering::Relaxed) {
@@ -303,302 +187,61 @@ impl Runtime {
         }
     }
 
-    /// Structured concurrency for long-lived tasks (trainer workers, the
-    /// monitor): every task spawned on the scope is guaranteed to run
-    /// *concurrently* with the others (reserved sleeping worker or dedicated
-    /// temp thread — never merely queued), and `scope` returns only after
-    /// all of them finished. Task panics are re-raised here, after the scope
-    /// fully quiesces, like `std::thread::scope`.
+    /// Remove one still-queued task of `job`, newest first.
+    fn take_back(&self, job: *const Job) -> Option<Task> {
+        let mut queue = self.shared.lock();
+        let i = queue
+            .tasks
+            .iter()
+            .rposition(|t| std::ptr::eq(t.job, job))?;
+        queue.tasks.remove(i)
+    }
+
+    /// Forwards to `std::thread::scope`: every spawned task is its own OS
+    /// thread, `scope` returns after all of them finished, and a task panic
+    /// is re-raised here. The `benchmark/` package calls it as
+    /// `global().scope`; code in the workspace calls `std::thread::scope`
+    /// directly.
     pub fn scope<'env, F, R>(&'env self, f: F) -> R
     where
         F: for<'scope> FnOnce(&'scope Scope<'scope, 'env>) -> R,
     {
-        let scope = Scope {
-            rt: self,
-            core: Arc::new(ScopeCore {
-                pending: AtomicUsize::new(0),
-                panicked: AtomicBool::new(false),
-            }),
-            temps: Mutex::new(Vec::new()),
-            _scope: PhantomData,
-            _env: PhantomData,
-        };
-        let result = catch_unwind(AssertUnwindSafe(|| f(&scope)));
-        // Must quiesce even when `f` panicked: spawned tasks borrow `'env`.
-        scope.wait_all();
-        for h in scope.temps.lock().unwrap().drain(..) {
-            // Task panics were caught inside run_scoped; join can't fail.
-            let _ = h.join();
-        }
-        // ORDERING: Acquire — pairs with the Release decrement in
-        // run_scoped; wait_all saw zero, this makes the poison flag visible.
-        let task_panicked = scope.core.panicked.load(Ordering::Acquire);
-        match result {
-            Err(payload) => resume_unwind(payload),
-            Ok(r) => {
-                if task_panicked {
-                    panic!("lsgd_runtime::scope: a spawned task panicked");
-                }
-                r
-            }
-        }
+        std::thread::scope(f)
     }
 }
 
 impl Drop for Runtime {
     fn drop(&mut self) {
-        {
-            let mut hub = self.shared.hub.lock().unwrap();
-            hub.shutdown = true;
-            hub.epoch += 1;
-        }
-        self.shared.cv.notify_all();
-        for h in self.workers.drain(..) {
+        self.shared.lock().shutdown = true;
+        self.shared.ready.notify_all();
+        for h in self.helpers.drain(..) {
             let _ = h.join();
         }
     }
 }
 
-// ---------------------------------------------------------------------------
-// Scope
-// ---------------------------------------------------------------------------
-
-struct ScopeCore {
-    /// Scoped tasks not yet finished (incremented at spawn).
-    pending: AtomicUsize,
-    panicked: AtomicBool,
-}
-
-struct ScopedTask {
-    f: Box<dyn FnOnce() + Send + 'static>,
-    core: Arc<ScopeCore>,
-}
-
-/// Handle for spawning tasks inside [`Runtime::scope`]. Mirrors
-/// `std::thread::Scope`: tasks may borrow from the enclosing environment.
-pub struct Scope<'scope, 'env: 'scope> {
-    rt: &'scope Runtime,
-    core: Arc<ScopeCore>,
-    temps: Mutex<Vec<std::thread::JoinHandle<()>>>,
-    _scope: PhantomData<&'scope mut &'scope ()>,
-    _env: PhantomData<&'env mut &'env ()>,
-}
-
-impl<'scope, 'env> Scope<'scope, 'env> {
-    /// Spawn a task that runs concurrently with the scope body and all other
-    /// scoped tasks. The task may borrow from `'env`; the borrow is released
-    /// when `scope` returns.
-    pub fn spawn<F>(&'scope self, f: F)
-    where
-        F: FnOnce() + Send + 'scope,
-    {
-        // ORDERING: Relaxed — incremented before the task is published
-        // (queue push / thread spawn below are the publication edges), and
-        // `wait_all` only runs after the scope closure returned, i.e. after
-        // this call. No task can observe a transient zero.
-        self.core.pending.fetch_add(1, Ordering::Relaxed);
-        let boxed: Box<dyn FnOnce() + Send + 'scope> = Box::new(f);
-        // SAFETY: lifetime erasure to ship the closure to a worker/thread.
-        // `Scope::wait_all` (run unconditionally by `Runtime::scope`, even
-        // on panic) blocks until the task finished, so the `'scope`/`'env`
-        // borrows outlive the task's execution.
-        let boxed: Box<dyn FnOnce() + Send + 'static> = unsafe { std::mem::transmute(boxed) };
-        let task = ScopedTask {
-            f: boxed,
-            core: Arc::clone(&self.core),
-        };
-        let shared = &self.rt.shared;
-        let mut hub = shared.hub.lock().unwrap();
-        // Reservation protocol: queue to the runtime only if a sleeping
-        // worker is free to dedicate itself (each queued scoped task is
-        // matched 1:1 with a waiter). Otherwise — all workers busy, or a
-        // 1-thread runtime — a dedicated temp thread keeps the concurrency
-        // guarantee (trainer barrier protocols rely on it).
-        if hub.waiters > hub.scoped.len() {
-            hub.scoped.push_back(task);
-            hub.epoch += 1;
-            drop(hub);
-            shared.cv.notify_all();
-        } else {
-            drop(hub);
-            lsgd_trace::count(lsgd_trace::Counter::SpillThread);
-            let shared = Arc::clone(&self.rt.shared);
-            let handle = std::thread::Builder::new()
-                .name("lsgd-rt-scoped".into())
-                .spawn(move || run_scoped(&shared, task))
-                .expect("failed to spawn scoped task thread");
-            self.temps.lock().unwrap().push(handle);
-        }
-    }
-
-    /// Block until every spawned task finished, stealing split tasks while
-    /// waiting so a scope waiter never idles a core that has GEMM work.
-    fn wait_all(&self) {
-        let shared = &*self.rt.shared;
-        loop {
-            // ORDERING: Acquire — pairs with run_scoped's Release decrement;
-            // zero here means every task's effects are visible.
-            if self.core.pending.load(Ordering::Acquire) == 0 {
-                return;
-            }
-            if let Some(t) = steal_any(shared) {
-                run_task(t);
-                continue;
-            }
-            let hub = shared.hub.lock().unwrap();
-            // ORDERING: Acquire — re-check under the lock (completion bumps
-            // the epoch under the same lock, so we cannot sleep through it).
-            if self.core.pending.load(Ordering::Acquire) == 0 {
-                return;
-            }
-            if has_split_work(shared) {
-                continue; // stealable work appeared; drop the lock and take it
-            }
-            // Timeout because split-work publishers skip notify when no
-            // *worker* advertised idle — a scope waiter is not counted in
-            // idle_hint, so it backstops with a short poll.
-            let (hub, _) = shared
-                .cv
-                .wait_timeout(hub, Duration::from_millis(1))
-                .unwrap();
-            drop(hub);
-        }
-    }
-}
-
-fn run_scoped(shared: &Shared, task: ScopedTask) {
-    let ScopedTask { f, core } = task;
-    if catch_unwind(AssertUnwindSafe(f)).is_err() {
-        // ORDERING: Relaxed — ordered before the scope's observation of
-        // `pending == 0` by the Release decrement below.
-        core.panicked.store(true, Ordering::Relaxed);
-    }
-    // ORDERING: Release — completion edge: the scope caller's Acquire load
-    // of zero sees every effect of this task (and the poison flag).
-    core.pending.fetch_sub(1, Ordering::Release);
-    // Wake the scope waiter (and anyone else parked on the epoch).
-    let mut hub = shared.hub.lock().unwrap();
-    hub.epoch += 1;
-    drop(hub);
-    shared.cv.notify_all();
-}
-
-// ---------------------------------------------------------------------------
-// Worker loop and wakeup
-// ---------------------------------------------------------------------------
-
-fn worker_loop(shared: &Shared, me: usize) {
-    CURRENT_SLOT.set(Some((shared.id, me)));
+/// A helper runs queued tasks oldest first and parks when the queue is
+/// empty.
+fn helper_loop(shared: &Shared) {
+    let mut queue = shared.lock();
     loop {
-        // Busy phase: drain our own deque LIFO, then steal FIFO.
-        loop {
-            // SAFETY: slot `me` is permanently claimed by this worker.
-            while let Some(t) = unsafe { shared.slots[me].deque.pop() } {
-                run_task(t);
-            }
-            match steal_any(shared) {
-                Some(t) => run_task(t),
-                None => break,
-            }
-        }
-        // Idle phase.
-        let mut hub = shared.hub.lock().unwrap();
-        loop {
-            if let Some(task) = hub.scoped.pop_front() {
-                drop(hub);
-                run_scoped(shared, task);
-                break; // back to the busy phase
-            }
-            if hub.shutdown {
-                return;
-            }
-            hub.waiters += 1;
-            // ORDERING: Relaxed + SeqCst fence — Dekker handshake, sleeper
-            // side: advertise idleness, then re-scan for work. Pairs with
-            // the publisher's write-work → fence → read-hint sequence in
-            // publish_wakeup: at least one of us must see the other.
-            shared.idle_hint.store(hub.waiters, Ordering::Relaxed);
-            // ORDERING: SeqCst fence — orders the advertise above before
-            // the re-scan below; pairs with publish_wakeup's fence.
-            fence(Ordering::SeqCst);
-            if has_split_work(shared) {
-                hub.waiters -= 1;
-                // ORDERING: Relaxed — hint shrink; a stale larger value only
-                // causes a spurious notify.
-                shared.idle_hint.store(hub.waiters, Ordering::Relaxed);
-                drop(hub);
-                break; // back to the busy phase
-            }
+        if let Some(task) = queue.tasks.pop_front() {
+            drop(queue);
+            task.run();
+            queue = shared.lock();
+        } else if queue.shutdown {
+            return;
+        } else {
+            queue.idle += 1;
             lsgd_trace::count(lsgd_trace::Counter::Park);
-            hub = shared.cv.wait(hub).unwrap();
+            queue = shared
+                .ready
+                .wait(queue)
+                .unwrap_or_else(PoisonError::into_inner);
             lsgd_trace::count(lsgd_trace::Counter::Unpark);
-            hub.waiters -= 1;
-            // ORDERING: Relaxed — as above.
-            shared.idle_hint.store(hub.waiters, Ordering::Relaxed);
-            // Loop: re-check scoped queue / shutdown / split work.
+            queue.idle -= 1;
         }
     }
-}
-
-/// Publisher side of the Dekker handshake: after pushing split tasks, wake
-/// sleepers iff any worker advertised idle. The common busy case costs one
-/// fence + one load — no lock.
-fn publish_wakeup(shared: &Shared) {
-    // ORDERING: SeqCst fence + Relaxed load — publisher side of the Dekker
-    // handshake (see worker_loop): our deque pushes precede the fence, so if
-    // the sleeper's post-advertise re-scan missed them, this load must see
-    // its idle_hint store.
-    fence(Ordering::SeqCst);
-    // ORDERING: Relaxed load — the SeqCst fence above makes the handshake
-    // sound; a stale positive hint only costs a spurious lock + notify.
-    if shared.idle_hint.load(Ordering::Relaxed) > 0 {
-        let mut hub = shared.hub.lock().unwrap();
-        hub.epoch += 1;
-        drop(hub);
-        shared.cv.notify_all();
-    }
-}
-
-fn has_split_work(shared: &Shared) -> bool {
-    shared.slots.iter().any(|s| s.deque.maybe_nonempty())
-}
-
-/// Steal one task from any slot's deque (FIFO within each victim).
-fn steal_any(shared: &Shared) -> Option<Task> {
-    lsgd_trace::count(lsgd_trace::Counter::StealAttempt);
-    for entry in shared.slots.iter() {
-        if let Some(t) = entry.deque.steal() {
-            lsgd_trace::count(lsgd_trace::Counter::StealHit);
-            return Some(t);
-        }
-    }
-    lsgd_trace::count(lsgd_trace::Counter::StealMiss);
-    None
-}
-
-/// Claim a free external slot (never a worker-owned one — those stay
-/// claimed forever).
-fn claim_slot(shared: &Shared) -> Option<usize> {
-    for (i, entry) in shared.slots.iter().enumerate() {
-        // ORDERING: Acquire on success — pairs with release_slot's Release
-        // store: the previous external owner's deque cursor writes (plain
-        // owner-local state) happen-before our first push/pop. Relaxed on
-        // failure — we just try the next slot.
-        if entry
-            .claimed
-            .compare_exchange(false, true, Ordering::Acquire, Ordering::Relaxed)
-            .is_ok()
-        {
-            return Some(i);
-        }
-    }
-    None
-}
-
-fn release_slot(shared: &Shared, idx: usize) {
-    // ORDERING: Release — hand the deque's owner-local state to the next
-    // claimant's Acquire CAS.
-    shared.slots[idx].claimed.store(false, Ordering::Release);
 }
 
 // ---------------------------------------------------------------------------
@@ -607,7 +250,6 @@ fn release_slot(shared: &Shared, idx: usize) {
 
 /// How a compute layer reaches a runtime: the process-global one (default)
 /// or an explicitly injected instance (tests, benchmarks, embedders).
-/// Replaces the old `Option<Arc<ThreadPool>>` plumbing in `lsgd_nn`.
 #[derive(Clone, Default)]
 pub enum Handle {
     /// The process-global runtime, sized by `LSGD_THREADS` (see [`global`]).
@@ -700,7 +342,7 @@ pub fn split_ranges(n: usize, max_tasks: usize) -> Vec<Range<usize>> {
 // Tests
 // ---------------------------------------------------------------------------
 
-#[cfg(all(test, not(lsgd_model)))]
+#[cfg(test)]
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicUsize;
@@ -750,9 +392,9 @@ mod tests {
     }
 
     #[test]
-    fn more_tasks_than_deque_capacity_still_all_run() {
+    fn thousand_tasks_run_exactly_once() {
         let rt = Runtime::new(4);
-        let n = DEQUE_CAP * 3 + 7;
+        let n = 1_000;
         let hits: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
         rt.parallel_for(n, &|i| {
             hits[i].fetch_add(1, Ordering::Relaxed); // ORDERING: Relaxed test tally; join/scope exit orders the read.
@@ -793,8 +435,8 @@ mod tests {
 
     #[test]
     fn scope_tasks_run_concurrently_even_oversubscribed() {
-        // More scope tasks than threads: the reservation protocol must fall
-        // back to temp threads so this barrier cannot deadlock.
+        // More scope tasks than threads: every spawn is its own thread, so
+        // this barrier cannot deadlock.
         let rt = Runtime::new(2);
         let ntasks = 6;
         let barrier = Barrier::new(ntasks);

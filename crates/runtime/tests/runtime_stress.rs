@@ -1,17 +1,14 @@
-//! Native stress for the work-stealing runtime: the schedule shapes the
-//! model checker cannot reach (real preemption, oversubscription, cache
-//! contention), with exactly-once accounting so any lost/duplicated task or
-//! missed wakeup turns into an assertion failure or a watchdog abort.
+//! Native stress for the runtime: real preemption and oversubscription,
+//! with exactly-once accounting so any lost or duplicated task, or a
+//! missed wakeup, turns into an assertion failure or a watchdog abort.
 //!
 //! `LSGD_STRESS_THREADS` (the contention CI job sets it to 2× nproc) sizes
 //! the runtime; nightly TSan runs this suite instrumented.
-#![cfg(not(lsgd_model))]
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use lsgd_runtime::deque::Deque;
 use lsgd_runtime::Runtime;
 
 fn stress_threads() -> usize {
@@ -33,7 +30,7 @@ fn with_watchdog(limit: Duration, f: impl FnOnce()) {
         let start = Instant::now();
         while flag.load(Ordering::Acquire) == 0 {
             if start.elapsed() > limit {
-                eprintln!("steal_stress watchdog: body exceeded {limit:?}; aborting");
+                eprintln!("runtime_stress watchdog: body exceeded {limit:?}; aborting");
                 std::process::abort();
             }
             std::thread::sleep(Duration::from_millis(50));
@@ -44,66 +41,13 @@ fn with_watchdog(limit: Duration, f: impl FnOnce()) {
     dog.join().unwrap();
 }
 
-/// Raw deque under one owner (push/pop churn) and many thieves: every value
-/// delivered exactly once, across ring wraparound, for millions of ops.
-#[test]
-fn deque_exactly_once_under_native_contention() {
-    const N: usize = 200_000;
-    let thieves = stress_threads().clamp(2, 8) - 1;
-    with_watchdog(Duration::from_secs(120), || {
-        let d = Arc::new(Deque::new(64));
-        let taken = Arc::new(AtomicUsize::new(0));
-        let sum = Arc::new(AtomicUsize::new(0));
-        std::thread::scope(|s| {
-            for _ in 0..thieves {
-                let d = Arc::clone(&d);
-                let taken = Arc::clone(&taken);
-                let sum = Arc::clone(&sum);
-                s.spawn(move || {
-                    while taken.load(Ordering::Acquire) < N {
-                        if let Some(v) = d.steal() {
-                            sum.fetch_add(v, Ordering::Relaxed); // ORDERING: Relaxed test tally; join/scope exit orders the read.
-                            taken.fetch_add(1, Ordering::AcqRel);
-                        } else {
-                            std::hint::spin_loop();
-                        }
-                    }
-                });
-            }
-            let mut next = 0usize;
-            while next < N {
-                // SAFETY: this thread is the deque's only owner.
-                unsafe {
-                    match d.push(next) {
-                        Ok(()) => next += 1,
-                        Err(_) => {
-                            if let Some(v) = d.pop() {
-                                sum.fetch_add(v, Ordering::Relaxed); // ORDERING: Relaxed test tally; join/scope exit orders the read.
-                                taken.fetch_add(1, Ordering::AcqRel);
-                            }
-                        }
-                    }
-                }
-            }
-            while taken.load(Ordering::Acquire) < N {
-                if let Some(v) = unsafe { d.pop() } {
-                    sum.fetch_add(v, Ordering::Relaxed); // ORDERING: Relaxed test tally; join/scope exit orders the read.
-                    taken.fetch_add(1, Ordering::AcqRel);
-                }
-            }
-        });
-        assert_eq!(taken.load(Ordering::Relaxed), N); // ORDERING: Relaxed test tally; join/scope exit orders the read.
-        assert_eq!(sum.load(Ordering::Relaxed), N * (N - 1) / 2); // ORDERING: Relaxed test tally; join/scope exit orders the read.
-    });
-}
-
 /// Oversubscribed `parallel_for` churn: many external threads hammer one
-/// runtime with nested splits; exactly-once accounting on every job.
+/// runtime's task queue; exactly-once accounting on every job.
 #[test]
 fn parallel_for_exactly_once_oversubscribed() {
     let threads = stress_threads();
     let rt = Runtime::new(threads);
-    let callers = threads; // callers + workers ≈ 2× threads ⇒ oversubscribed
+    let callers = threads; // callers + helpers ≈ 2× threads ⇒ oversubscribed
     with_watchdog(Duration::from_secs(120), || {
         std::thread::scope(|s| {
             for c in 0..callers {
@@ -130,9 +74,9 @@ fn parallel_for_exactly_once_oversubscribed() {
     });
 }
 
-/// Trainer-shaped load: scoped long-lived tasks (each running nested
-/// `parallel_for` splits) racing fine-grained external splits, repeated so
-/// scope setup/teardown and the reservation protocol churn.
+/// Trainer-shaped load: scoped long-lived tasks, each running nested
+/// `parallel_for` splits on one shared runtime, repeated so scope setup
+/// and teardown churn.
 #[test]
 fn scope_and_splits_share_workers() {
     let threads = stress_threads();

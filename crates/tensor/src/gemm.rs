@@ -13,8 +13,8 @@
 //!   *sub-slices of the flat ParameterVector* (the paper's central data
 //!   structure) and must be multiplied in place without copies;
 //! * [`gemm_slices_parallel_in`] — the same contract, with the M (or, for
-//!   wide outputs, N) panel loop split across a work-stealing
-//!   [`Runtime`] (callers pass [`lsgd_runtime::global`] or an injected
+//!   wide outputs, N) panel loop split by a [`Runtime`]'s `parallel_for`
+//!   (callers pass [`lsgd_runtime::global`] or an injected
 //!   one). Small products fall back to the serial path so the paper's
 //!   tiny CNN im2col GEMMs never pay dispatch overhead;
 //! * [`gemm_flex`] / [`gemm_flex_parallel_in`] — either operand may be

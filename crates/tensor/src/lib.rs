@@ -15,7 +15,7 @@
 //!   workhorse of both the dense layers and the im2col convolution
 //!   lowering. [`pack`] holds the panel-packing routines;
 //!   `gemm::gemm_slices_parallel_in` / `gemm::gemm_flex_parallel_in` split
-//!   across an `lsgd_runtime::Runtime`'s workers.
+//!   across an `lsgd_runtime::Runtime`'s helper threads and the caller.
 //! * [`ops`] — BLAS-1 style vector kernels (`axpy`, `dot`, `scale`, …) used
 //!   by the SGD update rule itself.
 //! * [`rng`] — seeded random sources, including the Box–Muller normal

@@ -41,18 +41,10 @@ pub enum Counter {
     SnapshotRetry,
     /// A sharded snapshot was returned inconsistent (retries exhausted).
     SnapshotInconsistent,
-    /// The runtime attempted to steal from a sibling deque.
-    StealAttempt,
-    /// A steal attempt found work.
-    StealHit,
-    /// A steal attempt came home empty.
-    StealMiss,
-    /// A runtime worker went to sleep on the condvar.
+    /// A runtime helper parked on the task-queue condvar.
     Park,
-    /// A runtime worker was woken.
+    /// A parked runtime helper was woken.
     Unpark,
-    /// The runtime spilled a scoped task onto a temporary thread.
-    SpillThread,
     /// A pressured pool allocation waited on the free list (gauge cap
     /// reached or an injected OOM).
     PoolPressureWait,
@@ -72,7 +64,7 @@ pub enum Counter {
 
 impl Counter {
     /// Number of counter variants (array size of a [`CounterCell`]).
-    pub const COUNT: usize = 22;
+    pub const COUNT: usize = 18;
 
     /// All variants, in declaration order (index == discriminant).
     pub const ALL: [Counter; Counter::COUNT] = [
@@ -87,12 +79,8 @@ impl Counter {
         Counter::ReadRetry,
         Counter::SnapshotRetry,
         Counter::SnapshotInconsistent,
-        Counter::StealAttempt,
-        Counter::StealHit,
-        Counter::StealMiss,
         Counter::Park,
         Counter::Unpark,
-        Counter::SpillThread,
         Counter::PoolPressureWait,
         Counter::PoolPressureForced,
         Counter::WorkerPanic,
@@ -114,12 +102,8 @@ impl Counter {
             Counter::ReadRetry => "read.stale_retry",
             Counter::SnapshotRetry => "snapshot.validate_retry",
             Counter::SnapshotInconsistent => "snapshot.inconsistent",
-            Counter::StealAttempt => "steal.attempt",
-            Counter::StealHit => "steal.hit",
-            Counter::StealMiss => "steal.miss",
             Counter::Park => "runtime.park",
             Counter::Unpark => "runtime.unpark",
-            Counter::SpillThread => "runtime.spill_thread",
             Counter::PoolPressureWait => "pool.pressure_wait",
             Counter::PoolPressureForced => "pool.pressure_forced",
             Counter::WorkerPanic => "trainer.worker_panic",
@@ -204,11 +188,11 @@ mod tests {
         let cell = CounterCell::new();
         cell.add(Counter::PublishRetry, 3);
         cell.add(Counter::PublishRetry, 2);
-        cell.add(Counter::StealHit, 1);
+        cell.add(Counter::Park, 1);
         assert_eq!(cell.get(Counter::PublishRetry), 5);
         let snap = cell.snapshot();
         assert_eq!(snap[Counter::PublishRetry as usize], 5);
-        assert_eq!(snap[Counter::StealHit as usize], 1);
+        assert_eq!(snap[Counter::Park as usize], 1);
         assert_eq!(snap[Counter::QueueEmptyPop as usize], 0);
     }
 }

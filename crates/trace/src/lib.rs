@@ -768,7 +768,7 @@ mod tests {
             assert!(!COMPILED);
         }
         assert!(!enabled());
-        count(Counter::StealHit);
+        count(Counter::Park);
         let g = span(Phase::GradCompute);
         drop(g);
         let l = label("anything");

@@ -61,17 +61,17 @@ fn per_worker_cells_aggregate_exactly() {
             .map(|w| {
                 let cells = Arc::clone(&cells);
                 thread::spawn(move || {
-                    cells[w].add(Counter::StealHit, (w + 1) as u64);
+                    cells[w].add(Counter::Park, (w + 1) as u64);
                 })
             })
             .collect();
         // Mid-flight aggregate is a lower bound of the final total.
-        let partial: u64 = cells.iter().map(|c| c.get(Counter::StealHit)).sum();
+        let partial: u64 = cells.iter().map(|c| c.get(Counter::Park)).sum();
         assert!(partial <= 3);
         for h in handles {
             h.join().unwrap();
         }
-        let total: u64 = cells.iter().map(|c| c.get(Counter::StealHit)).sum();
+        let total: u64 = cells.iter().map(|c| c.get(Counter::Park)).sum();
         assert_eq!(total, 3, "cross-cell aggregation lost an increment");
     });
 }

@@ -29,7 +29,7 @@ fn disabled_build_probes_record_nothing_and_gate_stays_off() {
     assert!(!lsgd_trace::enabled());
 
     lsgd_trace::count(Counter::PublishRetry);
-    lsgd_trace::count_n(Counter::StealAttempt, 100);
+    lsgd_trace::count_n(Counter::Park, 100);
     let _g = lsgd_trace::span(Phase::GradCompute);
     let _l = lsgd_trace::span_labeled(lsgd_trace::label("layer0.fwd"));
     drop(_g);

@@ -146,12 +146,14 @@ fn bench_steps<P: Problem, S: ParamStore>(
 ) {
     let workers = scoped.unwrap_or(1);
     let board = HeartbeatBoard::new(workers);
-    let start = Instant::now();
     // Per-worker step state, handed to the scoped threads through
     // `iter_mut` the same way the trainer distributes stats slots.
     let mut states: Vec<_> = (0..workers)
         .map(|worker_id| {
-            let ctx = WorkerCtx { board: &board, worker_id, start };
+            let ctx = WorkerCtx {
+                board: &board,
+                worker_id,
+            };
             WorkerState::new(problem, store, cfg, ctx)
         })
         .collect();

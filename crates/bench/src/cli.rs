@@ -1,4 +1,4 @@
-//! Minimal flag parsing shared by the harness binaries (no external CLI
+//! Minimal flag parsing shared by the harness's figures (no external CLI
 //! dependency — the workspace's dependency budget is spent on the science).
 
 use std::time::Duration;
@@ -43,14 +43,9 @@ impl Default for Args {
 }
 
 impl Args {
-    /// Parses `std::env::args`, panicking with a usage message on unknown
-    /// flags. `defaults` seeds the pre-flag values so each binary can pick
-    /// its own scale.
-    pub fn parse(defaults: Args) -> Args {
-        Self::parse_from(std::env::args().skip(1), defaults)
-    }
-
-    /// Testable parser over an explicit iterator.
+    /// Parses flags, panicking with a usage message on unknown ones.
+    /// `defaults` seeds the pre-flag values so each figure can pick its
+    /// own scale.
     pub fn parse_from<I: IntoIterator<Item = String>>(iter: I, defaults: Args) -> Args {
         let mut a = defaults;
         for arg in iter {

@@ -2,7 +2,7 @@
 //!
 //! Absolute numbers cannot transfer (different hardware, synthetic data);
 //! what must reproduce is the *shape*: orderings, stability differences
-//! and approximate factors. Each harness binary prints the relevant entry
+//! and approximate factors. Each harness figure prints the relevant entry
 //! from here after its measured table.
 
 /// Published expectation for one figure.

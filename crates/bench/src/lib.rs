@@ -1,12 +1,14 @@
 #![warn(missing_docs)]
 //! # lsgd-bench — experiment harness for the Leashed-SGD reproduction
 //!
-//! One binary per paper figure/table (see DESIGN.md §4 for the full
-//! index). Each binary prints the same rows/series the paper plots, plus a
+//! One binary, `paper <id>...`, regenerates the paper's tables and
+//! figures (`table1`, `fig3`…`fig10`, `sec4`) and two ablations
+//! (`ablation-recycling`, `ablation-extensions`); `paper --help` lists
+//! the ids. Each id prints the same rows/series the paper plots, plus a
 //! `paper-vs-measured` note stating the published claim the output should
 //! be compared against.
 //!
-//! All binaries accept a common set of flags (see [`cli::Args`]):
+//! Every id accepts a common set of flags (see [`cli::Args`]):
 //!
 //! ```text
 //! --full            paper-scale parameters (68 threads, 11 reps, 60k samples)
@@ -16,7 +18,7 @@
 //! --batch=N         minibatch size (paper: 512)
 //! --wall=SECS       per-run wall-clock budget
 //! --seed=N          base RNG seed
-//! --csv=DIR         also write raw CSV series to DIR
+//! --csv=DIR         also write one record row per run to DIR/<id>.csv
 //! ```
 //!
 //! Defaults are scaled down so every figure regenerates in minutes on a
@@ -25,6 +27,5 @@
 
 pub mod cli;
 pub mod expect;
-pub mod workloads;
 
 pub use cli::Args;

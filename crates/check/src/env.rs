@@ -71,7 +71,7 @@ pub fn parse_or<T: FromStr>(name: &str, default: T) -> T {
 }
 
 /// Parses `name` as a positive (≥ 1) integer — the shape of every
-/// count-like knob (`LSGD_THREADS`, `LSGD_SHARDS`, …). Warns once on a
+/// count-like knob (`LSGD_THREADS`, `LSGD_STRESS_THREADS`, …). Warns once on a
 /// malformed value *or* an explicit zero.
 pub fn positive_usize(name: &str) -> Option<usize> {
     match parse::<usize>(name)? {

@@ -31,10 +31,10 @@ pub enum Algorithm {
         /// Per-shard max failed CASes before that shard's update is
         /// abandoned (`None` = unbounded).
         persistence: Option<u32>,
-        /// Requested shard count `S` (clamped to `[1, d]`; overridable at
-        /// runtime via `LSGD_SHARDS`, see [`crate::shard::effective_shards`]).
-        /// `0` selects the [`crate::shard::default_shards`] heuristic
-        /// from the problem dimension and worker count.
+        /// Requested shard count `S` (clamped to `[1, d]`). `0` selects
+        /// the [`crate::shard::default_shards`] heuristic from the
+        /// problem dimension and worker count (see
+        /// [`crate::shard::effective_shards`]).
         shards: usize,
         /// Cross-shard read consistency for worker gradient reads.
         snapshot: SnapshotMode,
@@ -44,11 +44,10 @@ pub enum Algorithm {
 impl Algorithm {
     /// The paper's label for this algorithm (as used in the figures).
     ///
-    /// Note: the sharded label carries the *configured* shard count —
-    /// `Algorithm` is pure configuration, so a runtime `LSGD_SHARDS`
-    /// override is not reflected here (harnesses that honour the
-    /// override should report `crate::shard::effective_shards` alongside,
-    /// as `examples/sparse_logreg.rs` does).
+    /// Note: the sharded label carries the *configured* shard count
+    /// (`auto` for `shards = 0`); harnesses that want the resolved count
+    /// report `crate::shard::effective_shards` alongside, as
+    /// `examples/sparse_logreg.rs` does.
     pub fn label(&self) -> String {
         match self {
             Algorithm::Sequential => "SEQ".into(),

@@ -2,29 +2,17 @@
 //! view of worker liveness.
 //!
 //! Each trainer worker owns one cache-line-aligned cell and beats it
-//! once per iteration. Two consumers read the board:
+//! once per iteration: one tick store and one phase store, both relaxed.
+//! Two consumers read the board:
 //!
 //! * The **monitor task** detects stalled workers by watching `ticks`
 //!   (a plain single-writer counter — approximate reads are fine for
-//!   liveness) and drains the **detail mailbox** for the exact
-//!   `(step, ns)` of the last beat when it wants to report one.
+//!   liveness).
 //! * The **test watchdog** ([`report_current`]) prints every worker's
 //!   last tick count and phase when a stress test times out, so a hung
-//!   run leaves a diagnosis instead of a bare abort. The report reads
-//!   only the relaxed cells — it must never consume the monitor's
-//!   mailbox.
-//!
-//! The mailbox is a single-slot SPSC channel with ownership
-//! alternation: `state == 0` means the slot belongs to the worker,
-//! `state == seq != 0` means a beat is published and the slot belongs
-//! to the monitor. The worker's `Release` store of `seq` publishes the
-//! non-atomic `detail` payload; the monitor's `Release` store of `0`
-//! returns the slot. The `model_heartbeat` suite checks this protocol
-//! exhaustively, and the `lsgd_mutate_relaxed_beat` mutation build
-//! demotes the worker's publish to `Relaxed` to prove the checker would
-//! catch the resulting race on `detail`.
+//!   run leaves a diagnosis instead of a bare abort.
 
-use lsgd_check::sync::{AtomicU32, AtomicU64, UnsafeCell};
+use lsgd_check::sync::{AtomicU32, AtomicU64};
 use std::sync::atomic::Ordering;
 use std::sync::{Arc, Mutex, OnceLock, Weak};
 
@@ -81,12 +69,6 @@ struct Cell {
     ticks: AtomicU64,
     /// Last [`BeatPhase`], as `u32`. Single writer, approximate reads.
     phase: AtomicU32,
-    /// Mailbox ownership/sequence word: `0` = worker owns the slot,
-    /// `seq != 0` = beat `seq` is published and the monitor owns it.
-    state: AtomicU64,
-    /// Mailbox payload: `[step, ns]` of the published beat. Guarded by
-    /// `state` — accessed only by the current slot owner.
-    detail: UnsafeCell<[u64; 2]>,
 }
 
 impl Cell {
@@ -94,27 +76,8 @@ impl Cell {
         Cell {
             ticks: AtomicU64::new(0),
             phase: AtomicU32::new(BeatPhase::Idle as u32),
-            state: AtomicU64::new(0),
-            detail: UnsafeCell::new([0; 2]),
         }
     }
-}
-
-// SAFETY: `detail` is only touched by the slot's current owner as
-// established by the `state` Acquire/Release protocol; everything else
-// is atomic.
-unsafe impl Sync for Cell {}
-
-/// A published beat drained from a worker's mailbox.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Beat {
-    /// The beat's sequence number (the worker's tick count at publish).
-    pub seq: u64,
-    /// The worker-local step the beat was taken at.
-    pub step: u64,
-    /// Caller-defined timestamp (the trainer uses nanoseconds since
-    /// run start).
-    pub ns: u64,
 }
 
 /// The per-run heartbeat board: one [`Cell`] per trainer worker.
@@ -135,34 +98,19 @@ impl HeartbeatBoard {
         self.cells.len()
     }
 
-    /// Worker-side: records one beat for `worker` — bumps `ticks`, sets
-    /// `phase`, and (when the monitor has drained the previous one)
-    /// publishes `(step, ns)` through the mailbox.
-    pub fn beat(&self, worker: usize, phase: BeatPhase, step: u64, ns: u64) {
+    /// Worker-side: records one beat for `worker` — bumps `ticks` and
+    /// sets `phase`.
+    pub fn beat(&self, worker: usize, phase: BeatPhase) {
         let cell = &self.cells[worker];
         // ORDERING: Relaxed — `ticks` is single-writer (this worker);
         // a plain load+store increment is exact for the writer, and
         // liveness readers tolerate arbitrarily stale values.
-        let seq = cell.ticks.load(Ordering::Relaxed) + 1;
+        let ticks = cell.ticks.load(Ordering::Relaxed) + 1;
         // ORDERING: Relaxed — see above (the store half of the increment).
-        cell.ticks.store(seq, Ordering::Relaxed);
+        cell.ticks.store(ticks, Ordering::Relaxed);
         // ORDERING: Relaxed — single-writer phase label, approximate
         // reads only (stall reports), synchronizes nothing.
         cell.phase.store(phase as u32, Ordering::Relaxed);
-        // Acquire: seeing 0 means we happen-after the monitor's read of
-        // the previous payload, so overwriting `detail` cannot race it.
-        if cell.state.load(Ordering::Acquire) == 0 {
-            cell.detail.with_mut(|p| unsafe { *p = [step, ns] });
-            // The Release publishes `detail` to the monitor's Acquire
-            // load of `state`. `seq >= 1`, so nonzero is guaranteed.
-            #[cfg(not(lsgd_mutate_relaxed_beat))]
-            cell.state.store(seq, Ordering::Release);
-            // ORDERING: Relaxed — deliberate mutation: without the
-            // Release edge the monitor's `detail` read races this beat's
-            // write; the model checker's mutation test must catch it.
-            #[cfg(lsgd_mutate_relaxed_beat)]
-            cell.state.store(seq, Ordering::Relaxed);
-        }
     }
 
     /// Updates `worker`'s phase label without consuming a tick — used
@@ -174,27 +122,8 @@ impl HeartbeatBoard {
         self.cells[worker].phase.store(phase as u32, Ordering::Relaxed);
     }
 
-    /// Monitor-side: drains `worker`'s mailbox, returning the published
-    /// beat (if any) and handing the slot back to the worker. Must only
-    /// be called from the single monitor/consumer thread.
-    pub fn collect(&self, worker: usize) -> Option<Beat> {
-        let cell = &self.cells[worker];
-        // Acquire: pairs with the worker's Release publish, making the
-        // `detail` payload visible before we read it.
-        let seq = cell.state.load(Ordering::Acquire);
-        if seq == 0 {
-            return None;
-        }
-        let [step, ns] = cell.detail.with(|p| unsafe { *p });
-        // Release: orders our `detail` read before the slot handback, so
-        // the worker's next overwrite (after its Acquire sees 0) cannot
-        // race what we just read.
-        cell.state.store(0, Ordering::Release);
-        Some(Beat { seq, step, ns })
-    }
-
     /// Approximate tick count for `worker` (liveness probe; safe from
-    /// any thread, never touches the mailbox).
+    /// any thread).
     pub fn ticks(&self, worker: usize) -> u64 {
         // ORDERING: Relaxed — single-writer counter, approximate read;
         // a stale value only delays stall detection by one poll.
@@ -207,9 +136,8 @@ impl HeartbeatBoard {
         BeatPhase::from_u32(self.cells[worker].phase.load(Ordering::Relaxed))
     }
 
-    /// One line per worker: `w3: ticks=1204 phase=publish`. Reads only
-    /// the relaxed cells, so it is safe from a watchdog thread while
-    /// the run (and its monitor) is still live.
+    /// One line per worker: `w3: ticks=1204 phase=publish`. Safe from a
+    /// watchdog thread while the run (and its monitor) is still live.
     pub fn report(&self) -> String {
         let mut out = String::new();
         for w in 0..self.cells.len() {
@@ -252,33 +180,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn beat_publishes_and_collect_drains() {
-        let board = HeartbeatBoard::new(2);
-        assert_eq!(board.collect(0), None);
-        board.beat(0, BeatPhase::Grad, 7, 1234);
-        assert_eq!(board.ticks(0), 1);
-        assert_eq!(board.phase(0), BeatPhase::Grad);
-        assert_eq!(board.collect(0), Some(Beat { seq: 1, step: 7, ns: 1234 }));
-        assert_eq!(board.collect(0), None, "mailbox drained");
-        assert_eq!(board.collect(1), None, "other workers untouched");
-    }
-
-    #[test]
-    fn undrained_mailbox_keeps_the_oldest_beat_but_ticks_advance() {
-        let board = HeartbeatBoard::new(1);
-        board.beat(0, BeatPhase::Snapshot, 1, 10);
-        board.beat(0, BeatPhase::Publish, 2, 20);
-        assert_eq!(board.ticks(0), 2, "ticks always advance");
-        // The slot still belongs to the monitor: beat 2 was dropped.
-        assert_eq!(board.collect(0), Some(Beat { seq: 1, step: 1, ns: 10 }));
-        board.beat(0, BeatPhase::Publish, 3, 30);
-        assert_eq!(board.collect(0), Some(Beat { seq: 3, step: 3, ns: 30 }));
-    }
-
-    #[test]
     fn set_phase_marks_without_a_tick() {
         let board = HeartbeatBoard::new(1);
-        board.beat(0, BeatPhase::Grad, 0, 0);
+        board.beat(0, BeatPhase::Grad);
         board.set_phase(0, BeatPhase::Crashed);
         assert_eq!(board.ticks(0), 1);
         assert_eq!(board.phase(0), BeatPhase::Crashed);
@@ -290,7 +194,7 @@ mod tests {
     fn current_registry_upgrades_while_live_only() {
         let board = Arc::new(HeartbeatBoard::new(3));
         set_current(&board);
-        board.beat(2, BeatPhase::Publish, 9, 0);
+        board.beat(2, BeatPhase::Publish);
         let report = report_current().expect("board is live");
         assert!(report.contains("w2: ticks=1 phase=publish"), "{report}");
         drop(board);

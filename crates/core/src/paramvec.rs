@@ -75,15 +75,6 @@ impl ParamVec {
         self.t.load(Ordering::SeqCst)
     }
 
-    /// Whether this vector has been replaced (stale vectors must not be
-    /// read; `latest()` retries past them).
-    #[inline]
-    pub fn is_stale(&self) -> bool {
-        // ORDERING: SeqCst — part of the P3 read protocol's total order
-        // (see `latest`); a weaker load could miss a concurrent retire.
-        self.stale.load(Ordering::SeqCst)
-    }
-
     /// Current reader count (diagnostic).
     #[inline]
     pub fn readers(&self) -> u32 {

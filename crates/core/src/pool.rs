@@ -23,7 +23,7 @@
 //! drop, so nothing leaks even if callers lose track of outstanding
 //! buffers (as happens to the final published vector of a run).
 //!
-//! For the `ablation_recycling` experiment the pool can be built with
+//! For the `paper ablation-recycling` experiment the pool can be built with
 //! recycling disabled ([`BufferPool::new_with_recycling`]): every release
 //! then frees eagerly and every acquire heap-allocates — the behaviour of
 //! a naive implementation of Algorithm 3's `new ParamVector()`.

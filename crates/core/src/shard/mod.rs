@@ -41,9 +41,6 @@
 //! of its shards. This is the sharding trade-off the ROADMAP asks for —
 //! per-shard consistency plus a *choice* of cross-shard strictness on the
 //! read side, rather than a global atomic domain.
-//!
-//! The shard count used by the trainer can be overridden at runtime with
-//! the `LSGD_SHARDS` environment variable (see [`effective_shards`]).
 
 mod sharded;
 mod snapshot;
@@ -74,18 +71,16 @@ pub fn default_shards(dim: usize, workers: usize) -> usize {
     target.clamp(1, max_by_width)
 }
 
-/// Resolves the shard count for a run, in priority order: the
-/// `LSGD_SHARDS` environment variable when set to a positive integer;
-/// the `configured` count when positive; otherwise the
-/// [`default_shards`] heuristic from the problem dimension and worker
-/// count (`configured == 0` means "auto"). The constructor additionally
-/// clamps to `[1, dim]`.
+/// Resolves the shard count for a run: the `configured` count when
+/// positive, otherwise the [`default_shards`] heuristic from the problem
+/// dimension and worker count (`configured == 0` means "auto"). The
+/// constructor additionally clamps to `[1, dim]`.
 pub fn effective_shards(configured: usize, dim: usize, workers: usize) -> usize {
-    lsgd_check::env::positive_usize("LSGD_SHARDS").unwrap_or(if configured > 0 {
+    if configured > 0 {
         configured
     } else {
         default_shards(dim, workers)
-    })
+    }
 }
 
 #[cfg(test)]
@@ -94,8 +89,6 @@ mod tests {
 
     #[test]
     fn effective_shards_defaults_to_configured() {
-        // The test environment does not set LSGD_SHARDS; setting it from
-        // inside tests would race with other tests in this binary.
         assert_eq!(effective_shards(8, 1_000_000, 4), 8);
     }
 

@@ -7,7 +7,7 @@
 //! recreates the sparse-update regime the original analysis assumes; for
 //! Leashed-SGD it shrinks the effective update mass while the publication
 //! cost (full-vector copy) stays unchanged — an instructive ablation,
-//! regenerated by the `ablation_sparsify` harness binary.
+//! regenerated by `paper ablation-extensions`.
 
 /// Keeps the `ceil(frac * len)` largest-magnitude components of `grad`,
 /// zeroing the rest, in O(d) via quickselect. Returns the number kept.

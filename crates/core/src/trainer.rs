@@ -198,27 +198,20 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 }
 
 /// Per-worker context for heartbeats: which cell of which board this
-/// worker beats on, and the run's time origin.
+/// worker beats on.
 #[derive(Clone, Copy)]
 pub struct WorkerCtx<'a> {
     /// The run's heartbeat board.
     pub board: &'a HeartbeatBoard,
     /// This worker's cell on `board`; also selects its RNG stream.
     pub worker_id: usize,
-    /// Run start (beats carry nanoseconds since then).
-    pub start: Instant,
 }
 
 impl WorkerCtx<'_> {
-    /// One beat per iteration: ticks the liveness counter and (when the
-    /// monitor has drained the mailbox) publishes `(step, ns)`.
-    fn beat(&self, phase: BeatPhase, step: u64) {
-        self.board.beat(
-            self.worker_id,
-            phase,
-            step,
-            self.start.elapsed().as_nanos() as u64,
-        );
+    /// One beat per iteration: ticks the liveness counter and sets the
+    /// phase label.
+    fn beat(&self, phase: BeatPhase) {
+        self.board.beat(self.worker_id, phase);
     }
 
     /// Mid-iteration phase label (no tick).
@@ -261,8 +254,7 @@ pub fn train<P: Problem>(problem: &P, cfg: &TrainConfig) -> RunResult {
             run_on(problem, cfg, threads, &gauge, &LeashedShared::new(&theta0, pool))
         }
         Algorithm::ShardedLeashed { shards, .. } => {
-            // `shards == 0` selects the dim/worker heuristic; LSGD_SHARDS
-            // still overrides either way.
+            // `shards == 0` selects the dim/worker heuristic.
             let shards = effective_shards(shards, dim, threads);
             let store = ShardedShared::new(&theta0, shards, Arc::clone(&gauge), cfg.pool_recycling);
             run_on(problem, cfg, threads, &gauge, &store)
@@ -345,7 +337,7 @@ fn run_on<P: Problem, S: ParamStore>(
                     // Tag this thread for the fault plane so crash rules
                     // target trainer workers (restored on drop).
                     let _tag = lsgd_fault::worker_tag(worker_id as u32);
-                    let ctx = WorkerCtx { board, worker_id, start };
+                    let ctx = WorkerCtx { board, worker_id };
                     // Contain worker panics: one dead worker must not
                     // take down the run. `AssertUnwindSafe` is justified
                     // because every shared structure the loop touches is
@@ -417,8 +409,7 @@ fn run_on<P: Problem, S: ParamStore>(
                     // not advanced for a full second (and which has not
                     // terminated) is stalled — likely blocked in grad or
                     // wedged on a protocol seam. Reads only the relaxed
-                    // cells; the mailbox stays available for detail
-                    // drains.
+                    // cells.
                     let now = Instant::now();
                     for w in 0..threads {
                         let ticks = board.ticks(w);
@@ -612,7 +603,7 @@ impl<'a, P: Problem, S: ParamStore> WorkerState<'a, P, S> {
     /// compute a minibatch gradient, publish `θ -= η·direction`.
     pub fn step(&mut self) -> Step {
         let (store, cfg, ctx) = (self.store, self.cfg, self.ctx);
-        ctx.beat(BeatPhase::Snapshot, self.steps);
+        ctx.beat(BeatPhase::Snapshot);
         lsgd_fault::worker_step(self.steps);
         self.steps += 1;
         let iter_start = Instant::now();
@@ -656,7 +647,10 @@ impl<'a, P: Problem, S: ParamStore> WorkerState<'a, P, S> {
                 crate::sparsify::sparsify_top_frac(&mut self.grad, frac, tmp);
             }
         }
-        let eta = cfg.eta_policy.effective(cfg.eta, store.tau_est(&self.worker));
+        let eta = match cfg.eta_policy {
+            EtaPolicy::Constant => cfg.eta,
+            policy => policy.effective(cfg.eta, store.tau_est(&self.worker)),
+        };
         let direction = if sparse {
             Direction::Sparse(&self.pairs)
         } else {

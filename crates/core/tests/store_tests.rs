@@ -16,7 +16,6 @@ use lsgd_metrics::OnlineStats;
 use lsgd_tensor::SmallRng64;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
-use std::time::Instant;
 
 const STEPS: u64 = 60;
 
@@ -57,7 +56,6 @@ fn drive<P: Problem, S: ParamStore>(p: &P, store: &S, cfg: &TrainConfig) -> Vec<
     let ctx = WorkerCtx {
         board: &board,
         worker_id: 0,
-        start: Instant::now(),
     };
     let mut worker = WorkerState::new(p, store, cfg, ctx);
     for _ in 0..STEPS {

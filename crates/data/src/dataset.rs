@@ -62,26 +62,6 @@ impl Dataset {
         }
     }
 
-    /// Splits into `(train, test)` with `test_fraction` of the samples in
-    /// the test set (taken from the tail).
-    pub fn train_test_split(&self, test_fraction: f32) -> (Dataset, Dataset) {
-        let n_test = ((self.len() as f32) * test_fraction).round() as usize;
-        let n_train = self.len() - n_test;
-        let train = self.head(n_train);
-        let mut images = Matrix::zeros(n_test, self.dim());
-        for r in 0..n_test {
-            images
-                .row_mut(r)
-                .copy_from_slice(self.images.row(n_train + r));
-        }
-        let test = Dataset {
-            images,
-            labels: self.labels[n_train..].to_vec(),
-            n_classes: self.n_classes,
-        };
-        (train, test)
-    }
-
     /// Fills `x`/`y` with a uniformly sampled (with replacement) minibatch.
     /// `x` must be `(batch, dim)`; `y` is resized to `batch`.
     pub fn sample_batch(&self, rng: &mut SmallRng64, x: &mut Matrix, y: &mut Vec<u8>) {
@@ -165,15 +145,6 @@ mod tests {
         assert_eq!(h.len(), 4);
         assert_eq!(h.images.row(2), d.images.row(2));
         assert_eq!(h.labels, &d.labels[..4]);
-    }
-
-    #[test]
-    fn split_partitions_samples() {
-        let d = toy(10);
-        let (tr, te) = d.train_test_split(0.3);
-        assert_eq!(tr.len(), 7);
-        assert_eq!(te.len(), 3);
-        assert_eq!(te.images.row(0), d.images.row(7));
     }
 
     #[test]

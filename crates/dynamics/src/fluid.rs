@@ -56,11 +56,6 @@ impl FluidModel {
         n + (self.m - n) / self.tc - n / self.tu
     }
 
-    /// One step under departure rate (6): `μ = n (1+γ)/Tu`.
-    pub fn step_gamma(&self, n: f64, gamma: f64) -> f64 {
-        n + (self.m - n) / self.tc - n * (1.0 + gamma) / self.tu
-    }
-
     /// The trajectory `n_0, n_1, …, n_steps` by iterating (4).
     pub fn trajectory(&self, n0: f64, steps: usize) -> Vec<f64> {
         let mut out = Vec::with_capacity(steps + 1);

@@ -106,23 +106,6 @@ impl Histogram {
             .map(|(v, &c)| (v as u64, c))
             .collect()
     }
-
-    /// Renders a compact ASCII bar chart of the distribution.
-    pub fn ascii_chart(&self, width: usize) -> String {
-        let peak = self.bins.iter().cloned().max().unwrap_or(0).max(1);
-        let mut out = String::new();
-        for (v, &c) in self.bins.iter().enumerate() {
-            if c == 0 {
-                continue;
-            }
-            let bar = "#".repeat(((c as f64 / peak as f64) * width as f64).ceil() as usize);
-            out.push_str(&format!("{v:>5} | {bar} {c}\n"));
-        }
-        if self.overflow > 0 {
-            out.push_str(&format!("  >={} | {}\n", self.bins.len(), self.overflow));
-        }
-        out
-    }
 }
 
 /// Sub-bucket resolution of [`LogHistogram`]: each power-of-two range is
@@ -334,16 +317,6 @@ mod tests {
         assert_eq!(h.mean(), 0.0);
         assert_eq!(h.quantile(0.5), 0);
         assert_eq!(h.count(), 0);
-    }
-
-    #[test]
-    fn ascii_chart_lists_nonzero_bins() {
-        let mut h = Histogram::new(4);
-        h.record(2);
-        h.record(2);
-        let chart = h.ascii_chart(10);
-        assert!(chart.contains("2 |"));
-        assert!(!chart.contains("0 |"));
     }
 
     #[test]

@@ -17,7 +17,7 @@
 //!   relative to the initial loss, with the paper's Crash (numerical
 //!   instability) / Diverge (budget exhausted) outcome classification.
 //! * [`series::Series`] — loss-over-time traces (Fig. 5) with downsampling.
-//! * [`table`] — plain-text and CSV rendering for the harness binaries.
+//! * [`table`] — plain-text and CSV rendering for the harness's figures.
 
 pub mod boxstats;
 pub mod convergence;

@@ -65,19 +65,6 @@ impl Series {
         Some(v0 * (1.0 - f) + v1 * f)
     }
 
-    /// Downsamples to at most `n` points, keeping first and last.
-    pub fn downsample(&self, n: usize) -> Series {
-        if self.points.len() <= n || n < 2 {
-            return self.clone();
-        }
-        let mut points = Vec::with_capacity(n);
-        for i in 0..n {
-            let idx = i * (self.points.len() - 1) / (n - 1);
-            points.push(self.points[idx]);
-        }
-        Series { points }
-    }
-
     /// Resamples onto a uniform grid of `n` points over `[0, t_max]`.
     pub fn resample_uniform(&self, t_max: f64, n: usize) -> Vec<(f64, f64)> {
         (0..n)
@@ -135,21 +122,6 @@ mod tests {
     fn empty_series_interpolation_is_none() {
         assert_eq!(Series::new().value_at(1.0), None);
         assert!(Series::new().is_empty());
-    }
-
-    #[test]
-    fn downsample_keeps_endpoints() {
-        let s = ramp();
-        let d = s.downsample(3);
-        assert_eq!(d.len(), 3);
-        assert_eq!(d.points()[0], (0.0, 0.0));
-        assert_eq!(d.points()[2], (10.0, 20.0));
-    }
-
-    #[test]
-    fn downsample_noop_when_small() {
-        let s = ramp();
-        assert_eq!(s.downsample(100).len(), s.len());
     }
 
     #[test]

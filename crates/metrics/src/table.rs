@@ -1,8 +1,8 @@
-//! Plain-text table rendering for the experiment harness binaries.
+//! Plain-text table rendering for the experiment harness.
 //!
-//! Each harness binary prints the rows/series of one paper figure or
-//! table; this module provides the shared column-aligned renderer and a
-//! CSV escape hatch for downstream plotting.
+//! Each harness figure prints the rows/series of one paper figure or
+//! table; this module provides the shared column-aligned renderer and the
+//! CSV writer for its per-run records.
 
 /// A simple column-aligned text table.
 #[derive(Debug, Clone, Default)]
@@ -36,11 +36,6 @@ impl Table {
         cells.resize(self.headers.len(), String::new());
         self.rows.push(cells);
         self
-    }
-
-    /// Number of data rows.
-    pub fn n_rows(&self) -> usize {
-        self.rows.len()
     }
 
     /// Renders with aligned columns and a header separator.
@@ -96,18 +91,6 @@ impl Table {
     }
 }
 
-/// Formats a duration in seconds adaptively (`ms` below 1 s).
-pub fn fmt_secs(s: f64) -> String {
-    if !s.is_finite() {
-        return "-".to_string();
-    }
-    if s < 1.0 {
-        format!("{:.1}ms", s * 1e3)
-    } else {
-        format!("{s:.2}s")
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -131,7 +114,6 @@ mod tests {
     fn short_rows_padded() {
         let mut t = Table::new(vec!["a", "b", "c"]);
         t.row(vec!["x"]);
-        assert_eq!(t.n_rows(), 1);
         assert!(t.render().contains('x'));
     }
 
@@ -147,12 +129,5 @@ mod tests {
         let mut t = Table::new(vec!["name", "vals"]);
         t.row(vec!["x", "1,2"]);
         assert!(t.to_csv().contains("\"1,2\""));
-    }
-
-    #[test]
-    fn fmt_secs_adaptive() {
-        assert_eq!(fmt_secs(0.0123), "12.3ms");
-        assert_eq!(fmt_secs(2.5), "2.50s");
-        assert_eq!(fmt_secs(f64::NAN), "-");
     }
 }

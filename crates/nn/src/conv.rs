@@ -104,12 +104,6 @@ impl Conv2d {
         self.in_w - self.k + 1
     }
 
-    /// Output channel count.
-    #[inline]
-    pub fn out_c(&self) -> usize {
-        self.filters
-    }
-
     #[inline]
     fn patch_len(&self) -> usize {
         self.in_c * self.k * self.k

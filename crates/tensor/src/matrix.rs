@@ -92,11 +92,6 @@ impl Matrix {
         &mut self.data
     }
 
-    /// Consumes the matrix, returning the backing vector.
-    pub fn into_vec(self) -> Vec<f32> {
-        self.data
-    }
-
     /// Immutable view of row `r`.
     #[inline]
     pub fn row(&self, r: usize) -> &[f32] {
@@ -191,11 +186,6 @@ impl Matrix {
                 best
             })
             .collect()
-    }
-
-    /// Frobenius norm of the matrix.
-    pub fn frobenius_norm(&self) -> f32 {
-        self.data.iter().map(|v| v * v).sum::<f32>().sqrt()
     }
 
     /// Maximum absolute difference between two same-shape matrices.
@@ -336,11 +326,5 @@ mod tests {
         m.resize_zeroed(2, 2);
         assert_eq!(m.rows(), 2);
         assert!(m.as_slice().iter().all(|&v| v == 0.0));
-    }
-
-    #[test]
-    fn frobenius_norm_matches_manual() {
-        let m = Matrix::from_vec(1, 2, vec![3.0, 4.0]);
-        assert!((m.frobenius_norm() - 5.0).abs() < 1e-6);
     }
 }

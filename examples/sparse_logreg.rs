@@ -11,8 +11,8 @@
 //!
 //! ```text
 //! cargo run --release --example sparse_logreg
-//! # override the shard count:
-//! LSGD_SHARDS=16 cargo run --release --example sparse_logreg
+//! # shard count as the first argument (default 64; 0 = heuristic):
+//! cargo run --release --example sparse_logreg -- 16
 //! ```
 
 use leashed_sgd::core::prelude::*;
@@ -22,9 +22,12 @@ use std::time::Duration;
 
 fn main() {
     let dim = 8_192;
-    let shards = 64;
-    // What the trainer will actually use (honours LSGD_SHARDS; a
-    // configured 0 would select the dim/worker heuristic instead).
+    let shards: usize = std::env::args()
+        .nth(1)
+        .and_then(|s| s.parse().ok())
+        .unwrap_or(64);
+    // What the trainer will actually use (a configured 0 selects the
+    // dim/worker heuristic).
     let shards_eff = effective_shards(shards, dim, 4);
     let data = sparse_logreg(4_000, dim, 16, 11);
     println!(
@@ -101,7 +104,7 @@ fn main() {
         "\nThe sharded rows publish sparse (index, value) pairs: only the \
          \nshards owning a minibatch's tokens are copied + CASed, so the \
          \nmean dirty-shard count stays far below S={shards_eff} while SEQ/HOG \
-         \ntouch all d={dim} coordinates every update. `LSGD_SHARDS` \
-         \noverrides the shard count at runtime."
+         \ntouch all d={dim} coordinates every update. The first \
+         \nargument sets the shard count."
     );
 }

@@ -34,7 +34,7 @@ use leashed_sgd::fault;
 use leashed_sgd::sync::SegQueue;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Serialises the tests in this binary: the fault plane (plan, seed,
 /// tallies, per-thread streams) is process-global state.
@@ -157,6 +157,62 @@ fn exactly_once_accounting_survives_stall_plus_crash() {
     assert!(
         t.stalls_total() > 0,
         "a 2% stall rate over ≥1500 publish/snapshot probes must fire: {t:?}"
+    );
+    assert!(r.final_loss.is_finite(), "{}", r.summary());
+}
+
+// ---------------------------------------------------------------------
+// Heartbeat stall watchdog
+// ---------------------------------------------------------------------
+
+/// `stall:publish,us=1200000` holds every publish for 1.2 s, longer than
+/// the monitor's one-second heartbeat window, so both workers' tick
+/// counters go flat mid-step. The watchdog must report the stall, the
+/// run must still end inside its wall budget, and the publication
+/// accounting must stay exact.
+#[test]
+fn heartbeat_watchdog_reports_a_stalled_publish() {
+    let _plane = plane();
+    let _wd = Watchdog::arm("heartbeat_watchdog_reports_a_stalled_publish", STRESS_LIMIT);
+    let _armed = Armed::install("stall:publish,us=1200000", 5);
+
+    let p = mini_mlp_problem();
+    let mut cfg = chaos_cfg(Algorithm::Leashed { persistence: None }, 2);
+    cfg.max_wall = Duration::from_secs(3);
+    let start = Instant::now();
+    let r = train(&p, &cfg);
+    let elapsed = start.elapsed();
+
+    // Workers see the stop flag between steps, so a run may overrun
+    // `max_wall` by one held publish; anything longer is a hang.
+    let budget = cfg.max_wall + Duration::from_millis(1_200) + Duration::from_secs(1);
+    assert!(
+        elapsed < budget,
+        "run took {elapsed:?} (budget {budget:?}): {}",
+        r.summary()
+    );
+    assert!(
+        r.heartbeat_stalls >= 1,
+        "a 1.2 s publish must trip the 1 s watchdog: {}",
+        r.summary()
+    );
+    let tally = format!("stall {}", r.heartbeat_stalls);
+    assert!(
+        r.summary().contains(&tally),
+        "summary surfaces the stall: {}",
+        r.summary()
+    );
+    assert!(fault::tallies().stalls[fault::Site::Publish as usize] > 0);
+    // Exactly-once: one staleness sample per published update, and every
+    // finished step either published or aborted (unbounded persistence
+    // never aborts).
+    assert_eq!(r.staleness.count(), r.published, "{}", r.summary());
+    assert_eq!(r.aborted, 0, "{}", r.summary());
+    assert_eq!(
+        r.iter_time.count(),
+        r.published + r.aborted,
+        "{}",
+        r.summary()
     );
     assert!(r.final_loss.is_finite(), "{}", r.summary());
 }

@@ -29,8 +29,7 @@ impl Watchdog {
                 // Per-worker liveness of the current training run, if one
                 // is live: which worker is stuck, and in which phase. The
                 // report reads only relaxed heartbeat cells, so it is safe
-                // while the hung run's own monitor still owns the
-                // mailboxes.
+                // while the hung run's own monitor is still live.
                 if let Some(report) = lsgd_core::heartbeat::report_current() {
                     eprintln!("watchdog: last heartbeats:\n{report}");
                 }

@@ -20,11 +20,10 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Through
 use lsgd_core::baseline::{HogwildParams, LockedParams};
 use lsgd_core::heartbeat::HeartbeatBoard;
 use lsgd_core::mem::MemoryGauge;
-use lsgd_core::pool::BufferPool;
 use lsgd_core::prelude::*;
 use lsgd_core::shard::default_shards;
 use lsgd_core::trainer::{WorkerCtx, WorkerState};
-use lsgd_core::{LeashedShared, ParamStore, ShardedShared};
+use lsgd_core::{ParamStore, ShardedShared};
 use lsgd_data::sparse_logreg::sparse_logreg;
 use lsgd_data::SynthDigits;
 use std::sync::Arc;
@@ -37,8 +36,8 @@ const ETA: f32 = 1e-4;
 
 /// Builds the parameter store behind bench row `$kind` over `$theta0` and
 /// evaluates `$body` with `$store` bound to it and `$cfg` to the
-/// [`TrainConfig`] its workers step under. A macro because the four stores
-/// are four types: `$body` is instantiated once per store, exactly as
+/// [`TrainConfig`] its workers step under. A macro because the three stores
+/// are three types: `$body` is instantiated once per store, exactly as
 /// `lsgd_core::train` instantiates its worker loop.
 macro_rules! with_store {
     ($kind:expr, $theta0:expr, $workers:expr, |$store:ident, $cfg:ident| $body:expr) => {{
@@ -62,8 +61,7 @@ macro_rules! with_store {
             }
             "LSH" => {
                 let $cfg = cfg_for(Algorithm::Leashed { persistence: None });
-                let pool = BufferPool::new_with_recycling($theta0.len(), gauge, true);
-                let $store = LeashedShared::new($theta0, pool);
+                let $store = ShardedShared::new($theta0, 1, gauge, true);
                 $body
             }
             "LSH_sharded" => {

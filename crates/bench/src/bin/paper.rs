@@ -10,7 +10,7 @@
 //! A training id is a [`Spec`]: run [`Grid`]s over (workload, m, η,
 //! variant, algorithm, repetition), each with the tables to print from
 //! it. [`run`] trains every cell of a grid; a table is a view that
-//! aggregates each cell's runs into named [`column`]s. With `--csv=DIR`
+//! aggregates each cell's runs into named [`column()`]s. With `--csv=DIR`
 //! the runs are also written to `DIR/<id>.csv`, one row per run with the
 //! columns of [`RECORD`].
 

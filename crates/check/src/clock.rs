@@ -7,7 +7,7 @@
 //! clock. An access `a` by thread `t` *happens-before* an access `b` by
 //! thread `u` iff `t`'s clock component at `a` is `<=` `u`'s view of
 //! `t` at `b` — the standard FastTrack-style formulation the race
-//! detector in [`crate::exec`] uses.
+//! detector in `crate::exec` uses.
 
 /// Maximum number of threads one model execution may register
 /// (including the root test thread). Clocks are fixed-size arrays so

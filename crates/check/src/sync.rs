@@ -6,7 +6,7 @@
 //! nothing for being model-checkable. Under `--cfg lsgd_model`, every
 //! operation performed by a thread inside a model execution (see
 //! [`crate::model`]) is routed through the controlled scheduler in
-//! [`crate::exec`]: the access becomes a schedule point, its declared
+//! `crate::exec`: the access becomes a schedule point, its declared
 //! [`Ordering`] feeds the happens-before model, and the *physical*
 //! operation runs `SeqCst` while the thread holds the scheduler lock
 //! (exclusivity makes the hardware ordering irrelevant; the declared
@@ -24,7 +24,7 @@
 //!   spurious-failure schedules are not explored.
 //! * Atomic values are sequentially consistent (a load observes the
 //!   globally latest store); weak-memory *value* outcomes are not
-//!   explored. See the soundness discussion in [`crate::exec`].
+//!   explored. See the soundness discussion in `crate::exec`.
 
 pub use std::sync::atomic::Ordering;
 

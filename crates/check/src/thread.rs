@@ -2,7 +2,7 @@
 //! `--cfg lsgd_model` inside a model execution.
 //!
 //! Model threads are real OS threads, but they run user code only when
-//! the scheduler in [`crate::exec`] hands them the (single) execution
+//! the scheduler in `crate::exec` hands them the (single) execution
 //! token. `spawn` establishes the usual happens-before edge from the
 //! spawning thread to the child's first operation, and `join` from the
 //! child's last operation to the joiner.
@@ -95,7 +95,7 @@ where
 /// Cooperatively yields. Inside a model execution the calling thread is
 /// deprioritized until another thread has been scheduled — the escape
 /// hatch that keeps spin/backoff loops from generating unbounded
-/// schedules (see [`crate::exec`]).
+/// schedules (see `crate::exec`).
 pub fn yield_now() {
     #[cfg(lsgd_model)]
     if let Some(c) = ctx() {

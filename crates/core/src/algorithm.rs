@@ -25,8 +25,8 @@ pub enum Algorithm {
     /// Sharded Leashed-SGD: the parameter vector split into `shards`
     /// independent LAU-SPC publication domains; publications copy + CAS
     /// only the dirty shards, reads use the selected cross-shard
-    /// [`SnapshotMode`]. With `shards = 1` this is behaviorally
-    /// equivalent to [`Algorithm::Leashed`].
+    /// [`SnapshotMode`]. [`Algorithm::Leashed`] is exactly this store
+    /// with one shard.
     ShardedLeashed {
         /// Per-shard max failed CASes before that shard's update is
         /// abandoned (`None` = unbounded).
@@ -82,11 +82,6 @@ impl Algorithm {
             self,
             Algorithm::Leashed { .. } | Algorithm::ShardedLeashed { .. }
         )
-    }
-
-    /// True for the sharded Leashed-SGD variant.
-    pub fn is_sharded(&self) -> bool {
-        matches!(self, Algorithm::ShardedLeashed { .. })
     }
 
     /// The six algorithm configurations benchmarked in the paper's
@@ -158,8 +153,6 @@ mod tests {
             snapshot: SnapshotMode::Consistent,
         };
         assert!(sharded.is_leashed());
-        assert!(sharded.is_sharded());
-        assert!(!Algorithm::Leashed { persistence: None }.is_sharded());
     }
 
     #[test]

@@ -80,7 +80,7 @@ impl Cell {
     }
 }
 
-/// The per-run heartbeat board: one [`Cell`] per trainer worker.
+/// The per-run heartbeat board: one `Cell` per trainer worker.
 pub struct HeartbeatBoard {
     cells: Box<[Cell]>,
 }

@@ -10,10 +10,12 @@
 //! * [`paramvec`] — the **ParameterVector** shared data structure
 //!   (Algorithm 1) with safe lock-free memory recycling, and the
 //!   **LAU-SPC** publication loop of **Leashed-SGD** (Algorithm 3) with a
-//!   configurable persistence bound `Tp`.
+//!   configurable persistence bound `Tp`: one publication domain.
+//! * [`shard`] — [`ShardedShared`], S such domains over one vector.
+//!   Leashed-SGD runs on it with S = 1, the sharded extension with S > 1.
 //! * [`baseline`] — the evaluated baselines: lock-based AsyncSGD
 //!   (Algorithm 2) and HOGWILD! (Algorithm 4).
-//! * [`store`] — the [`ParamStore`] trait those four shared-parameter
+//! * [`store`] — the [`ParamStore`] trait those three shared-parameter
 //!   types implement: how θ is read and how an update lands.
 //! * [`trainer`] — the `m`-thread asynchronous training executor — one
 //!   worker loop over any [`ParamStore`] — with the

@@ -12,7 +12,7 @@ use std::sync::Arc;
 ///
 /// Optionally carries a soft **cap** ([`set_cap`](Self::set_cap)): the
 /// gauge itself never rejects anything — it only answers
-/// [`would_exceed`](Self::would_exceed), which the [`BufferPool`]
+/// [`would_exceed`](Self::would_exceed), which the [`BufferPool`](crate::pool::BufferPool)
 /// (crate::pool) consults to back off (and eventually force through)
 /// under memory pressure instead of allocating unboundedly.
 #[derive(Debug, Default)]

@@ -1,6 +1,10 @@
 //! The ParameterVector data structure and the Leashed-SGD publication
 //! protocol (paper Algorithms 1 and 3).
 //!
+//! A [`LeashedShared`] is one publication domain. The trainer runs it as
+//! a shard of [`ShardedShared`](crate::shard::ShardedShared): Leashed-SGD
+//! is that store with one shard.
+//!
 //! # Protocol recap
 //!
 //! A global pointer `P` refers to the most recently *published*
@@ -38,15 +42,10 @@
 //! * **Writes to a private buffer happen-before its publication.** The
 //!   publishing CAS is `AcqRel`; readers load `P` with `Acquire`.
 
-use crate::algorithm::Algorithm;
-use crate::mem::GaugeHold;
 use crate::pool::BufferPool;
-use crate::store::{Direction, ParamStore, StepOutcome};
 use lsgd_check::annotate;
 use lsgd_check::sync::{AtomicBool, AtomicPtr, AtomicU32, AtomicU64, Ordering};
-use lsgd_metrics::OnlineStats;
 use lsgd_sync::SegQueue;
-use std::sync::Arc;
 
 /// One ParameterVector instance: metadata header + owned `theta` buffer
 /// (paper Algorithm 1).
@@ -367,7 +366,7 @@ impl LeashedShared {
     }
 
     /// Sparse LAU-SPC publication: identical protocol to
-    /// [`publish_update`], but the update step applies only the given
+    /// [`publish_update`](Self::publish_update), but the update step applies only the given
     /// `(index, value)` pairs (`theta[i - offset] -= eta * v`) instead of
     /// a dense axpy, so the per-attempt cost is the O(d') base copy plus
     /// O(k) for k pairs rather than O(d') + O(d'). `offset` lets a sharded
@@ -513,101 +512,11 @@ impl Drop for LeashedShared {
     }
 }
 
-/// Worker state for [`LeashedShared`]: the sequence number of the last
-/// read and the persistence bound `Tp`. Holds the gauge bytes for the
-/// worker's gradient only — the vectors it works on come from the
-/// recycling pool.
-pub struct LeashedWorker {
-    t0: u64,
-    persistence: Option<u32>,
-    _hold: GaugeHold,
-}
-
-/// Leashed-SGD as a [`ParamStore`] (Algorithm 3 thread body).
-impl ParamStore for LeashedShared {
-    type Worker = LeashedWorker;
-
-    fn worker(&self, algorithm: &Algorithm) -> LeashedWorker {
-        let Algorithm::Leashed { persistence } = *algorithm else {
-            panic!("LeashedShared runs Algorithm::Leashed, not {algorithm}");
-        };
-        LeashedWorker {
-            t0: 0,
-            persistence,
-            _hold: GaugeHold::new(Arc::clone(self.pool.gauge()), self.worker_bytes()),
-        }
-    }
-
-    fn read<R>(&self, w: &mut LeashedWorker, f: impl FnOnce(&[f32]) -> R) -> R {
-        let guard = self.latest();
-        w.t0 = guard.seq();
-        // `f` runs directly on the published memory — the zero-copy read
-        // of paper P3. The guard's counted read is released on drop, also
-        // when `f` unwinds.
-        f(guard.theta())
-    }
-
-    fn tau_est(&self, w: &LeashedWorker) -> u64 {
-        self.current_seq().saturating_sub(w.t0)
-    }
-
-    fn publish(
-        &self,
-        w: &mut LeashedWorker,
-        direction: Direction<'_>,
-        eta: f32,
-        tu: &mut OnlineStats,
-    ) -> StepOutcome {
-        let on_attempt = |secs| tu.record(secs);
-        let outcome = match direction {
-            Direction::Dense(g) => self.publish_update(g, eta, w.persistence, on_attempt),
-            Direction::Sparse(pairs) => {
-                self.publish_update_sparse(pairs, 0, eta, w.persistence, on_attempt)
-            }
-        };
-        match outcome {
-            PublishOutcome::Published {
-                t_new,
-                t_first_base,
-                failed_cas,
-                ..
-            } => StepOutcome {
-                published: true,
-                failed_cas,
-                // τ: concurrent updates between the read (t0) and this
-                // update taking effect (t_new labels position t_new-1+1).
-                tau: t_new - 1 - w.t0,
-                // τs: competitors that won the LAU-SPC race after this
-                // update was first ready to publish (§IV.2); exactly 0 for
-                // every published update when Tp = 0.
-                tau_s: Some(t_new - 1 - t_first_base),
-                ..StepOutcome::default()
-            },
-            PublishOutcome::Aborted { failed_cas } => StepOutcome {
-                failed_cas,
-                ..StepOutcome::default()
-            },
-        }
-    }
-
-    fn snapshot_into(&self, dst: &mut [f32]) {
-        // The inherent method of the same name (it also returns the seq).
-        LeashedShared::snapshot_into(self, dst);
-    }
-
-    fn worker_bytes(&self) -> usize {
-        self.dim * std::mem::size_of::<f32>()
-    }
-
-    fn pool_outstanding_peak(&self) -> usize {
-        self.pool.outstanding_peak()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::mem::MemoryGauge;
+    use std::sync::Arc;
 
     fn shared(dim: usize, init: f32) -> LeashedShared {
         let pool = BufferPool::new(dim, Arc::new(MemoryGauge::new()));

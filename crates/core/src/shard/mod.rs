@@ -3,10 +3,10 @@
 //!
 //! # Why shard
 //!
-//! The unsharded Leashed-SGD publication step ([`crate::paramvec`]) copies
-//! the *entire* parameter vector into a fresh buffer before its CAS, so
-//! publication cost is O(d) even when an update touches a handful of
-//! coordinates — exactly the sparse regime HOGWILD! (Niu et al., 2011)
+//! One publication domain ([`crate::paramvec`]; Leashed-SGD runs on
+//! exactly one) copies the *entire* parameter vector into a fresh buffer
+//! before its CAS, so publication cost is O(d) even when an update
+//! touches a handful of coordinates — exactly the sparse regime HOGWILD! (Niu et al., 2011)
 //! exploits. Splitting the vector into S fixed-width shards, each an
 //! independent publication domain running the same LAU-SPC protocol
 //! (per-shard sequence number `t`, `n_rdrs`/`stale`/`deleted`
@@ -61,7 +61,7 @@ const MIN_HEURISTIC_SHARD_WIDTH: usize = 1024;
 /// shard sets overlap, so we want several independent publication
 /// domains per concurrent publisher — 8·workers, rounded up to a power
 /// of two (which also keeps the fixed shard widths uniform). That target
-/// is then capped so shards stay at least [`MIN_HEURISTIC_SHARD_WIDTH`]
+/// is then capped so shards stay at least `MIN_HEURISTIC_SHARD_WIDTH`
 /// wide: the PR 4 `paramvec_ops` sweep showed the sparse-publish win
 /// saturating around that width (S = 64 at the paper's `d = 134,794`),
 /// while narrower shards only add header/CAS overhead.

@@ -234,8 +234,12 @@ impl ShardedShared {
 
     /// Copies a consistent (best-effort, bounded-retry) view of the full
     /// parameter vector into `dst`; returns the view's total sequence
-    /// number. Used by the convergence monitor.
+    /// number. Used by the convergence monitor. One shard is copied
+    /// straight from its published buffer, without [`snapshot`](Self::snapshot).
     pub fn snapshot_into(&self, dst: &mut [f32]) -> u64 {
+        if let [shard] = self.shards.as_slice() {
+            return shard.snapshot_into(dst);
+        }
         let snap = self.snapshot(SnapshotMode::Consistent, 8);
         snap.gather_into(dst);
         snap.total_seq()
@@ -317,10 +321,11 @@ impl ShardedShared {
 /// a bounded loop keeps read latency predictable under heavy publishing.
 const WORKER_SNAPSHOT_RETRIES: u32 = 32;
 
-/// Worker state for [`ShardedShared`]: the gathered local copy of θ (the
-/// shards are not contiguous in memory), the per-shard sequence vector it
-/// was read at, and the algorithm's read/publish parameters. Like
-/// ASYNC/HOG it holds gauge bytes for local copy + local gradient.
+/// Worker state for [`ShardedShared`]: the per-shard sequence vector of
+/// the last read and the algorithm's read/publish parameters. With more
+/// than one shard it also holds the gathered local copy of θ (the shards
+/// are not contiguous in memory). It holds gauge bytes for
+/// [`worker_bytes`](ParamStore::worker_bytes).
 pub struct ShardedWorker {
     local: Vec<f32>,
     base_seqs: Vec<u64>,
@@ -330,49 +335,69 @@ pub struct ShardedWorker {
     _hold: GaugeHold,
 }
 
-/// Sharded Leashed-SGD as a [`ParamStore`]: multi-shard counted read
-/// gathered into a local copy, and a dirty-shards-only publication —
-/// sparse `(index, value)` pairs straight into
-/// [`publish_sparse`](ShardedShared::publish_sparse), dense per-shard
-/// sub-gradients otherwise.
+/// Leashed-SGD, sharded or not, as a [`ParamStore`]. One shard (which is
+/// what [`Algorithm::Leashed`] runs on) is read in place: `f` sees the
+/// published buffer, the zero-copy read of paper P3. More shards are read
+/// by a multi-shard counted read gathered into a local copy. Publication
+/// touches only the dirty shards — sparse `(index, value)` pairs straight
+/// into [`publish_sparse`](ShardedShared::publish_sparse), dense
+/// per-shard sub-gradients otherwise.
 impl ParamStore for ShardedShared {
     type Worker = ShardedWorker;
 
     const SPARSE_NATIVE: bool = true;
 
     fn worker(&self, algorithm: &Algorithm) -> ShardedWorker {
-        let Algorithm::ShardedLeashed {
-            persistence,
-            snapshot,
-            ..
-        } = *algorithm
-        else {
-            panic!("ShardedShared runs Algorithm::ShardedLeashed, not {algorithm}");
+        let (persistence, mode) = match *algorithm {
+            Algorithm::ShardedLeashed {
+                persistence,
+                snapshot,
+                ..
+            } => (persistence, snapshot),
+            Algorithm::Leashed { persistence } if self.num_shards() == 1 => {
+                (persistence, SnapshotMode::Consistent)
+            }
+            _ => panic!(
+                "ShardedShared with {} shards cannot run {algorithm}",
+                self.num_shards()
+            ),
+        };
+        let local = if self.num_shards() == 1 {
+            Vec::new()
+        } else {
+            vec![0.0; self.dim]
         };
         ShardedWorker {
-            local: vec![0.0; self.dim],
+            local,
             base_seqs: Vec::with_capacity(self.num_shards()),
             persistence,
-            mode: snapshot,
+            mode,
             degraded: 0,
             _hold: GaugeHold::new(Arc::clone(self.gauge()), self.worker_bytes()),
         }
     }
 
     fn read<R>(&self, w: &mut ShardedWorker, f: impl FnOnce(&[f32]) -> R) -> R {
+        w.base_seqs.clear();
+        if let [shard] = self.shards.as_slice() {
+            let guard = shard.latest();
+            w.base_seqs.push(guard.seq());
+            // `f` runs directly on the published memory. The guard's
+            // counted read is released on drop, also when `f` unwinds.
+            return f(guard.theta());
+        }
         {
             let snap = self.snapshot(w.mode, WORKER_SNAPSHOT_RETRIES);
             if snap.is_degraded() {
                 w.degraded += 1;
             }
-            w.base_seqs.clear();
             w.base_seqs.extend_from_slice(snap.seqs());
             snap.gather_into(&mut w.local);
         }
         f(&w.local)
     }
 
-    /// τ estimate in *update* units (matching the unsharded stores): the
+    /// τ estimate in *update* units (matching the baseline stores): the
     /// max per-shard seq advance since the read. Each concurrent update
     /// bumps every shard it touches by exactly 1, so the max over shards
     /// counts concurrent updates (exactly for dense updates, a lower
@@ -406,10 +431,9 @@ impl ParamStore for ShardedShared {
             // An update counts as published when at least one of its
             // dirty shards landed; fully abandoned updates count as
             // aborted. An exactly-zero gradient (dirty = 0) is a
-            // successful no-op — the unsharded store publishes it as one;
-            // counting it here keeps the max_updates budget advancing
-            // (and the run terminating) when gradients vanish at
-            // convergence.
+            // successful no-op that bumps no sequence number; counting it
+            // keeps the max_updates budget advancing (and the run
+            // terminating) when gradients vanish at convergence.
             published: out.published > 0 || out.dirty == 0,
             failed_cas: out.failed_cas,
             tau: out.tau_max,
@@ -423,8 +447,11 @@ impl ParamStore for ShardedShared {
         ShardedShared::snapshot_into(self, dst);
     }
 
+    /// The local gradient, plus the local copy when there is more than
+    /// one shard.
     fn worker_bytes(&self) -> usize {
-        2 * self.dim * std::mem::size_of::<f32>()
+        let copies = if self.num_shards() == 1 { 1 } else { 2 };
+        copies * self.dim * std::mem::size_of::<f32>()
     }
 
     fn pool_outstanding_peak(&self) -> usize {

@@ -10,12 +10,12 @@
 //! |---|---|---|---|
 //! | [`LockedParams`](crate::baseline::LockedParams) | lock, copy into the worker's buffer, unlock | lock, `θ -= η·g` in place, unlock | SEQ (`m = 1`), ASYNC — Algorithm 2 |
 //! | [`HogwildParams`](crate::baseline::HogwildParams) | unsynchronised per-component copy | racy per-component read-modify-write | HOGWILD! — Algorithm 4 |
-//! | [`LeashedShared`](crate::paramvec::LeashedShared) | counted read of the published buffer, **no copy** (P3) | LAU-SPC: copy latest, apply, one CAS, retry ≤ `Tp` | Leashed-SGD — Algorithm 3 |
-//! | [`ShardedShared`](crate::shard::ShardedShared) | per-shard counted reads gathered into the worker's buffer | LAU-SPC on the dirty shards only | sharded Leashed-SGD (extension) |
+//! | [`ShardedShared`](crate::shard::ShardedShared) with S = 1 | zero-copy read of the one domain: a counted read of the published buffer (P3) | LAU-SPC: copy latest, apply, one CAS, retry ≤ `Tp` | Leashed-SGD — Algorithm 3 |
+//! | [`ShardedShared`](crate::shard::ShardedShared) with S > 1 | per-shard counted reads gathered into the worker's buffer | LAU-SPC on the dirty shards only | sharded Leashed-SGD (extension) |
 //!
 //! `read` is closure-shaped so that Leashed-SGD can hand out the published
 //! buffer itself for the duration of the gradient computation, while the
-//! other three hand out worker-owned scratch.
+//! other stores hand out worker-owned scratch.
 
 use crate::algorithm::Algorithm;
 use lsgd_metrics::OnlineStats;
@@ -32,7 +32,7 @@ pub enum Direction<'a> {
 }
 
 /// What one [`ParamStore::publish`] did. The default is an abandoned
-/// update of an unsharded store without a publication race.
+/// update of a baseline store (no shards, no publication race).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StepOutcome {
     /// `false` when the persistence bound abandoned the update.
@@ -46,12 +46,12 @@ pub struct StepOutcome {
     /// race after this update was first ready. `None` for stores without
     /// a publication race.
     pub tau_s: Option<u64>,
-    /// Shards this update touched; `None` for unsharded stores.
+    /// Shards this update touched; `None` for the baseline stores.
     pub dirty: Option<u32>,
 }
 
 /// A shared parameter vector that `m` workers read and update
-/// concurrently. See the [module docs](self) for the four implementations.
+/// concurrently. See the [module docs](self) for the three implementations.
 pub trait ParamStore: Sync {
     /// Per-worker state: the local copy of θ for stores that copy on
     /// read, the sequence number(s) of the last read, and the gauge
@@ -68,7 +68,8 @@ pub trait ParamStore: Sync {
     /// read/publish parameters (persistence bound, snapshot mode).
     ///
     /// # Panics
-    /// The Leashed stores panic if `algorithm` is not their own variant.
+    /// The LAU-SPC store panics if `algorithm` is not a Leashed variant,
+    /// or is unsharded Leashed-SGD on more than one shard.
     fn worker(&self, algorithm: &Algorithm) -> Self::Worker;
 
     /// Reads θ and runs `f` on it, remembering in `worker` which state

@@ -1,10 +1,10 @@
-//! The parallel training executor: **one loop, four stores**.
+//! The parallel training executor: **one loop, three stores**.
 //!
 //! The paper's SEQ, ASYNC, HOGWILD! and Leashed-SGD thread bodies
 //! (Algorithms 2–4) are one skeleton — read θ, compute a gradient, make
 //! the update visible — and this module says so once. [`WorkerState::step`]
 //! is that skeleton; how θ is read and how an update lands are the two
-//! verbs of a [`ParamStore`], implemented by the four stores (see the
+//! verbs of a [`ParamStore`], implemented by the three stores (see the
 //! table in [`crate::store`]). [`train`] matches on the algorithm exactly
 //! once, to pick the store; everything after that is generic and
 //! monomorphised per store, so the step pays no dispatch.
@@ -21,8 +21,6 @@ use crate::algorithm::Algorithm;
 use crate::baseline::{HogwildParams, LockedParams};
 use crate::heartbeat::{BeatPhase, HeartbeatBoard};
 use crate::mem::MemoryGauge;
-use crate::paramvec::LeashedShared;
-use crate::pool::BufferPool;
 use crate::problem::Problem;
 use crate::result::{RunResult, UpdateHistograms, WorkerCrash};
 use crate::shard::{effective_shards, ShardedShared};
@@ -37,7 +35,7 @@ use std::time::{Duration, Instant};
 
 /// Step-size policy — `Constant` reproduces the paper; `TauAdaptive`
 /// implements the staleness-adaptive direction the paper cites as
-/// orthogonal, complementary work (its refs [4], [33], [38], [43]):
+/// orthogonal, complementary work (its refs \[4\], \[33\], \[38\], \[43\]):
 /// the effective step of an update with estimated staleness `τ` is
 /// `η / (1 + β·τ)`, damping stale updates instead of discarding them.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -248,14 +246,13 @@ pub fn train<P: Problem>(problem: &P, cfg: &TrainConfig) -> RunResult {
             let store = HogwildParams::new(&theta0, Arc::clone(&gauge));
             run_on(problem, cfg, threads, &gauge, &store)
         }
-        Algorithm::Leashed { .. } => {
-            let pool =
-                BufferPool::new_with_recycling(dim, Arc::clone(&gauge), cfg.pool_recycling);
-            run_on(problem, cfg, threads, &gauge, &LeashedShared::new(&theta0, pool))
-        }
-        Algorithm::ShardedLeashed { shards, .. } => {
-            // `shards == 0` selects the dim/worker heuristic.
-            let shards = effective_shards(shards, dim, threads);
+        Algorithm::Leashed { .. } | Algorithm::ShardedLeashed { .. } => {
+            // Leashed-SGD is one shard; `shards == 0` selects the
+            // dim/worker heuristic.
+            let shards = match cfg.algorithm {
+                Algorithm::ShardedLeashed { shards, .. } => effective_shards(shards, dim, threads),
+                _ => 1,
+            };
             let store = ShardedShared::new(&theta0, shards, Arc::clone(&gauge), cfg.pool_recycling);
             run_on(problem, cfg, threads, &gauge, &store)
         }

@@ -5,11 +5,10 @@
 use lsgd_core::baseline::{HogwildParams, LockedParams};
 use lsgd_core::heartbeat::HeartbeatBoard;
 use lsgd_core::mem::MemoryGauge;
-use lsgd_core::pool::BufferPool;
 use lsgd_core::prelude::*;
 use lsgd_core::sparsify::sparsify_top_frac;
 use lsgd_core::trainer::{Step, WorkerCtx, WorkerState};
-use lsgd_core::{Direction, LeashedShared, ParamStore, ShardedShared};
+use lsgd_core::{Direction, ParamStore, ShardedShared};
 use lsgd_data::blobs::gaussian_blobs;
 use lsgd_data::sparse_logreg::sparse_logreg;
 use lsgd_metrics::OnlineStats;
@@ -98,26 +97,23 @@ fn check_all_stores<P: Problem>(p: &P, what: &str, cfg: &TrainConfig) {
     let got = drive(p, &hog, &with(Algorithm::Hogwild));
     assert_bits_eq(&got, &want, &format!("{what} HOG"));
 
-    let leashed = LeashedShared::new(&theta0, BufferPool::new(p.dim(), gauge()));
-    let algorithm = Algorithm::Leashed {
+    let sharded = |shards, snapshot| Algorithm::ShardedLeashed {
+        persistence: Some(0),
+        shards,
+        snapshot,
+    };
+    let lsh = Algorithm::Leashed {
         persistence: Some(0),
     };
-    let got = drive(p, &leashed, &with(algorithm));
-    assert_bits_eq(&got, &want, &format!("{what} LSH"));
-
-    for (shards, snapshot) in [
-        (1, SnapshotMode::Fast),
-        (4, SnapshotMode::Fast),
-        (4, SnapshotMode::Consistent),
+    for (shards, algorithm) in [
+        (1, lsh),
+        (1, sharded(1, SnapshotMode::Fast)),
+        (4, sharded(4, SnapshotMode::Fast)),
+        (4, sharded(4, SnapshotMode::Consistent)),
     ] {
-        let sharded = ShardedShared::new(&theta0, shards, gauge(), true);
-        let algorithm = Algorithm::ShardedLeashed {
-            persistence: Some(0),
-            shards,
-            snapshot,
-        };
-        let got = drive(p, &sharded, &with(algorithm));
-        assert_bits_eq(&got, &want, &format!("{what} sharded S={shards} {snapshot:?}"));
+        let store = ShardedShared::new(&theta0, shards, gauge(), true);
+        let got = drive(p, &store, &with(algorithm));
+        assert_bits_eq(&got, &want, &format!("{what} {algorithm} S={shards}"));
     }
 }
 
@@ -167,9 +163,11 @@ fn every_store_is_bit_identical_to_sequential_sgd_on_a_tiny_mlp() {
     }
 }
 
-/// The `ParamStore` contract, checked against one implementation.
+/// The `ParamStore` contract, checked against one implementation that
+/// charges each worker `copies` θ-sized buffers.
 fn conformance<S: ParamStore>(
     algorithm: Algorithm,
+    copies: usize,
     make: impl FnOnce(&[f32], Arc<MemoryGauge>) -> S,
 ) {
     const DIM: usize = 8;
@@ -188,7 +186,7 @@ fn conformance<S: ParamStore>(
     let before = gauge.live();
     let mut w = store.worker(&algorithm);
     assert_eq!(gauge.live(), before + store.worker_bytes());
-    assert!(store.worker_bytes() >= DIM * 4, "at least the gradient");
+    assert_eq!(store.worker_bytes(), copies * DIM * 4, "{algorithm}");
 
     // `read` sees exactly what the last `publish` wrote; `snapshot_into`
     // sees what `read` sees.
@@ -255,32 +253,43 @@ fn conformance<S: ParamStore>(
 
 #[test]
 fn locked_params_honours_the_param_store_contract() {
-    conformance(Algorithm::AsyncLock, |init, gauge| {
+    conformance(Algorithm::AsyncLock, 2, |init, gauge| {
         LockedParams::new(init.to_vec(), gauge)
     });
 }
 
 #[test]
 fn hogwild_params_honours_the_param_store_contract() {
-    conformance(Algorithm::Hogwild, HogwildParams::new);
+    conformance(Algorithm::Hogwild, 2, HogwildParams::new);
 }
 
+/// Leashed-SGD is the sharded store with one shard: the worker keeps no
+/// copy (only the gradient is charged), and `read` hands `f` the
+/// published buffer itself.
 #[test]
 fn leashed_shared_honours_the_param_store_contract() {
-    conformance(Algorithm::Leashed { persistence: None }, |init, gauge| {
-        LeashedShared::new(init, BufferPool::new(init.len(), gauge))
+    let algorithm = Algorithm::Leashed { persistence: None };
+    conformance(algorithm, 1, |init, gauge| {
+        ShardedShared::new(init, 1, gauge, true)
     });
+    let store = ShardedShared::new(&[1.0; 8], 1, gauge(), true);
+    let mut w = store.worker(&algorithm);
+    let read = store.read(&mut w, |theta| theta.as_ptr());
+    assert_eq!(read, store.shard(0).latest().theta().as_ptr(), "zero-copy read");
 }
 
 #[test]
 fn sharded_shared_honours_the_param_store_contract() {
-    for (shards, snapshot) in [(1, SnapshotMode::Fast), (4, SnapshotMode::Consistent)] {
+    for (shards, snapshot, copies) in [
+        (1, SnapshotMode::Fast, 1),
+        (4, SnapshotMode::Consistent, 2),
+    ] {
         let algorithm = Algorithm::ShardedLeashed {
             persistence: None,
             shards,
             snapshot,
         };
-        conformance(algorithm, |init, gauge| {
+        conformance(algorithm, copies, |init, gauge| {
             ShardedShared::new(init, shards, gauge, true)
         });
     }

@@ -437,9 +437,9 @@ fn sharded_trainer_exploits_sparse_logreg_gradients() {
 
 #[test]
 fn sharded_s1_matches_unsharded_loss_quality() {
-    // S = 1 is a single publication domain: the sharded trainer must be
-    // behaviorally equivalent to the unsharded Leashed path (same reads,
-    // same LAU-SPC, same statistics), so convergence quality matches.
+    // S = 1 is a single publication domain, the store `Algorithm::Leashed`
+    // runs on: both configurations get the same reads, the same LAU-SPC
+    // and the same statistics, so convergence quality matches.
     let p = blob_problem(22);
     let sharded = train(
         &p,

@@ -17,6 +17,7 @@
 //!   published fluid model sits from a faithful CAS execution — the gap
 //!   the persistence bound `Tp` is designed to close.
 
+use lsgd_metrics::Histogram;
 use lsgd_tensor::SmallRng64;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -80,71 +81,9 @@ pub struct DesResult {
     pub failed_attempts: u64,
     /// Per-publish scheduling staleness `τs` (publishes by others between
     /// loop entry and own publish), as a histogram.
-    pub tau_s: lsgd_metrics_free::Histogram,
+    pub tau_s: Histogram,
     /// Publish throughput per unit time.
     pub throughput: f64,
-}
-
-/// A tiny internal histogram so this crate stays dependency-free w.r.t.
-/// the metrics crate (which depends on nothing here either, but keeping
-/// the dynamics crate self-contained lets it be reused standalone).
-pub mod lsgd_metrics_free {
-    /// Minimal u64 histogram (unit bins + overflow), API-compatible with
-    /// the subset of `lsgd_metrics::Histogram` the simulator needs.
-    #[derive(Debug, Clone)]
-    pub struct Histogram {
-        bins: Vec<u64>,
-        overflow: u64,
-        count: u64,
-        sum: u128,
-    }
-
-    impl Histogram {
-        /// Unit bins `0..cap` plus overflow.
-        pub fn new(cap: usize) -> Self {
-            Histogram {
-                bins: vec![0; cap],
-                overflow: 0,
-                count: 0,
-                sum: 0,
-            }
-        }
-
-        /// Records an observation.
-        pub fn record(&mut self, v: u64) {
-            if (v as usize) < self.bins.len() {
-                self.bins[v as usize] += 1;
-            } else {
-                self.overflow += 1;
-            }
-            self.count += 1;
-            self.sum += v as u128;
-        }
-
-        /// Observation count.
-        pub fn count(&self) -> u64 {
-            self.count
-        }
-
-        /// Mean observation.
-        pub fn mean(&self) -> f64 {
-            if self.count == 0 {
-                0.0
-            } else {
-                self.sum as f64 / self.count as f64
-            }
-        }
-
-        /// Count at unit bin `v`.
-        pub fn bin(&self, v: usize) -> u64 {
-            self.bins.get(v).copied().unwrap_or(0)
-        }
-
-        /// Count of observations ≥ cap.
-        pub fn overflow(&self) -> u64 {
-            self.overflow
-        }
-    }
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -200,7 +139,7 @@ pub fn simulate(cfg: &DesConfig) -> DesResult {
     let mut publishes = 0u64;
     let mut aborted = 0u64;
     let mut failed_attempts = 0u64;
-    let mut tau_s = lsgd_metrics_free::Histogram::new(4 * cfg.m + 16);
+    let mut tau_s = Histogram::new(4 * cfg.m + 16);
 
     while let Some(Reverse((OrdF64(t), tid, ev))) = queue.pop() {
         if t > cfg.horizon {

@@ -1,7 +1,7 @@
 //! Staleness estimators built on the Section-IV fixed points.
 //!
 //! The paper decomposes the staleness of an update as `τ = τc + τs`
-//! (following [4] in its reference list): `τc` counts updates published
+//! (following \[4\] in its reference list): `τc` counts updates published
 //! while the gradient was being computed; `τs` counts competing updates
 //! that won the LAU-SPC race before it. §IV.2 estimates `E[τs] ≈ n*_γ`
 //! and observes that the compute-phase component behaves like the number

@@ -119,7 +119,7 @@ const SUB: u64 = 1 << SUB_BITS;
 const LOG_BUCKETS: usize = (SUB + (64 - SUB_BITS as u64) * SUB) as usize;
 
 /// An HDR-style histogram over `u64` values (latencies in nanoseconds)
-/// with geometric buckets: values below [`SUB`] are recorded exactly,
+/// with geometric buckets: values below `SUB` are recorded exactly,
 /// larger values land in one of `SUB` linear sub-buckets per power of
 /// two, so every bucket spans at most a `1/SUB` relative range. Quantile
 /// *bounds* are therefore tight to ≈ 3% at any scale — nanoseconds to

@@ -18,14 +18,14 @@
 //! 1. **Fused lowering** — the forward pass never materialises the im2col
 //!    matrix. The GEMM's `B` operand is generated *directly in packed
 //!    panel layout* from the sample's feature map
-//!    ([`Conv2d::pack_patches`] plugged in as a [`BSource::Packer`]),
+//!    (`Conv2d::pack_patches` plugged in as a [`BSource::Packer`]),
 //!    producing byte-identical panels to `im2col` + `pack_b` while
 //!    skipping one full write+strided-read pass over the lowered data.
 //! 2. **Prepacked filters** — the filter matrix `W` participates in every
 //!    per-sample product of the minibatch, in two orientations (as `A` in
 //!    the forward product, as `B` in the backward `dcols` product). Both
 //!    packings are produced once per SGD step via the worker's
-//!    [`PackedPanelCache`] and reused across all samples.
+//!    [`PackedPanelCache`](lsgd_tensor::PackedPanelCache) and reused across all samples.
 //! 3. **Threaded sample loop** — per-sample work (lowering, GEMMs,
 //!    col2im) fans out over the [`StepCtx`] runtime in contiguous sample
 //!    ranges when it has more than one thread and the pass is heavy

@@ -7,7 +7,7 @@
 //! The weight matrix participates in two of the three GEMMs a training
 //! step issues — forward `Y = X·Wᵀ` and backward `dX = dY·W` — in two
 //! different pack orientations. Both packings are served from the
-//! per-step [`PackedPanelCache`] (packed on first touch, reused by the
+//! per-step [`PackedPanelCache`](lsgd_tensor::PackedPanelCache) (packed on first touch, reused by the
 //! other pass), and every product goes through the `_in` parallel kernels
 //! on the [`StepCtx`] runtime: they fan out when the runtime has more
 //! than one thread and the product is large enough, run the serial rect

@@ -82,7 +82,7 @@ use lsgd_check::annotate;
 use lsgd_check::sync::{fence, AtomicPtr, AtomicUsize, Ordering, UnsafeCell};
 use std::mem::MaybeUninit;
 
-/// Slots per segment. One less than [`LAP`] so that, per segment lap,
+/// Slots per segment. One less than `LAP` so that, per segment lap,
 /// index offset `SEG_CAP` is a reserved "cursor is mid-hop to the next
 /// segment" state distinguishable from every claimable slot.
 ///

@@ -10,7 +10,7 @@
 //! Provided here:
 //!
 //! * [`Matrix`] — row-major `f32` matrix with cheap row views.
-//! * [`gemm`] — packed, register-blocked matrix multiplication with
+//! * [`gemm`](mod@gemm) — packed, register-blocked matrix multiplication with
 //!   transpose variants (`C = alpha * op(A) * op(B) + beta * C`), the
 //!   workhorse of both the dense layers and the im2col convolution
 //!   lowering. [`pack`] holds the panel-packing routines;

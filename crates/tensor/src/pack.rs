@@ -1,6 +1,6 @@
 //! Panel packing for the blocked GEMM kernel.
 //!
-//! The packed kernel in [`crate::gemm`] never walks the original operand
+//! The packed kernel in [`crate::gemm`](mod@crate::gemm) never walks the original operand
 //! buffers in its inner loop. Instead it copies one cache-block of `op(A)`
 //! and `op(B)` at a time into contiguous, micro-kernel-shaped buffers:
 //!

@@ -1,6 +1,6 @@
 //! Prepacked weight panels reused across GEMM calls within one SGD step.
 //!
-//! The packed kernel in [`crate::gemm`] copies one cache block of each
+//! The packed kernel in [`crate::gemm`](mod@crate::gemm) copies one cache block of each
 //! operand into micro-kernel-shaped panels *per call*. For the
 //! neural-network hot path that is wasteful in a very specific way: the
 //! weight operand of a layer is **identical for every GEMM the layer

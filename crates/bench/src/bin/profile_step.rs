@@ -10,7 +10,7 @@
 //! ```
 
 use lsgd_metrics::table::Table;
-use lsgd_nn::{Layer, LayerCache, Network, StepCtx};
+use lsgd_nn::{Layer, LayerCache, Network};
 use lsgd_tensor::{Matrix, SmallRng64};
 
 fn time_network(name: &str, net: &Network, batch: usize) {
@@ -47,23 +47,21 @@ fn time_layer(l: &dyn Layer, batch: usize) {
     let mut dx = Matrix::zeros(batch, l.in_dim());
     let mut dp = vec![0.0f32; l.param_len()];
     let mut cache = LayerCache::default();
-    let mut ctx = StepCtx::default();
+    let rt = lsgd_runtime::global();
     for _ in 0..5 {
-        ctx.panels.begin_step();
-        l.forward(&params, &x, &mut yv, &mut cache, &mut ctx);
-        l.backward(&params, &x, &yv, &dy, &mut cache, &mut ctx, &mut dp, &mut dx);
+        l.forward(&params, &x, &mut yv, &mut cache, rt);
+        l.backward(&params, &x, &yv, &dy, &mut cache, rt, &mut dp, &mut dx);
     }
     let fwd = lsgd_trace::label(&format!("{} fwd", l.describe()));
     let bwd = lsgd_trace::label(&format!("{} bwd", l.describe()));
     let reps = 100;
     for _ in 0..reps {
-        ctx.panels.begin_step();
         let _span = lsgd_trace::span_labeled(fwd);
-        l.forward(&params, &x, &mut yv, &mut cache, &mut ctx);
+        l.forward(&params, &x, &mut yv, &mut cache, rt);
     }
     for _ in 0..reps {
         let _span = lsgd_trace::span_labeled(bwd);
-        l.backward(&params, &x, &yv, &dy, &mut cache, &mut ctx, &mut dp, &mut dx);
+        l.backward(&params, &x, &yv, &dy, &mut cache, rt, &mut dp, &mut dx);
     }
 }
 

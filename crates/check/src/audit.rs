@@ -1,24 +1,33 @@
-//! The ordering-audit lint: every `Ordering::Relaxed` / `Ordering::SeqCst`
-//! site in `crates/` must carry an adjacent `// ORDERING:` justification.
+//! The source audit: every `Ordering::Relaxed` / `Ordering::SeqCst` site
+//! in `crates/` must carry an adjacent `// ORDERING:` justification, and
+//! every `unsafe` block and `unsafe impl` outside test code an adjacent
+//! `// SAFETY:` one.
 //!
 //! `Relaxed` and `SeqCst` are the two orderings that most often hide
 //! bugs — `Relaxed` because it synchronizes nothing, `SeqCst` because
 //! it is frequently cargo-culted where a cheaper ordering (or a real
 //! protocol argument) is needed. Acquire/Release sites read as intent;
-//! these two need a written argument. The audit is textual on purpose:
-//! it runs with zero dependencies, in any build, in milliseconds, and
-//! the discipline it enforces ("say *why* next to the site") is what
-//! reviews and the model checker's reports key off.
+//! these two need a written argument. An `unsafe` block or impl needs
+//! one for the same reason: the compiler stops checking there. The audit
+//! is textual on purpose: it runs with zero dependencies, in any build,
+//! in milliseconds, and the discipline it enforces ("say *why* next to
+//! the site") is what reviews and the model checker's reports key off.
 //!
-//! A site is justified when `// ORDERING:` appears on the line itself
-//! or on a line reached by walking upward through (a) continuation
-//! lines of the same multi-line statement, (b) attribute lines, and
-//! (c) comment lines. The walk stops at the first line that completes
-//! an *earlier* statement (ends with `;` or `}`, or is blank), so one
-//! comment block above a `compare_exchange` covers every `Ordering::`
-//! argument inside it, while a marker stranded behind an unrelated
-//! earlier statement does not leak downward. [`MAX_SCAN`] bounds the
-//! walk. Lines that are themselves comments are never sites.
+//! A site is justified when its marker appears on the line itself or on
+//! a line reached by walking upward through (a) continuation lines of
+//! the same multi-line statement, (b) attribute lines, and (c) comment
+//! lines. The walk stops at the first line that completes an *earlier*
+//! statement (ends with `;` or `}`, or is blank), so one comment block
+//! above a `compare_exchange` covers every `Ordering::` argument inside
+//! it, while a marker stranded behind an unrelated earlier statement does
+//! not leak downward. [`MAX_SCAN`] bounds the walk. An `unsafe` block
+//! whose line opens it may instead carry `// SAFETY:` on the first line
+//! inside it. Lines that are themselves comments are never sites.
+//!
+//! Test code is exempt from the `// SAFETY:` rule (not from the ordering
+//! rule): files under a `tests/` directory, and every item gated by a
+//! `#[cfg(test)]` line, up to the closing brace at the item's own
+//! indentation.
 //!
 //! Run as `cargo run -p lsgd_check --bin ordering_audit` (CI does) or
 //! through the `ordering_audit_is_clean` test in this crate.
@@ -30,17 +39,39 @@ use std::path::{Path, PathBuf};
 /// so pathological files (one giant expression) stay cheap to audit.
 pub const MAX_SCAN: usize = 25;
 
-// Assembled at runtime so the audit does not flag its own source.
-fn needles() -> [String; 2] {
+/// The rule a site falls under.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Rule {
+    /// An `Ordering::Relaxed` / `Ordering::SeqCst` argument.
+    Ordering,
+    /// An `unsafe` block or `unsafe impl` outside test code.
+    Safety,
+}
+
+impl Rule {
+    /// The comment that justifies a site under this rule.
+    // Assembled at runtime (like the needles below) so the audit does
+    // not flag its own source.
+    fn marker(self) -> String {
+        let tag = match self {
+            Rule::Ordering => "ORDERING",
+            Rule::Safety => "SAFETY",
+        };
+        format!("// {tag}:")
+    }
+}
+
+fn ordering_needles() -> [String; 2] {
     let prefix = "Ordering::";
     [format!("{prefix}Relaxed"), format!("{prefix}SeqCst")]
 }
 
-fn marker() -> String {
-    format!("// {}:", "ORDERING")
+fn unsafe_needles() -> [String; 2] {
+    let kw = "unsafe";
+    [format!("{kw} {{"), format!("{kw} impl")]
 }
 
-/// An unjustified ordering site.
+/// An unjustified site.
 #[derive(Debug, Clone)]
 pub struct Violation {
     /// Path of the offending file (workspace-relative when possible).
@@ -49,16 +80,22 @@ pub struct Violation {
     pub line: usize,
     /// The offending source line, trimmed.
     pub text: String,
+    /// The rule the site breaks.
+    pub rule: Rule,
 }
 
 impl fmt::Display for Violation {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let what = match self.rule {
+            Rule::Ordering => "ordering",
+            Rule::Safety => "unsafe",
+        };
         write!(
             f,
-            "{}:{}: unjustified ordering site (add `{}` nearby): {}",
+            "{}:{}: unjustified {what} site (add `{}` nearby): {}",
             self.path.display(),
             self.line,
-            marker(),
+            self.rule.marker(),
             self.text
         )
     }
@@ -106,26 +143,71 @@ fn justified(lines: &[&str], site: usize, marker: &str) -> bool {
     false
 }
 
+/// Which lines are test code: the whole file when it sits under a
+/// `tests/` directory, else every item gated by a `#[cfg(test)]` line, up
+/// to the line holding only the closing brace at the item's indentation
+/// (a one-line item ends on its own line).
+fn test_lines(path: &Path, lines: &[&str]) -> Vec<bool> {
+    if path.components().any(|c| c.as_os_str() == "tests") {
+        return vec![true; lines.len()];
+    }
+    let mut test = vec![false; lines.len()];
+    let mut i = 0;
+    while i < lines.len() {
+        if lines[i].trim() != "#[cfg(test)]" {
+            i += 1;
+            continue;
+        }
+        let mut end = i + 1;
+        while end < lines.len() && lines[end].trim_start().starts_with("#[") {
+            end += 1;
+        }
+        if let Some(item) = lines.get(end).filter(|l| l.trim_end().ends_with('{')) {
+            let indent = &item[..item.len() - item.trim_start().len()];
+            let close = format!("{indent}}}");
+            while end < lines.len() && lines[end].trim_end() != close {
+                end += 1;
+            }
+        }
+        let end = end.min(lines.len() - 1);
+        test[i..=end].iter_mut().for_each(|t| *t = true);
+        i = end + 1;
+    }
+    test
+}
+
 /// Audits one file's source text. Exposed for the audit's own tests.
 pub fn audit_source(path: &Path, source: &str) -> Vec<Violation> {
-    let needles = needles();
-    let marker = marker();
+    let ordering = (ordering_needles(), Rule::Ordering.marker());
+    let safety = (unsafe_needles(), Rule::Safety.marker());
     let lines: Vec<&str> = source.lines().collect();
+    let test = test_lines(path, &lines);
     let mut violations = Vec::new();
     for (i, raw) in lines.iter().enumerate() {
         let trimmed = raw.trim();
         if is_comment_line(trimmed) {
             continue;
         }
-        if !needles.iter().any(|n| raw.contains(n.as_str())) {
-            continue;
-        }
-        if !justified(&lines, i, &marker) {
+        let hits = |needles: &[String; 2]| needles.iter().any(|n| raw.contains(n.as_str()));
+        let mut flag = |rule| {
             violations.push(Violation {
                 path: path.to_path_buf(),
                 line: i + 1,
                 text: trimmed.to_string(),
-            });
+                rule,
+            })
+        };
+        if hits(&ordering.0) && !justified(&lines, i, &ordering.1) {
+            flag(Rule::Ordering);
+        }
+        if !test[i] && hits(&safety.0) {
+            // A block opened at the end of this line may carry the
+            // marker on its first inner line instead.
+            let inside =
+                trimmed.ends_with('{') && lines.get(i + 1).is_some_and(|l| l.contains(&safety.1));
+            if !inside && !justified(&lines, i, &safety.1) {
+                flag(Rule::Safety);
+            }
         }
     }
     violations
@@ -160,7 +242,7 @@ pub fn workspace_root() -> PathBuf {
 }
 
 /// Audits every `.rs` file under `<root>/crates/`, returning all
-/// unjustified `Relaxed`/`SeqCst` sites.
+/// unjustified `Relaxed`/`SeqCst` and `unsafe` sites.
 pub fn audit_crates(root: &Path) -> std::io::Result<Vec<Violation>> {
     let crates = root.join("crates");
     let mut files = Vec::new();
@@ -256,6 +338,64 @@ mod tests {
     fn acquire_release_are_not_audited() {
         let src = format!("a.store(1, Ordering::{});\n", "Release");
         assert!(audit_source(Path::new("t.rs"), &src).is_empty());
+    }
+
+    // `unsafe` spelled in pieces, like the needles, so this test module
+    // carries no sites of its own.
+    fn block() -> String {
+        format!("{} {{", "unsafe")
+    }
+
+    #[test]
+    fn flags_bare_unsafe_block_and_impl() {
+        let src = format!(
+            "let x = {} *p }};\n{} impl Send for P {{}}\n",
+            block(),
+            "unsafe"
+        );
+        let v = audit_source(Path::new("crates/a/src/lib.rs"), &src);
+        assert_eq!(v.len(), 2);
+        assert!(v.iter().all(|v| v.rule == Rule::Safety));
+    }
+
+    #[test]
+    fn safety_comment_above_or_first_inside_is_accepted() {
+        let above = format!("// {}: p is live\nlet x = {} *p }};\n", "SAFETY", block());
+        let inside = format!(
+            "{}\n    // {}: p is live\n    f(*p);\n}}\n",
+            block(),
+            "SAFETY"
+        );
+        for src in [above, inside] {
+            assert!(audit_source(Path::new("crates/a/src/lib.rs"), &src).is_empty());
+        }
+    }
+
+    #[test]
+    fn safety_comment_does_not_cross_statement_boundaries() {
+        let src = format!(
+            "// {}: for the first impl only\n{kw} impl Send for P {{}}\n{kw} impl Sync for P {{}}\n",
+            "SAFETY",
+            kw = "unsafe"
+        );
+        let v = audit_source(Path::new("crates/a/src/lib.rs"), &src);
+        assert_eq!(v.len(), 1);
+        assert_eq!(v[0].line, 3);
+    }
+
+    #[test]
+    fn test_code_is_exempt_from_the_safety_rule_only() {
+        let site = format!("let x = {} *p }};\n", block());
+        let src = format!("#[cfg(test)]\nmod tests {{\n    {site}}}\n{site}");
+        let v = audit_source(Path::new("crates/a/src/lib.rs"), &src);
+        assert_eq!(v.len(), 1, "the site after the test module is library code");
+        assert_eq!(v[0].line, 5);
+        assert!(audit_source(Path::new("crates/a/tests/t.rs"), &site).is_empty());
+        let ordering = format!("a.load(Ordering::{});\n", "Relaxed");
+        assert_eq!(
+            audit_source(Path::new("crates/a/tests/t.rs"), &ordering).len(),
+            1
+        );
     }
 
     #[test]

@@ -1,7 +1,8 @@
-//! CI entry point for the ordering-audit lint: scans every `.rs` file
-//! under `crates/` and exits nonzero if any `Ordering::Relaxed` /
-//! `Ordering::SeqCst` site lacks an adjacent `// ORDERING:`
-//! justification comment. See `lsgd_check::audit` for the rules.
+//! CI entry point for the source audit: scans every `.rs` file under
+//! `crates/` and exits nonzero if any `Ordering::Relaxed` /
+//! `Ordering::SeqCst` site lacks an adjacent `// ORDERING:` comment, or
+//! any `unsafe` block or `unsafe impl` outside test code an adjacent
+//! `// SAFETY:` one. See `lsgd_check::audit` for the rules.
 
 use lsgd_check::audit;
 
@@ -18,7 +19,7 @@ fn main() {
         }
     };
     if violations.is_empty() {
-        println!("ordering_audit: all Relaxed/SeqCst sites are justified");
+        println!("ordering_audit: all Relaxed/SeqCst and unsafe sites are justified");
         return;
     }
     for v in &violations {

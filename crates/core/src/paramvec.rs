@@ -253,6 +253,8 @@ pub struct LeashedShared {
 // described in the module docs; raw pointers are either owned exclusively
 // (pre-publication) or read under the counted-reader protocol.
 unsafe impl Send for LeashedShared {}
+// SAFETY: shared access is the case that protocol is written for: every
+// `&self` method reaches a vector only through it.
 unsafe impl Sync for LeashedShared {}
 
 impl LeashedShared {
@@ -439,6 +441,9 @@ impl LeashedShared {
             // ORDERING: SeqCst — see the store above.
             new_pv.t.fetch_add(1, Ordering::SeqCst);
             {
+                // SAFETY: new_pv is still private: the publishing CAS
+                // below has not run, and a failed CAS loops back to the
+                // copy above with it still private.
                 let dst = unsafe { new_pv.theta_mut() };
                 apply(dst);
             }

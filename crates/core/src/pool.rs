@@ -255,6 +255,8 @@ impl Drop for BufferPool {
 // SAFETY: the queues store plain addresses; buffer ownership transfer is
 // governed by the ParameterVector protocol (see paramvec.rs safety notes).
 unsafe impl Send for BufferPool {}
+// SAFETY: `&self` methods touch only the lock-free queues and atomic
+// counters; the addresses they hand out are owned per the same protocol.
 unsafe impl Sync for BufferPool {}
 
 #[cfg(test)]

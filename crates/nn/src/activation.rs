@@ -3,7 +3,8 @@
 //! The paper's architectures use ReLU after every layer except the output,
 //! where softmax is fused into the cross-entropy loss (see [`crate::loss`]).
 
-use crate::layer::{Layer, LayerCache, StepCtx};
+use crate::layer::{Layer, LayerCache};
+use lsgd_runtime::Runtime;
 use lsgd_tensor::Matrix;
 use rand::rngs::StdRng;
 
@@ -45,7 +46,7 @@ impl Layer for Relu {
         input: &Matrix,
         output: &mut Matrix,
         _cache: &mut LayerCache,
-        _ctx: &mut StepCtx,
+        _rt: &Runtime,
     ) {
         let (src, dst) = (input.as_slice(), output.as_mut_slice());
         for (d, &s) in dst.iter_mut().zip(src) {
@@ -60,7 +61,7 @@ impl Layer for Relu {
         _output: &Matrix,
         grad_out: &Matrix,
         _cache: &mut LayerCache,
-        _ctx: &mut StepCtx,
+        _rt: &Runtime,
         _grad_params: &mut [f32],
         grad_in: &mut Matrix,
     ) {
@@ -95,7 +96,7 @@ mod tests {
         let l = Relu::new(3);
         let x = Matrix::from_vec(1, 3, vec![-1.0, 0.0, 2.5]);
         let mut y = Matrix::zeros(1, 3);
-        l.forward(&[], &x, &mut y, &mut LayerCache::default(), &mut StepCtx::default());
+        l.forward(&[], &x, &mut y, &mut LayerCache::default(), lsgd_runtime::global());
         assert_eq!(y.as_slice(), &[0.0, 0.0, 2.5]);
     }
 
@@ -106,7 +107,7 @@ mod tests {
         let y = Matrix::from_vec(1, 4, vec![0.0, 1.0, 0.0, 3.0]);
         let dy = Matrix::from_vec(1, 4, vec![5.0, 5.0, 5.0, 5.0]);
         let mut dx = Matrix::zeros(1, 4);
-        l.backward(&[], &x, &y, &dy, &mut LayerCache::default(), &mut StepCtx::default(), &mut [], &mut dx);
+        l.backward(&[], &x, &y, &dy, &mut LayerCache::default(), lsgd_runtime::global(), &mut [], &mut dx);
         assert_eq!(dx.as_slice(), &[0.0, 5.0, 0.0, 5.0]);
     }
 

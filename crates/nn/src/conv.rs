@@ -23,11 +23,12 @@
 //!    skipping one full write+strided-read pass over the lowered data.
 //! 2. **Prepacked filters** — the filter matrix `W` participates in every
 //!    per-sample product of the minibatch, in two orientations (as `A` in
-//!    the forward product, as `B` in the backward `dcols` product). Both
-//!    packings are produced once per SGD step via the worker's
-//!    [`PackedPanelCache`](lsgd_tensor::PackedPanelCache) and reused across all samples.
+//!    the forward product, as `B` in the backward `dcols` product). Each
+//!    call packs its orientation once, into the layer's
+//!    `LayerCache::packed_a` (forward) or `LayerCache::packed_b`
+//!    (backward), and shares it across all samples of that call.
 //! 3. **Threaded sample loop** — per-sample work (lowering, GEMMs,
-//!    col2im) fans out over the [`StepCtx`] runtime in contiguous sample
+//!    col2im) fans out over the caller's runtime in contiguous sample
 //!    ranges when it has more than one thread and the pass is heavy
 //!    enough. Weight gradients are computed into per-sample slab
 //!    entries (`LayerCache::grad_slab`) and reduced in ascending sample
@@ -38,10 +39,10 @@
 //! convolution (`conv_ref`), the fused packer against materialised
 //! im2col + `pack_b` panels, finite-difference `gradcheck`, and
 //! runtime-width invariance (`Runtime::new(1)` vs `Runtime::new(4)` vs a
-//! warm second step) in `tests/fastpath_differential.rs`.
+//! warm second step at new parameters) in `tests/fastpath_differential.rs`.
 
-use crate::layer::{Layer, LayerCache, RowsPtr, StepCtx};
-use lsgd_runtime::split_ranges;
+use crate::layer::{Layer, LayerCache, RowsPtr};
+use lsgd_runtime::{split_ranges, Runtime};
 use lsgd_tensor::gemm::{gemm_flex, gemm_slices, ASource, BSource, Transpose};
 use lsgd_tensor::{Matrix, PackedA, PackedB};
 use std::cell::RefCell;
@@ -271,11 +272,7 @@ impl Conv2d {
     /// contiguous ranges — on the runtime when that is more than one
     /// range, inline otherwise. `work` must touch only sample-disjoint
     /// state.
-    fn for_sample_ranges(
-        rt: &lsgd_runtime::Runtime,
-        batch: usize,
-        work: &(dyn Fn(Range<usize>) + Sync),
-    ) {
+    fn for_sample_ranges(rt: &Runtime, batch: usize, work: &(dyn Fn(Range<usize>) + Sync)) {
         let ranges = split_ranges(batch, rt.threads());
         if ranges.len() <= 1 {
             work(0..batch);
@@ -404,18 +401,18 @@ impl Layer for Conv2d {
         params: &[f32],
         input: &Matrix,
         output: &mut Matrix,
-        _cache: &mut LayerCache,
-        ctx: &mut StepCtx,
+        cache: &mut LayerCache,
+        rt: &Runtime,
     ) {
         let batch = input.rows();
         let (w, b) = self.split(params);
         let patch = self.patch_len();
-        let (panels, pool) = (&mut ctx.panels, ctx.runtime.get());
-        let par = pool.threads().min(batch) > 1 && self.parallel_worthwhile(batch);
+        let par = rt.threads().min(batch) > 1 && self.parallel_worthwhile(batch);
 
-        // Filters prepacked once per step, fused lowering, and (when
-        // worthwhile) the sample loop split across the pool.
-        let pa = panels.get_a(w, (self.filters, patch), Transpose::No);
+        // Filters packed once per call, fused lowering, and (when
+        // worthwhile) the sample loop split across the runtime.
+        cache.packed_a.pack(w, (self.filters, patch), Transpose::No);
+        let pa = &cache.packed_a;
         let out = RowsPtr::of(output);
         let work = |range: Range<usize>| {
             for s in range {
@@ -426,7 +423,7 @@ impl Layer for Conv2d {
             }
         };
         if par {
-            Self::for_sample_ranges(pool, batch, &work);
+            Self::for_sample_ranges(rt, batch, &work);
         } else {
             work(0..batch);
         }
@@ -439,7 +436,7 @@ impl Layer for Conv2d {
         _output: &Matrix,
         grad_out: &Matrix,
         cache: &mut LayerCache,
-        ctx: &mut StepCtx,
+        rt: &Runtime,
         grad_params: &mut [f32],
         grad_in: &mut Matrix,
     ) {
@@ -449,8 +446,7 @@ impl Layer for Conv2d {
         let pl = self.param_len();
 
         grad_in.fill_zero();
-        let (panels, pool) = (&mut ctx.panels, ctx.runtime.get());
-        let par = pool.threads().min(batch) > 1 && self.parallel_worthwhile(batch);
+        let par = rt.threads().min(batch) > 1 && self.parallel_worthwhile(batch);
 
         // Per-sample gradients land in the slab (fully overwritten per
         // sample — no zero-fill) and are reduced in ascending sample
@@ -464,7 +460,10 @@ impl Layer for Conv2d {
             self.out_h() * self.out_w(),
             Transpose::No,
         );
-        let pb = use_pb.then(|| panels.get_b(w, (self.filters, patch), Transpose::No));
+        if use_pb {
+            cache.packed_b.pack(w, (self.filters, patch), Transpose::No);
+        }
+        let pb = use_pb.then_some(&cache.packed_b);
         let gi = RowsPtr::of(grad_in);
         let slab = RowsPtr::of_slab(&mut cache.grad_slab, pl);
         let work = |range: Range<usize>| {
@@ -489,7 +488,7 @@ impl Layer for Conv2d {
             });
         };
         if par {
-            Self::for_sample_ranges(pool, batch, &work);
+            Self::for_sample_ranges(rt, batch, &work);
         } else {
             work(0..batch);
         }
@@ -572,7 +571,7 @@ mod tests {
             &x,
             &mut y,
             &mut LayerCache::default(),
-            &mut StepCtx::default(),
+            lsgd_runtime::global(),
         );
         for s in 0..2 {
             let want = conv_ref(&l, &params, x.row(s));
@@ -609,45 +608,50 @@ mod tests {
         }
     }
 
-    /// Runtime-width invariance through the layer API: a fresh context on
-    /// `Runtime::new(1)` is the reference; a 4-thread runtime, and a warm
-    /// second step through the same context and cache, must match it bit
-    /// for bit. The batch is big enough that the 4-thread run really
-    /// splits the sample loop (`CONV_PAR_MIN_FLOPS`).
+    /// Runtime-width invariance and slot freshness through the layer API:
+    /// a cold cache on `Runtime::new(1)` is the reference at each
+    /// parameter version; a 1- and a 4-thread runtime each run two steps
+    /// through one cache, the second after writing θ₂ into the first
+    /// step's parameter buffer, and must match it bit for bit. The batch
+    /// is big enough that the 4-thread run really splits the sample loop
+    /// (`CONV_PAR_MIN_FLOPS`).
     #[test]
     fn runtime_widths_and_warm_steps_agree_bitwise() {
-        use lsgd_runtime::Runtime;
         let l = Conv2d::new(2, 14, 13, 4, 3);
         let batch = 60;
         assert!(l.parallel_worthwhile(batch));
         let mut rng = lsgd_tensor::SmallRng64::new(11);
-        let params: Vec<f32> = (0..l.param_len()).map(|_| rng.next_f32() - 0.5).collect();
+        let theta1: Vec<f32> = (0..l.param_len()).map(|_| rng.next_f32() - 0.5).collect();
+        let theta2: Vec<f32> = (0..l.param_len()).map(|_| rng.next_f32() - 0.5).collect();
         let x = Matrix::from_fn(batch, l.in_dim(), |_, _| rng.next_f32() - 0.5);
         let dy = Matrix::from_fn(batch, l.out_dim(), |_, _| rng.next_f32() - 0.5);
 
         let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        let step = |ctx: &mut StepCtx, cache: &mut LayerCache| {
-            ctx.panels.begin_step();
+        let step = |params: &[f32], cache: &mut LayerCache, rt: &Runtime| {
             let mut y = Matrix::zeros(batch, l.out_dim());
-            l.forward(&params, &x, &mut y, cache, ctx);
+            l.forward(params, &x, &mut y, cache, rt);
             let mut dp = vec![0.0f32; l.param_len()];
             let mut dx = Matrix::zeros(batch, l.in_dim());
-            l.backward(&params, &x, &y, &dy, cache, ctx, &mut dp, &mut dx);
+            l.backward(params, &x, &y, &dy, cache, rt, &mut dp, &mut dx);
             (bits(y.as_slice()), bits(&dp), bits(dx.as_slice()))
         };
-        let ctx_on = |threads: usize| StepCtx {
-            runtime: Runtime::new(threads).into(),
-            ..StepCtx::default()
-        };
-        let (mut serial, mut serial_cache) = (ctx_on(1), LayerCache::default());
-        let reference = step(&mut serial, &mut serial_cache);
-        assert!(
-            step(&mut serial, &mut serial_cache) == reference,
-            "warm second step, 1 thread"
-        );
-        let (mut wide, mut wide_cache) = (ctx_on(4), LayerCache::default());
-        assert!(step(&mut wide, &mut wide_cache) == reference, "cold step, 4 threads");
-        assert!(step(&mut wide, &mut wide_cache) == reference, "warm second step, 4 threads");
+        let serial = Runtime::new(1);
+        let cold1 = step(&theta1, &mut LayerCache::default(), &serial);
+        let cold2 = step(&theta2, &mut LayerCache::default(), &serial);
+        for threads in [1, 4] {
+            let rt = Runtime::new(threads);
+            let mut cache = LayerCache::default();
+            let mut params = theta1.clone();
+            assert!(
+                step(&params, &mut cache, &rt) == cold1,
+                "first step, {threads} threads"
+            );
+            params.copy_from_slice(&theta2);
+            assert!(
+                step(&params, &mut cache, &rt) == cold2,
+                "warm step at θ₂, {threads} threads"
+            );
+        }
     }
 
     #[test]
@@ -662,7 +666,7 @@ mod tests {
             &x,
             &mut y,
             &mut LayerCache::default(),
-            &mut StepCtx::default(),
+            lsgd_runtime::global(),
         );
         assert_eq!(x.as_slice(), y.as_slice());
     }
@@ -680,7 +684,7 @@ mod tests {
             &x,
             &mut y,
             &mut LayerCache::default(),
-            &mut StepCtx::default(),
+            lsgd_runtime::global(),
         );
         let ohw = 9;
         assert!(y.row(0)[..ohw].iter().all(|&v| v == 1.5));
@@ -702,7 +706,7 @@ mod tests {
             &y,
             &dy,
             &mut LayerCache::default(),
-            &mut StepCtx::default(),
+            lsgd_runtime::global(),
             &mut dp,
             &mut dx,
         );

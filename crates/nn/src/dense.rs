@@ -6,15 +6,17 @@
 //!
 //! The weight matrix participates in two of the three GEMMs a training
 //! step issues — forward `Y = X·Wᵀ` and backward `dX = dY·W` — in two
-//! different pack orientations. Both packings are served from the
-//! per-step [`PackedPanelCache`](lsgd_tensor::PackedPanelCache) (packed on first touch, reused by the
-//! other pass), and every product goes through the `_in` parallel kernels
-//! on the [`StepCtx`] runtime: they fan out when the runtime has more
-//! than one thread and the product is large enough, run the serial rect
-//! otherwise, and are bitwise identical either way. `dW = dYᵀ·X` involves
-//! only per-batch operands, so it packs fresh.
+//! different pack orientations. Each pass packs its orientation into the
+//! layer's one `LayerCache::packed_b` slot (the backward pass overwrites
+//! the forward's `Wᵀ` with `W`), and every product goes through the `_in`
+//! parallel kernels on the caller's runtime: they fan out when the
+//! runtime has more than one thread and the product is large enough, run
+//! the serial rect otherwise, and are bitwise identical either way.
+//! `dW = dYᵀ·X` involves only per-batch operands, so it packs inside the
+//! kernel.
 
-use crate::layer::{Layer, LayerCache, StepCtx};
+use crate::layer::{Layer, LayerCache};
+use lsgd_runtime::Runtime;
 use lsgd_tensor::gemm::{
     gemm_flex_parallel_in, gemm_slices_parallel_in, small_m_prefers_naive, ASource, BSource,
     Transpose,
@@ -70,26 +72,25 @@ impl Layer for Dense {
         params: &[f32],
         input: &Matrix,
         output: &mut Matrix,
-        _cache: &mut LayerCache,
-        ctx: &mut StepCtx,
+        cache: &mut LayerCache,
+        rt: &Runtime,
     ) {
         debug_assert_eq!(input.cols(), self.in_dim);
         let batch = input.rows();
         let (w, b) = self.split(params);
         let w_shape = (self.out_dim, self.in_dim);
-        let (panels, pool) = (&mut ctx.panels, ctx.runtime.get());
         // Y = X · Wᵀ   (batch,in) x (out,in)ᵀ -> (batch,out)
         // `tb = Yes` always takes the packed kernel, so the prepacked
         // orientation of W is usable at every batch size.
-        let pb = panels.get_b(w, w_shape, Transpose::Yes);
+        cache.packed_b.pack(w, w_shape, Transpose::Yes);
         let asrc = ASource::Slices {
             a: input.as_slice(),
             shape: (batch, self.in_dim),
             trans: Transpose::No,
         };
-        let bsrc = BSource::Prepacked(pb);
+        let bsrc = BSource::Prepacked(&cache.packed_b);
         let c_shape = (batch, self.out_dim);
-        gemm_flex_parallel_in(pool, 1.0, &asrc, &bsrc, 0.0, output.as_mut_slice(), c_shape);
+        gemm_flex_parallel_in(rt, 1.0, &asrc, &bsrc, 0.0, output.as_mut_slice(), c_shape);
         // += bias, broadcast over rows.
         for r in 0..batch {
             let row = output.row_mut(r);
@@ -105,8 +106,8 @@ impl Layer for Dense {
         input: &Matrix,
         _output: &Matrix,
         grad_out: &Matrix,
-        _cache: &mut LayerCache,
-        ctx: &mut StepCtx,
+        cache: &mut LayerCache,
+        rt: &Runtime,
         grad_params: &mut [f32],
         grad_in: &mut Matrix,
     ) {
@@ -114,7 +115,6 @@ impl Layer for Dense {
         let (w, _) = self.split(params);
         let w_shape = (self.out_dim, self.in_dim);
         let (dw, db) = self.split_mut(grad_params);
-        let (panels, pool) = (&mut ctx.panels, ctx.runtime.get());
 
         // dW = dYᵀ · X   (out,batch) x (batch,in) -> (out,in)
         // `tn` rides the packed kernel via A-panel packing — no
@@ -122,7 +122,7 @@ impl Layer for Dense {
         // runs (this product dominated Tc before the packed kernel).
         // Both operands are fresh per step, so nothing to prepack.
         gemm_slices_parallel_in(
-            pool,
+            rt,
             1.0,
             grad_out.as_slice(),
             (batch, self.out_dim),
@@ -147,18 +147,18 @@ impl Layer for Dense {
         // policy here (instead of forcing the prepacked packed kernel)
         // keeps results bitwise identical to the fresh-operand path.
         if !small_m_prefers_naive(batch, Transpose::No) {
-            let pb = panels.get_b(w, w_shape, Transpose::No);
+            cache.packed_b.pack(w, w_shape, Transpose::No);
             let asrc = ASource::Slices {
                 a: grad_out.as_slice(),
                 shape: (batch, self.out_dim),
                 trans: Transpose::No,
             };
-            let bsrc = BSource::Prepacked(pb);
+            let bsrc = BSource::Prepacked(&cache.packed_b);
             let c_shape = (batch, self.in_dim);
-            gemm_flex_parallel_in(pool, 1.0, &asrc, &bsrc, 0.0, grad_in.as_mut_slice(), c_shape);
+            gemm_flex_parallel_in(rt, 1.0, &asrc, &bsrc, 0.0, grad_in.as_mut_slice(), c_shape);
         } else {
             gemm_slices_parallel_in(
-                pool,
+                rt,
                 1.0,
                 grad_out.as_slice(),
                 (batch, self.out_dim),
@@ -193,7 +193,7 @@ mod tests {
         let x = Matrix::from_vec(2, 2, vec![1.0, 1.0, 0.5, -1.0]);
         let mut y = Matrix::zeros(2, 1);
         let mut cache = LayerCache::default();
-        l.forward(&params, &x, &mut y, &mut cache, &mut StepCtx::default());
+        l.forward(&params, &x, &mut y, &mut cache, lsgd_runtime::global());
         assert!((y.get(0, 0) - 6.0).abs() < 1e-6);
         assert!((y.get(1, 0) - (-1.0)).abs() < 1e-6);
     }
@@ -209,7 +209,7 @@ mod tests {
             &x,
             &mut y,
             &mut LayerCache::default(),
-            &mut StepCtx::default(),
+            lsgd_runtime::global(),
         );
         for r in 0..4 {
             assert_eq!(y.row(r), &[10.0, 20.0, 30.0]);
@@ -225,12 +225,12 @@ mod tests {
         let x = Matrix::from_vec(2, 3, vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
         let mut y = Matrix::zeros(2, 2);
         let mut cache = LayerCache::default();
-        let mut ctx = StepCtx::default();
-        l.forward(&params, &x, &mut y, &mut cache, &mut ctx);
+        let rt = lsgd_runtime::global();
+        l.forward(&params, &x, &mut y, &mut cache, rt);
         let dy = Matrix::from_vec(2, 2, vec![1.0, 0.0, 1.0, 0.0]);
         let mut dp = vec![0.0f32; l.param_len()];
         let mut dx = Matrix::zeros(2, 3);
-        l.backward(&params, &x, &y, &dy, &mut cache, &mut ctx, &mut dp, &mut dx);
+        l.backward(&params, &x, &y, &dy, &mut cache, rt, &mut dp, &mut dx);
         // bias gradient = column sums of dy = [2, 0]
         assert_eq!(&dp[6..], &[2.0, 0.0]);
         // dW row 0 = sum over batch of x rows = [5, 7, 9]; row 1 = zeros
@@ -238,42 +238,51 @@ mod tests {
         assert_eq!(&dp[3..6], &[0.0, 0.0, 0.0]);
     }
 
-    /// Runtime-width invariance through the layer API: a fresh context on
-    /// `Runtime::new(1)` is the reference; a 4-thread runtime, and a warm
-    /// second step through the same context (panels repacked in place),
-    /// must match it bit for bit. The shapes are big enough that the
-    /// 4-thread run really fans out (`2·m·n·k ≥ 2²¹`, `batch ≥ 2·MC`).
+    /// Runtime-width invariance and slot freshness through the layer API.
+    /// The reference at each parameter version is a cold cache on
+    /// `Runtime::new(1)`. Each runtime then runs two steps through one
+    /// cache, and the second writes θ₂ into the first step's parameter
+    /// buffer (the copy-on-read worker pattern: same pointer, new
+    /// contents), so a slot that skipped its repack would still hold θ₁'s
+    /// panels. The shapes are big enough that the 4-thread run really
+    /// fans out (`2·m·n·k ≥ 2²¹`, `batch ≥ 2·MC`).
     #[test]
-    fn panel_cache_and_parallel_paths_agree_bitwise() {
+    fn warm_slot_and_parallel_paths_agree_bitwise() {
         use lsgd_runtime::Runtime;
         let l = Dense::new(128, 64);
         let batch = 160;
         let mut rng = lsgd_tensor::SmallRng64::new(5);
-        let params: Vec<f32> = (0..l.param_len()).map(|_| rng.next_f32() - 0.5).collect();
+        let theta1: Vec<f32> = (0..l.param_len()).map(|_| rng.next_f32() - 0.5).collect();
+        let theta2: Vec<f32> = (0..l.param_len()).map(|_| rng.next_f32() - 0.5).collect();
         let x = Matrix::from_fn(batch, 128, |_, _| rng.next_f32() - 0.5);
         let dy = Matrix::from_fn(batch, 64, |_, _| rng.next_f32() - 0.5);
 
         let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        let step = |ctx: &mut StepCtx| {
-            ctx.panels.begin_step();
-            let mut cache = LayerCache::default();
+        let step = |params: &[f32], cache: &mut LayerCache, rt: &Runtime| {
             let mut y = Matrix::zeros(batch, 64);
-            l.forward(&params, &x, &mut y, &mut cache, ctx);
+            l.forward(params, &x, &mut y, cache, rt);
             let mut dp = vec![0.0f32; l.param_len()];
             let mut dx = Matrix::zeros(batch, 128);
-            l.backward(&params, &x, &y, &dy, &mut cache, ctx, &mut dp, &mut dx);
+            l.backward(params, &x, &y, &dy, cache, rt, &mut dp, &mut dx);
             (bits(y.as_slice()), bits(&dp), bits(dx.as_slice()))
         };
-        let ctx_on = |threads: usize| StepCtx {
-            runtime: Runtime::new(threads).into(),
-            ..StepCtx::default()
-        };
-        let mut serial = ctx_on(1);
-        let reference = step(&mut serial);
-        assert!(step(&mut serial) == reference, "warm second step, 1 thread");
-        let mut wide = ctx_on(4);
-        assert!(step(&mut wide) == reference, "cold step, 4 threads");
-        assert!(step(&mut wide) == reference, "warm second step, 4 threads");
+        let serial = Runtime::new(1);
+        let cold1 = step(&theta1, &mut LayerCache::default(), &serial);
+        let cold2 = step(&theta2, &mut LayerCache::default(), &serial);
+        for threads in [1, 4] {
+            let rt = Runtime::new(threads);
+            let mut cache = LayerCache::default();
+            let mut params = theta1.clone();
+            assert!(
+                step(&params, &mut cache, &rt) == cold1,
+                "first step, {threads} threads"
+            );
+            params.copy_from_slice(&theta2);
+            assert!(
+                step(&params, &mut cache, &rt) == cold2,
+                "warm step at θ₂, {threads} threads"
+            );
+        }
     }
 
     #[test]

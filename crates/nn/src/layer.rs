@@ -7,44 +7,22 @@
 //! introduces: it is what lets the parallel SGD algorithms treat the model
 //! as one shared object with bulk read/update operations.
 //!
-//! Every forward/backward call additionally receives a [`StepCtx`]: the
-//! per-worker, per-SGD-step compute context carrying the prepacked weight
-//! panel cache and the runtime intra-step splits run on. Layers are free to
-//! ignore it (activations, pooling); the GEMM-heavy layers use it to pack
-//! their weight operands once per step and to fan per-sample work out
-//! across the runtime's `parallel_for`.
+//! Every forward/backward call additionally receives the [`Runtime`] that
+//! intra-step splits run on. Layers are free to ignore it (activations,
+//! pooling); the GEMM-heavy layers use it to fan products and per-sample
+//! work out across the runtime's `parallel_for`.
 
-use lsgd_runtime::Handle;
-use lsgd_tensor::{Matrix, PackedPanelCache};
+use lsgd_runtime::Runtime;
+use lsgd_tensor::{Matrix, PackedA, PackedB};
 use rand::rngs::StdRng;
-
-/// Per-worker compute context for one SGD step.
-///
-/// Owned by the network [`crate::network::Workspace`] (one per worker
-/// thread) and handed mutably to every layer call. The network bumps the
-/// panel-cache epoch once per forward pass, so all prepacked weight
-/// panels are packed at most once per parameter version and shared by
-/// every GEMM of the step — each per-sample conv product in the
-/// minibatch, and both orientations of a dense layer's forward/backward.
-#[derive(Default)]
-pub struct StepCtx {
-    /// Prepacked weight panels, keyed per operand and invalidated per
-    /// step (see [`PackedPanelCache`]).
-    pub panels: PackedPanelCache,
-    /// Which runtime executes intra-step splits: the process-global one
-    /// by default; tests inject a fixed-size runtime here so the serial
-    /// (`Runtime::new(1)`) and parallel paths are exercised regardless of
-    /// the host's core count.
-    pub runtime: Handle,
-}
 
 /// Per-layer, per-thread scratch space reused across iterations.
 ///
 /// Layers that need to remember forward-pass state for their backward pass
 /// (max-pool argmax indices) or want allocation-free per-step scratch (the
-/// conv layer's per-sample weight-gradient slab) store it here instead of
-/// in the layer itself, keeping layers immutable and shareable across the
-/// `m` asynchronous workers.
+/// conv layer's per-sample weight-gradient slab, packed weight operands)
+/// store it here instead of in the layer itself, keeping layers immutable
+/// and shareable across the `m` asynchronous workers.
 #[derive(Default)]
 pub struct LayerCache {
     /// Flat argmax indices recorded by max-pool forward (one per output
@@ -56,6 +34,14 @@ pub struct LayerCache {
     /// ascending sample order, which keeps the summation association —
     /// and therefore every gradient bit — identical to a serial sweep.
     pub grad_slab: Vec<f32>,
+    /// The conv layer's filters packed as the `A` operand of its forward
+    /// product; repacked on every forward call.
+    pub packed_a: PackedA,
+    /// A weight operand packed as `B`: a dense layer's `Wᵀ` (forward) and
+    /// then `W` (backward `dX`), the conv layer's filters (backward
+    /// `dcols`). Every use repacks it first, so it never holds panels of
+    /// an earlier parameter version.
+    pub packed_b: PackedB,
 }
 
 /// A neural-network layer operating on minibatches.
@@ -91,7 +77,7 @@ pub trait Layer: Send + Sync {
         input: &Matrix,
         output: &mut Matrix,
         cache: &mut LayerCache,
-        ctx: &mut StepCtx,
+        rt: &Runtime,
     );
 
     /// Backward pass.
@@ -110,7 +96,7 @@ pub trait Layer: Send + Sync {
         output: &Matrix,
         grad_out: &Matrix,
         cache: &mut LayerCache,
-        ctx: &mut StepCtx,
+        rt: &Runtime,
         grad_params: &mut [f32],
         grad_in: &mut Matrix,
     );
@@ -133,7 +119,11 @@ pub(crate) struct RowsPtr {
     stride: usize,
 }
 
+// SAFETY: the pointer is only dereferenced through `RowsPtr::row`, whose
+// contract gives every task a disjoint row range of a buffer that
+// outlives the joined tasks.
 unsafe impl Send for RowsPtr {}
+// SAFETY: as for `Send`: tasks sharing one `RowsPtr` write disjoint rows.
 unsafe impl Sync for RowsPtr {}
 
 impl RowsPtr {

@@ -35,5 +35,5 @@ pub mod network;
 pub mod pool;
 
 pub use architectures::{cnn_mnist, mlp_mnist, tiny_mlp};
-pub use layer::{Layer, LayerCache, StepCtx};
+pub use layer::{Layer, LayerCache};
 pub use network::{Network, Workspace};

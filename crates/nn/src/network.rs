@@ -11,7 +11,7 @@
 //! ping-pong buffers, layer caches) so `m` concurrent workers share the
 //! immutable `Network` and nothing else.
 
-use crate::layer::{Layer, LayerCache, StepCtx};
+use crate::layer::{Layer, LayerCache};
 use crate::loss;
 use lsgd_runtime::Handle;
 use lsgd_tensor::Matrix;
@@ -121,7 +121,7 @@ impl Network {
             grad_a: Matrix::zeros(max_batch, widest),
             grad_b: Matrix::zeros(max_batch, widest),
             caches: self.layers.iter().map(|_| LayerCache::default()).collect(),
-            ctx: StepCtx::default(),
+            runtime: Handle::default(),
             max_batch,
         }
     }
@@ -138,11 +138,9 @@ impl Network {
     }
 
     /// Forward pass that only populates the workspace (no borrow of the
-    /// result), letting callers split field borrows afterwards.
-    ///
-    /// Starts a new panel-cache step: `theta` is treated as one parameter
-    /// version for this forward pass and any backward pass that follows
-    /// before the next `forward_fill`.
+    /// result), letting callers split field borrows afterwards. Each layer
+    /// packs its weights from `theta` afresh, so `theta` may be a buffer
+    /// whose contents changed since the last pass.
     fn forward_fill(&self, theta: &[f32], x: &Matrix, ws: &mut Workspace) {
         assert_eq!(theta.len(), self.d, "parameter vector length");
         assert!(x.rows() <= ws.max_batch, "batch exceeds workspace");
@@ -151,10 +149,10 @@ impl Network {
         let Workspace {
             activations,
             caches,
-            ctx,
+            runtime,
             ..
         } = ws;
-        ctx.panels.begin_step();
+        let rt = runtime.get();
         // Every buffer below is fully overwritten by its producer (the
         // Layer::forward contract), so plain reshapes suffice — no
         // per-step zero-fill.
@@ -165,7 +163,7 @@ impl Network {
             let input = &before[i];
             let output = &mut after[0];
             output.resize_for_overwrite(batch, l.out_dim());
-            l.forward(self.layer_params(i, theta), input, output, &mut caches[i], ctx);
+            l.forward(self.layer_params(i, theta), input, output, &mut caches[i], rt);
         }
     }
 
@@ -202,9 +200,10 @@ impl Network {
             grad_a,
             grad_b,
             caches,
-            ctx,
+            runtime,
             ..
         } = ws;
+        let rt = runtime.get();
         // Disjoint field borrows: logits live in `activations`, the logit
         // gradient goes into `grad_a`. The loss gradient (like every
         // layer's backward) writes all of its output, so the gradient
@@ -224,7 +223,7 @@ impl Network {
                 output,
                 grad_a,
                 &mut caches[i],
-                ctx,
+                rt,
                 &mut grad[self.offsets[i]..self.offsets[i + 1]],
                 grad_b,
             );
@@ -250,15 +249,15 @@ impl Network {
 }
 
 /// Per-thread scratch: activation stack, gradient ping-pong buffers,
-/// layer caches, and the per-step compute context (prepacked panel
-/// cache plus the runtime handle). Create one per worker
-/// via [`Network::workspace`].
+/// layer caches (including each layer's packed weights), and the handle
+/// of the runtime intra-step splits run on. Create one per worker via
+/// [`Network::workspace`].
 pub struct Workspace {
     activations: Vec<Matrix>,
     grad_a: Matrix,
     grad_b: Matrix,
     caches: Vec<LayerCache>,
-    ctx: StepCtx,
+    runtime: Handle,
     max_batch: usize,
 }
 
@@ -273,12 +272,7 @@ impl Workspace {
     /// instead of the process-global one (gradients are bitwise identical
     /// at every runtime width).
     pub fn set_runtime(&mut self, runtime: Handle) {
-        self.ctx.runtime = runtime;
-    }
-
-    /// The step context (tests/diagnostics — e.g. panel-cache hit rates).
-    pub fn step_ctx(&self) -> &StepCtx {
-        &self.ctx
+        self.runtime = runtime;
     }
 }
 

@@ -5,7 +5,8 @@
 //! floor semantics for odd inputs — with 28×28 MNIST inputs this yields the
 //! 26→13 and 11→5 reductions that reproduce the published `d = 27,354`.
 
-use crate::layer::{Layer, LayerCache, StepCtx};
+use crate::layer::{Layer, LayerCache};
+use lsgd_runtime::Runtime;
 use lsgd_tensor::Matrix;
 use rand::rngs::StdRng;
 
@@ -73,7 +74,7 @@ impl Layer for MaxPool2d {
         input: &Matrix,
         output: &mut Matrix,
         cache: &mut LayerCache,
-        _ctx: &mut StepCtx,
+        _rt: &Runtime,
     ) {
         let batch = input.rows();
         let (oh, ow, win) = (self.out_h(), self.out_w(), self.win);
@@ -115,7 +116,7 @@ impl Layer for MaxPool2d {
         _output: &Matrix,
         grad_out: &Matrix,
         cache: &mut LayerCache,
-        _ctx: &mut StepCtx,
+        _rt: &Runtime,
         _grad_params: &mut [f32],
         grad_in: &mut Matrix,
     ) {
@@ -177,7 +178,7 @@ mod tests {
         ]);
         let mut y = Matrix::zeros(1, 4);
         let mut cache = LayerCache::default();
-        l.forward(&[], &x, &mut y, &mut cache, &mut StepCtx::default());
+        l.forward(&[], &x, &mut y, &mut cache, lsgd_runtime::global());
         assert_eq!(y.as_slice(), &[6.0, 8.0, 9.0, 2.0]);
     }
 
@@ -187,11 +188,11 @@ mod tests {
         let x = Matrix::from_vec(1, 4, vec![1.0, 9.0, 3.0, 2.0]);
         let mut y = Matrix::zeros(1, 1);
         let mut cache = LayerCache::default();
-        l.forward(&[], &x, &mut y, &mut cache, &mut StepCtx::default());
+        l.forward(&[], &x, &mut y, &mut cache, lsgd_runtime::global());
         assert_eq!(y.as_slice(), &[9.0]);
         let dy = Matrix::from_vec(1, 1, vec![7.0]);
         let mut dx = Matrix::zeros(1, 4);
-        l.backward(&[], &x, &y, &dy, &mut cache, &mut StepCtx::default(), &mut [], &mut dx);
+        l.backward(&[], &x, &y, &dy, &mut cache, lsgd_runtime::global(), &mut [], &mut dx);
         assert_eq!(dx.as_slice(), &[0.0, 7.0, 0.0, 0.0]);
     }
 
@@ -202,7 +203,7 @@ mod tests {
         // Max must come from the top-left 2x2 window only.
         let x = Matrix::from_vec(1, 9, vec![1.0, 2.0, 99.0, 3.0, 4.0, 99.0, 99.0, 99.0, 99.0]);
         let mut y = Matrix::zeros(1, 1);
-        l.forward(&[], &x, &mut y, &mut LayerCache::default(), &mut StepCtx::default());
+        l.forward(&[], &x, &mut y, &mut LayerCache::default(), lsgd_runtime::global());
         assert_eq!(y.as_slice(), &[4.0]);
     }
 
@@ -211,7 +212,7 @@ mod tests {
         let l = MaxPool2d::new(2, 2, 2, 2);
         let x = Matrix::from_vec(1, 8, vec![1.0, 2.0, 3.0, 4.0, -1.0, -2.0, -3.0, -4.0]);
         let mut y = Matrix::zeros(1, 2);
-        l.forward(&[], &x, &mut y, &mut LayerCache::default(), &mut StepCtx::default());
+        l.forward(&[], &x, &mut y, &mut LayerCache::default(), lsgd_runtime::global());
         assert_eq!(y.as_slice(), &[4.0, -1.0]);
     }
 
@@ -221,7 +222,7 @@ mod tests {
         let x = Matrix::from_vec(1, 4, vec![5.0, 5.0, 5.0, 5.0]);
         let mut y = Matrix::zeros(1, 1);
         let mut cache = LayerCache::default();
-        l.forward(&[], &x, &mut y, &mut cache, &mut StepCtx::default());
+        l.forward(&[], &x, &mut y, &mut cache, lsgd_runtime::global());
         assert_eq!(cache.argmax[0], 0);
     }
 }

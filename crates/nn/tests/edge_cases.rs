@@ -61,7 +61,7 @@ fn pool_window_three() {
     let x = Matrix::from_fn(1, 81, |_, c| (c % 81) as f32);
     let mut y = Matrix::zeros(1, 9);
     let mut cache = lsgd_nn::LayerCache::default();
-    p.forward(&[], &x, &mut y, &mut cache, &mut lsgd_nn::StepCtx::default());
+    p.forward(&[], &x, &mut y, &mut cache, lsgd_runtime::global());
     // Window max of row-major ramp = bottom-right corner of each window.
     assert_eq!(y.get(0, 0), (2 * 9 + 2) as f32);
     assert_eq!(y.get(0, 8), (8 * 9 + 8) as f32);
@@ -133,7 +133,7 @@ fn relu_layer_between_pools_is_idempotent_on_nonnegatives() {
     let relu = Relu::new(4);
     let x = Matrix::from_vec(1, 4, vec![0.0, 1.0, 2.0, 3.0]);
     let mut y = Matrix::zeros(1, 4);
-    relu.forward(&[], &x, &mut y, &mut lsgd_nn::LayerCache::default(), &mut lsgd_nn::StepCtx::default());
+    relu.forward(&[], &x, &mut y, &mut lsgd_nn::LayerCache::default(), lsgd_runtime::global());
     assert_eq!(x.as_slice(), y.as_slice());
 }
 

@@ -207,6 +207,8 @@ pub struct SegQueue<T> {
 // internal state is atomics plus slots governed by the claim protocol
 // (each slot has one writer then one reader, ordered by WRITTEN).
 unsafe impl<T: Send> Send for SegQueue<T> {}
+// SAFETY: `&self` push/pop move each `T` between threads through that
+// claim protocol and never hand out a shared `&T`, so `T: Send` suffices.
 unsafe impl<T: Send> Sync for SegQueue<T> {}
 
 impl<T> SegQueue<T> {
@@ -288,9 +290,13 @@ impl<T> SegQueue<T> {
                 Ordering::Acquire,
             ) {
                 Ok(_) => unsafe {
-                    // Claimed slot `offset` in `seg`. If it is the last
-                    // one, install the successor before writing so other
-                    // pushers stop spinning as soon as possible.
+                    // SAFETY: the won CAS claims slot `offset` in `seg`
+                    // for this pusher alone, and `seg` cannot be freed
+                    // before the slot's popper sets CONSUMED, which waits
+                    // for our WRITTEN (reclamation argument in the module
+                    // docs). If it is the last slot, install the
+                    // successor before writing so other pushers stop
+                    // spinning as soon as possible.
                     if offset + 1 == SEG_CAP {
                         let next = Box::into_raw(next_seg.take().unwrap());
                         annotate::fresh(next as usize, std::mem::size_of::<Segment<T>>());
@@ -406,10 +412,11 @@ impl<T> SegQueue<T> {
                 Ordering::Acquire,
             ) {
                 Ok(_) => unsafe {
-                    // Claimed slot `offset` in `seg`. `seg` cannot be
-                    // freed before this popper sets CONSUMED (reclamation
-                    // argument in the module docs), so dereferencing it
-                    // is safe from here to that store.
+                    // SAFETY: the won CAS claims slot `offset` in `seg`
+                    // for this popper alone. `seg` cannot be freed before
+                    // this popper sets CONSUMED (reclamation argument in
+                    // the module docs), so dereferencing it is safe from
+                    // here to that store.
                     if offset + 1 == SEG_CAP {
                         // Last slot of the segment: hop the head cursor,
                         // then (below) initiate teardown.
@@ -517,6 +524,9 @@ impl<T> Drop for SegQueue<T> {
         let mut head = *self.head.0.index.get_mut() & !HAS_NEXT;
         let tail = *self.tail.0.index.get_mut() & !HAS_NEXT;
         let mut seg = *self.head.0.segment.get_mut();
+        // SAFETY: `&mut self` excludes every pusher and popper, so this
+        // walk owns each segment from head to tail, and every slot it
+        // passes before `tail` holds a written, unconsumed value.
         unsafe {
             while head != tail {
                 let offset = (head >> SHIFT) % LAP;

@@ -307,8 +307,9 @@ pub enum ASource<'a> {
         /// Orientation.
         trans: Transpose,
     },
-    /// Panels prepacked once (e.g. a weight matrix reused across every
-    /// GEMM of an SGD step — see [`crate::panels`]). Skips `pack_a`.
+    /// Panels prepacked ahead of the call (e.g. conv filters shared by
+    /// every per-sample GEMM of one pass — see [`crate::panels`]). Skips
+    /// `pack_a`.
     Prepacked(&'a PackedA),
 }
 
@@ -345,7 +346,7 @@ pub enum BSource<'a> {
         /// Orientation.
         trans: Transpose,
     },
-    /// Panels prepacked once per SGD step (see [`crate::panels`]).
+    /// Panels prepacked ahead of the call (see [`crate::panels`]).
     Prepacked(&'a PackedB),
     /// A custom block packer, for operands that are cheaper to *generate*
     /// in panel layout than to materialise and re-pack — the conv layer's
@@ -525,7 +526,11 @@ fn scale_c(beta: f32, c: &mut [f32]) {
 /// its documented disjointness contract.
 #[derive(Clone, Copy)]
 struct CPtr(*mut f32);
+// SAFETY: the pointer is only dereferenced in `packed_rect`, whose
+// contract gives every task a disjoint rectangle of a `C` that outlives
+// the joined tasks.
 unsafe impl Send for CPtr {}
+// SAFETY: as for `Send`: tasks sharing one `CPtr` write disjoint rectangles.
 unsafe impl Sync for CPtr {}
 
 thread_local! {

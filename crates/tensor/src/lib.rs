@@ -16,6 +16,9 @@
 //!   lowering. [`pack`] holds the panel-packing routines;
 //!   `gemm::gemm_slices_parallel_in` / `gemm::gemm_flex_parallel_in` split
 //!   across an `lsgd_runtime::Runtime`'s helper threads and the caller.
+//! * [`panels`] — [`PackedA`] / [`PackedB`], a weight operand packed in
+//!   full ahead of the products that read it; each layer keeps one of
+//!   each and repacks it in place whenever it packs.
 //! * [`ops`] — BLAS-1 style vector kernels (`axpy`, `dot`, `scale`, …) used
 //!   by the SGD update rule itself.
 //! * [`rng`] — seeded random sources, including the Box–Muller normal
@@ -35,5 +38,5 @@ pub mod rng;
 
 pub use gemm::{gemm, gemm_naive, Transpose};
 pub use matrix::Matrix;
-pub use panels::{PackedA, PackedB, PackedPanelCache};
+pub use panels::{PackedA, PackedB};
 pub use rng::SmallRng64;

@@ -1,30 +1,29 @@
 //! Differential property suite for the prepacked-panel GEMM paths.
 //!
 //! The zero-realloc gradient hot path rests on one claim: serving a GEMM
-//! from panels packed *earlier* (a [`PackedPanelCache`] entry packed once
-//! per SGD step, or a custom fused packer generating panels on the fly)
+//! from panels packed *earlier* (a layer's [`PackedB`] slot packed once
+//! per call, or a custom fused packer generating panels on the fly)
 //! changes **nothing** about the computation — the macro/micro-kernels
 //! consume the same bytes in the same order, so results are bitwise
 //! identical to a fresh-pack [`gemm_slices`] call. This suite pits every
 //! flexible source combination against the fresh-pack kernel across the
 //! same adversarial shape pool as `gemm_differential.rs`, including:
 //!
-//! * prepacked `B` (the dense layers' cached `W` orientations), serial
-//!   and pool-parallel;
-//! * prepacked `A` (the conv layer's cached filter matrix);
+//! * prepacked `B` (the dense layers' `W` orientations), serial and
+//!   pool-parallel, served from a used slot: packed first in the other
+//!   orientation, then repacked after the backing buffer was mutated
+//!   **in place** (the copy-on-read worker pattern: same pointer, new
+//!   contents), and compared against a fresh pack;
+//! * prepacked `A` (the conv layer's filter matrix);
 //! * a custom `B` packer that mimics the conv layer's fused im2col by
-//!   delegating to `pack_b` over a materialised operand;
-//! * forced stale-key invalidation: panels packed for one parameter
-//!   version, the backing buffer mutated **in place** (the stable
-//!   local-copy worker pattern where the pointer key alone cannot see the
-//!   change), `begin_step`, and the repacked result compared fresh.
+//!   delegating to `pack_b` over a materialised operand.
 
 use lsgd_tensor::gemm::{
     gemm_slices, gemm_slices_parallel_in, ASource, BSource, Transpose, KC, MC, MR, NC, NR,
 };
 use lsgd_tensor::gemm::{gemm_flex, gemm_flex_parallel_in};
 use lsgd_tensor::pack::pack_b;
-use lsgd_tensor::panels::{PackedA, PackedPanelCache};
+use lsgd_tensor::panels::{PackedA, PackedB};
 
 use lsgd_tensor::SmallRng64;
 use proptest::prelude::*;
@@ -57,9 +56,9 @@ fn bits_eq(x: &[f32], y: &[f32]) -> bool {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Prepacked-B GEMM (serial and parallel, via the panel cache with a
-    /// forced stale-key repack) is bitwise identical to fresh-pack
-    /// `gemm_slices` for both B orientations.
+    /// Prepacked-B GEMM (serial and parallel, from a used slot repacked
+    /// with new contents) is bitwise identical to fresh-pack `gemm_slices`
+    /// for both B orientations.
     #[test]
     fn prepacked_b_matches_fresh_pack_bitwise(
         m in dim(M_POOL),
@@ -80,15 +79,17 @@ proptest! {
         let mut b = fill(&mut rng, b_shape.0 * b_shape.1);
         let c0 = fill(&mut rng, m * n);
 
-        let mut cache = PackedPanelCache::new();
-        // Pack for a *previous* parameter version, then mutate the buffer
-        // in place and begin a new step: the cache must repack.
-        cache.begin_step();
-        cache.get_b(&b, b_shape, tb);
+        // Use the slot first for the *other* orientation of a previous
+        // parameter version, then mutate the buffer in place and repack:
+        // the slot must hold exactly the new operand.
+        let other = [Transpose::Yes, Transpose::No][tbi];
+        let mut pb = PackedB::default();
+        pb.pack(&b, b_shape, other);
         for v in &mut b {
             *v = -*v + 0.125;
         }
-        cache.begin_step();
+        pb.pack(&b, b_shape, tb);
+        prop_assert_eq!(pb.dims(), (k, n));
 
         let mut c_fresh = c0.clone();
         gemm_slices(
@@ -96,19 +97,18 @@ proptest! {
         );
 
         let asrc = ASource::Slices { a: &a, shape: (m, k), trans: Transpose::No };
-        let pb = cache.get_b(&b, b_shape, tb);
         let mut c_pre = c0.clone();
-        gemm_flex(1.0, &asrc, &BSource::Prepacked(pb), 0.5, &mut c_pre, (m, n));
+        gemm_flex(1.0, &asrc, &BSource::Prepacked(&pb), 0.5, &mut c_pre, (m, n));
         prop_assert!(bits_eq(&c_pre, &c_fresh), "serial prepacked-B diverged (m={m} n={n} k={k} tb={tb:?})");
 
         let mut c_par = c0.clone();
         gemm_flex_parallel_in(
-            pool(), 1.0, &asrc, &BSource::Prepacked(pb), 0.5, &mut c_par, (m, n),
+            pool(), 1.0, &asrc, &BSource::Prepacked(&pb), 0.5, &mut c_par, (m, n),
         );
         prop_assert!(bits_eq(&c_par, &c_fresh), "parallel prepacked-B diverged (m={m} n={n} k={k} tb={tb:?})");
     }
 
-    /// Prepacked-A GEMM (the conv forward's cached filter matrix, both
+    /// Prepacked-A GEMM (the conv forward's packed filter matrix, both
     /// orientations) is bitwise identical to fresh-pack `gemm_slices`,
     /// serial and row-parallel.
     #[test]
@@ -211,21 +211,4 @@ proptest! {
         prop_assert!(bits_eq(&c_classic, &c_serial), "classic parallel diverged");
         prop_assert!(bits_eq(&c_flex, &c_serial), "flex parallel diverged");
     }
-}
-
-/// Within one epoch the cache must *hit* (no repacking work) for repeated
-/// weight lookups — the property that makes per-sample conv GEMMs cheap.
-#[test]
-fn cache_hits_across_repeated_lookups_within_a_step() {
-    let mut rng = SmallRng64::new(7);
-    let w = fill(&mut rng, 64 * 48);
-    let mut cache = PackedPanelCache::new();
-    cache.begin_step();
-    for _ in 0..10 {
-        cache.get_b(&w, (64, 48), Transpose::Yes);
-        cache.get_a(&w, (64, 48), Transpose::No);
-    }
-    let (hits, misses) = cache.stats();
-    assert_eq!(misses, 2, "one pack per operand per step");
-    assert_eq!(hits, 18);
 }

@@ -58,6 +58,8 @@ pub struct EventRing {
 // (proven published by its Acquire load of `head`). The model suite
 // checks exactly this claim, including at wraparound.
 unsafe impl Send for EventRing {}
+// SAFETY: the one producer and one consumer share the ring through `&self`;
+// the same head/tail protocol keeps their slot accesses disjoint.
 unsafe impl Sync for EventRing {}
 
 impl EventRing {

@@ -24,6 +24,10 @@
 //! Defaults are scaled down so every figure regenerates in minutes on a
 //! small machine; `--full` restores the paper's parameters (expect hours,
 //! and a ≥36-core box for the high-parallelism points to be meaningful).
+//!
+//! This crate times nothing below a whole training run: step, phase and
+//! kernel timings are the repo benchmark's (`BENCHMARK.json`, package
+//! `benchmark/`).
 
 pub mod cli;
 pub mod expect;

@@ -84,7 +84,7 @@ pub fn positive_usize(name: &str) -> Option<usize> {
 }
 
 /// Boolean gate: `true` iff `name` is set, nonempty, and not `"0"`
-/// (the `LSGD_TRACE` / `LSGD_BENCH_SMOKE` convention).
+/// (the `LSGD_TRACE` convention).
 pub fn flag(name: &str) -> bool {
     var(name).map(|v| v != "0").unwrap_or(false)
 }

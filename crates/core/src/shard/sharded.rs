@@ -117,7 +117,7 @@ impl ShardedShared {
         idx / self.width
     }
 
-    /// Direct access to one shard domain (benches, tests).
+    /// Direct access to one shard domain (tests).
     pub fn shard(&self, s: usize) -> &LeashedShared {
         &self.shards[s]
     }

@@ -98,11 +98,6 @@ pub struct TrainConfig {
     /// SGD (the paper lists momentum among the hyper-parameters that
     /// "play a significant role", §I).
     pub momentum: f32,
-    /// Soft cap on live parameter-buffer bytes (`None` = uncapped, the
-    /// paper's setting). Under the cap, pressured pool allocations
-    /// briefly wait for a recyclable buffer before being forced through
-    /// — see [`MemoryGauge::set_cap`] and `BufferPool::acquire`.
-    pub mem_cap_bytes: Option<usize>,
 }
 
 impl Default for TrainConfig {
@@ -121,7 +116,6 @@ impl Default for TrainConfig {
             eta_policy: EtaPolicy::Constant,
             pool_recycling: true,
             momentum: 0.0,
-            mem_cap_bytes: None,
         }
     }
 }
@@ -274,10 +268,6 @@ fn run_on<P: Problem, S: ParamStore>(
     let mut snapshot = vec![0.0f32; problem.dim()];
     store.snapshot_into(&mut snapshot);
     let initial_loss = problem.eval_loss(&snapshot, &mut monitor_scratch);
-
-    // Advisory memory cap: the pool's pressure path reads it through
-    // the shared gauge.
-    gauge.set_cap(cfg.mem_cap_bytes);
 
     let control = Control {
         stop: AtomicBool::new(false),

@@ -2,7 +2,7 @@
 //!
 //! HOGWILD! was originally analysed for *sparse* convex problems, where
 //! uncoordinated component-wise updates rarely collide (paper §I/§VI).
-//! These generators let the examples and benches reproduce that regime —
+//! These generators let the examples and tests reproduce that regime —
 //! and contrast it with the dense non-convex DL regime the paper targets.
 
 use lsgd_tensor::{Matrix, SmallRng64};

@@ -93,10 +93,8 @@ impl SparseLogReg {
 }
 
 /// Cumulative (unnormalised) Zipf weights over `dim` ranks:
-/// `cdf[k] = Σ_{j=0..=k} 1/(j+1)^exponent`. Shared by the generator and
-/// the publication benches so "power-law indices" always means the same
-/// distribution.
-pub fn zipf_cdf(dim: usize, exponent: f64) -> Vec<f64> {
+/// `cdf[k] = Σ_{j=0..=k} 1/(j+1)^exponent`.
+fn zipf_cdf(dim: usize, exponent: f64) -> Vec<f64> {
     let mut cdf = Vec::with_capacity(dim);
     let mut acc = 0.0f64;
     for k in 0..dim {
@@ -108,14 +106,14 @@ pub fn zipf_cdf(dim: usize, exponent: f64) -> Vec<f64> {
 
 /// Draws one rank from the distribution described by a [`zipf_cdf`]
 /// (inverse-CDF via binary search).
-pub fn zipf_draw(cdf: &[f64], rng: &mut SmallRng64) -> usize {
+fn zipf_draw(cdf: &[f64], rng: &mut SmallRng64) -> usize {
     let total = *cdf.last().expect("non-empty cdf");
     let u = rng.next_f64() * total;
     cdf.partition_point(|&c| c < u).min(cdf.len() - 1)
 }
 
 /// The Zipf exponent used by [`sparse_logreg`] (classic text-like decay).
-pub const ZIPF_EXPONENT: f64 = 1.1;
+const ZIPF_EXPONENT: f64 = 1.1;
 
 /// Generates `n` samples over a `dim`-token vocabulary with roughly
 /// `avg_nnz` tokens per document, deterministically under `seed`.

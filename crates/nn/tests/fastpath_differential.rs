@@ -10,7 +10,7 @@
 //! (every split runs inline on the caller); an injected 4-thread runtime
 //! exercises the parallel code paths regardless of the host's core count.
 //! What the kernels compute is pinned elsewhere (`conv_ref`, `gradcheck`,
-//! the tensor crate's differential suites against `gemm_naive`).
+//! the tensor crate's differential suites against `gemm_naive_slices`).
 
 use lsgd_nn::Network;
 use lsgd_runtime::Runtime;

@@ -10,10 +10,10 @@
 //!   per-segment atomic indices and CAS-only push/pop. Its reclamation
 //!   scheme (safe under concurrent poppers) is documented in
 //!   [`queue`]'s module docs.
-//! * [`MutexSegQueue`] — the mutex-backed `VecDeque` implementation that
-//!   previously stood in for the queue, kept as the comparison baseline
-//!   for the contended-queue benchmark and as a semantics oracle in
-//!   differential tests.
+//!
+//! Its contended push/pop cost is the repo benchmark's
+//! `queue.push_pop_ns.t1` / `queue.push_pop_ns.t2`; its semantics are
+//! checked against a `VecDeque` model in `tests/proptest_queue.rs`.
 //!
 //! This crate depends on nothing but `std` so every other workspace
 //! member can build on it.
@@ -21,8 +21,6 @@
 #![warn(missing_docs)]
 
 pub mod backoff;
-pub mod mutex_queue;
 pub mod queue;
 
-pub use mutex_queue::MutexSegQueue;
 pub use queue::SegQueue;

@@ -19,9 +19,8 @@
 //!   tiny CNN im2col GEMMs never pay dispatch overhead;
 //! * [`gemm_flex`] / [`gemm_flex_parallel_in`] — either operand may be
 //!   prepacked panels, or (for `B`) a custom block packer;
-//! * [`gemm_naive`] / [`gemm_naive_slices`] — the previous blocked-loop
-//!   kernel, retained as the differential-testing oracle and the
-//!   benchmark baseline.
+//! * [`gemm_naive_slices`] — the previous blocked-loop kernel, retained
+//!   as the differential-testing oracle.
 //!
 //! # Kernel design (BLIS-style packed panels)
 //!
@@ -760,14 +759,13 @@ fn microkernel_portable(kc: usize, pa: &[f32], pb: &[f32], acc: &mut [[f32; NR];
 }
 
 // ---------------------------------------------------------------------------
-// Retained baseline kernel (differential oracle + bench baseline)
+// Retained baseline kernel (differential oracle)
 // ---------------------------------------------------------------------------
 
 /// The pre-packing blocked kernel over raw slices: cache-blocked `ikj`
 /// loops for the `No/No` orientation, dot/axpy loops for the transposed
 /// ones (scalar for `tt`). Kept verbatim as the differential-testing
-/// oracle and the `gemm` bench baseline; new code should call
-/// [`gemm_slices`].
+/// oracle; new code should call [`gemm_slices`].
 #[allow(clippy::too_many_arguments)]
 pub fn gemm_naive_slices(
     alpha: f32,
@@ -787,33 +785,6 @@ pub fn gemm_naive_slices(
         return;
     }
     naive_dispatch(alpha, a, b, c, ta, tb, m, n, k);
-}
-
-/// [`gemm_naive_slices`] over [`Matrix`] operands.
-pub fn gemm_naive(
-    alpha: f32,
-    a: &Matrix,
-    ta: Transpose,
-    b: &Matrix,
-    tb: Transpose,
-    beta: f32,
-    c: &mut Matrix,
-) {
-    let a_shape = (a.rows(), a.cols());
-    let b_shape = (b.rows(), b.cols());
-    let c_shape = (c.rows(), c.cols());
-    gemm_naive_slices(
-        alpha,
-        a.as_slice(),
-        a_shape,
-        ta,
-        b.as_slice(),
-        b_shape,
-        tb,
-        beta,
-        c.as_mut_slice(),
-        c_shape,
-    );
 }
 
 #[inline]
@@ -991,6 +962,33 @@ mod tests {
             }
             alpha * acc + beta * c.get(i, j)
         })
+    }
+
+    /// [`gemm_naive_slices`] over [`Matrix`] operands.
+    fn gemm_naive(
+        alpha: f32,
+        a: &Matrix,
+        ta: Transpose,
+        b: &Matrix,
+        tb: Transpose,
+        beta: f32,
+        c: &mut Matrix,
+    ) {
+        let a_shape = (a.rows(), a.cols());
+        let b_shape = (b.rows(), b.cols());
+        let c_shape = (c.rows(), c.cols());
+        gemm_naive_slices(
+            alpha,
+            a.as_slice(),
+            a_shape,
+            ta,
+            b.as_slice(),
+            b_shape,
+            tb,
+            beta,
+            c.as_mut_slice(),
+            c_shape,
+        );
     }
 
     fn rand_mat(rows: usize, cols: usize, seed: u64) -> Matrix {

@@ -36,7 +36,7 @@ pub mod pack;
 pub mod panels;
 pub mod rng;
 
-pub use gemm::{gemm, gemm_naive, Transpose};
+pub use gemm::{gemm, Transpose};
 pub use matrix::Matrix;
 pub use panels::{PackedA, PackedB};
 pub use rng::SmallRng64;

@@ -9,9 +9,8 @@
 //! slot one `tid` lane within it; spans are complete (`"ph":"X"`)
 //! events with microsecond `ts`/`dur`. Successive [`append_run`] calls
 //! in one process accumulate into the same file (the file is rewritten
-//! per call, mirroring the criterion shim's JSON sink), so a bench or
-//! example that trains several modes produces one trace with one lane
-//! group per mode.
+//! per call), so an example that trains several modes produces one
+//! trace with one lane group per mode.
 
 use crate::TraceDump;
 use std::fmt::Write as _;

@@ -45,11 +45,11 @@ use lsgd_metrics::LogHistogram;
 /// every probe in this crate is a no-op regardless of environment.
 pub const COMPILED: bool = cfg!(feature = "enabled");
 
-/// Number of fixed step-loop phases (the reserved label ids `0..PHASES`).
+/// Number of fixed step-loop phases (the label ids `0..PHASES`).
 pub const PHASES: usize = 5;
 
 /// The fixed phases of one training step, in pipeline order. Their
-/// discriminants double as reserved span-label ids.
+/// discriminants double as span-label ids.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(u32)]
 pub enum Phase {
@@ -86,11 +86,6 @@ impl Phase {
         }
     }
 }
-
-/// An interned span label returned by [`label`]. Phases come
-/// pre-interned; intern custom labels once, outside hot loops.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Label(pub(crate) u32);
 
 /// Per-phase latency histograms (nanoseconds). Empty (zero allocation)
 /// for untraced runs; populated by [`Collector::finish`].
@@ -173,7 +168,7 @@ impl PhaseStats {
 pub struct SpanEvent {
     /// Trace slot (lane) of the producing thread.
     pub worker: u32,
-    /// Interned label id.
+    /// Label id: the discriminant of the span's [`Phase`].
     pub label: u32,
     /// Span start, nanoseconds since the trace epoch.
     pub start_ns: u64,
@@ -192,7 +187,7 @@ pub struct TraceDump {
     pub counters: Vec<(&'static str, u64)>,
     /// All span events drained during the run.
     pub events: Vec<SpanEvent>,
-    /// Label id → name (phases first, then interned labels).
+    /// Label id → name: the [`Phase::ALL`] names.
     pub labels: Vec<String>,
     /// Span events discarded because a worker's ring was full.
     pub dropped: u64,
@@ -212,32 +207,6 @@ impl TraceDump {
     /// True when this dump carries no data (untraced run).
     pub fn is_empty(&self) -> bool {
         self.events.is_empty() && self.counters.iter().all(|&(_, v)| v == 0)
-    }
-
-    /// Per-label duration histograms for *custom* labels (ids beyond the
-    /// fixed phases), e.g. the per-layer spans of `profile_step`.
-    pub fn label_stats(&self) -> Vec<(String, LogHistogram)> {
-        let mut out: Vec<(String, LogHistogram)> = Vec::new();
-        for e in &self.events {
-            let id = e.label as usize;
-            if id < PHASES {
-                continue;
-            }
-            let name = self
-                .labels
-                .get(id)
-                .cloned()
-                .unwrap_or_else(|| format!("label-{id}"));
-            match out.iter_mut().find(|(n, _)| *n == name) {
-                Some((_, h)) => h.record(e.dur_ns),
-                None => {
-                    let mut h = LogHistogram::new();
-                    h.record(e.dur_ns);
-                    out.push((name, h));
-                }
-            }
-        }
-        out
     }
 
     /// Renders the full text report: phase table plus nonzero counters.
@@ -268,7 +237,7 @@ impl TraceDump {
 }
 
 // ---------------------------------------------------------------------------
-// Enabled implementation: gate, registry, epoch clock, label interning.
+// Enabled implementation: gate, registry, epoch clock.
 // These deliberately use **std** atomics/locks, not the lsgd_check shims:
 // instrumented production code must not create model-checker schedule
 // points when it runs inside unrelated model tests (`enabled()` is
@@ -284,7 +253,7 @@ mod imp {
     use super::Phase;
     use std::cell::Cell;
     use std::sync::atomic::{AtomicU8, AtomicUsize, Ordering};
-    use std::sync::{Mutex, OnceLock};
+    use std::sync::OnceLock;
     use std::time::Instant;
 
     /// Maximum number of distinct threads that can hold trace slots.
@@ -305,7 +274,6 @@ mod imp {
     pub(crate) struct Registry {
         pub(crate) cells: Vec<WorkerCell>,
         pub(crate) next: AtomicUsize,
-        pub(crate) labels: Mutex<Vec<String>>,
     }
 
     /// Runtime gate: 0 = undetermined, 1 = off, 2 = on.
@@ -363,7 +331,6 @@ mod imp {
                 })
                 .collect(),
             next: AtomicUsize::new(0),
-            labels: Mutex::new(Phase::ALL.iter().map(|p| p.name().to_string()).collect()),
         })
     }
 
@@ -400,22 +367,6 @@ mod imp {
             // counter.
             .map(|r| r.next.load(Ordering::Relaxed).min(MAX_WORKERS) as u32)
             .unwrap_or(0)
-    }
-
-    pub(crate) fn intern(name: &str) -> u32 {
-        let reg = registry();
-        let mut labels = reg.labels.lock().expect("trace label registry poisoned");
-        if let Some(i) = labels.iter().position(|l| l == name) {
-            return i as u32;
-        }
-        labels.push(name.to_string());
-        (labels.len() - 1) as u32
-    }
-
-    pub(crate) fn label_table() -> Vec<String> {
-        registry_opt()
-            .map(|r| r.labels.lock().expect("trace label registry poisoned").clone())
-            .unwrap_or_else(|| Phase::ALL.iter().map(|p| p.name().to_string()).collect())
     }
 
     /// Collector-side totals across all cells (monotone, process-global).
@@ -502,20 +453,6 @@ pub fn count_n(c: Counter, n: u64) {
     }
 }
 
-/// Interns a custom span label. Cheap but not free (a mutex) — intern
-/// once outside hot loops and reuse the [`Label`].
-pub fn label(name: &str) -> Label {
-    #[cfg(feature = "enabled")]
-    {
-        Label(imp::intern(name))
-    }
-    #[cfg(not(feature = "enabled"))]
-    {
-        let _ = name;
-        Label(0)
-    }
-}
-
 /// RAII span: records `[construction, drop)` into the calling thread's
 /// event ring. A zero-sized no-op when the feature is off.
 #[cfg(feature = "enabled")]
@@ -569,12 +506,6 @@ fn span_for(_label: u32) -> SpanGuard {
 #[inline(always)]
 pub fn span(phase: Phase) -> SpanGuard {
     span_for(phase as u32)
-}
-
-/// Opens a span for a custom interned label (see [`label`]).
-#[inline(always)]
-pub fn span_labeled(l: Label) -> SpanGuard {
-    span_for(l.0)
 }
 
 // ---------------------------------------------------------------------------
@@ -645,9 +576,7 @@ impl Collector {
             .collect();
         let mut phases = PhaseStats::collecting();
         for e in &self.events {
-            if (e.label as usize) < PHASES {
-                phases.record(Phase::ALL[e.label as usize], e.dur_ns);
-            }
+            phases.record(Phase::ALL[e.label as usize], e.dur_ns);
         }
         if phases.is_empty() {
             phases = PhaseStats::empty();
@@ -656,7 +585,7 @@ impl Collector {
             phases,
             counters,
             events: self.events,
-            labels: imp::label_table(),
+            labels: Phase::ALL.iter().map(|p| p.name().to_string()).collect(),
             dropped: imp::dropped_total().saturating_sub(self.dropped_base),
             workers: imp::worker_count(),
         }
@@ -731,23 +660,15 @@ mod tests {
                 .map(|&c| (c.name(), if c == Counter::PublishRetry { 7 } else { 0 }))
                 .collect(),
             events: vec![
-                SpanEvent { worker: 0, label: PHASES as u32, start_ns: 0, dur_ns: 10 },
-                SpanEvent { worker: 1, label: PHASES as u32, start_ns: 5, dur_ns: 30 },
+                SpanEvent { worker: 0, label: Phase::Publish as u32, start_ns: 0, dur_ns: 10 },
+                SpanEvent { worker: 1, label: Phase::Publish as u32, start_ns: 5, dur_ns: 30 },
             ],
-            labels: {
-                let mut l: Vec<String> = Phase::ALL.iter().map(|p| p.name().to_string()).collect();
-                l.push("layer0.fwd".to_string());
-                l
-            },
+            labels: Phase::ALL.iter().map(|p| p.name().to_string()).collect(),
             dropped: 0,
             workers: 2,
         };
         assert_eq!(dump.counter(Counter::PublishRetry), 7);
         assert_eq!(dump.counter(Counter::PublishAbort), 0);
-        let stats = dump.label_stats();
-        assert_eq!(stats.len(), 1);
-        assert_eq!(stats[0].0, "layer0.fwd");
-        assert_eq!(stats[0].1.count(), 2);
         let r = dump.report();
         assert!(r.contains("publish.cas_retry"));
         assert!(!r.contains("publish.abort"), "zero counters omitted: {r}");
@@ -770,9 +691,6 @@ mod tests {
         assert!(!enabled());
         count(Counter::Park);
         let g = span(Phase::GradCompute);
-        drop(g);
-        let l = label("anything");
-        let g = span_labeled(l);
         drop(g);
         let mut c = Collector::new();
         c.sample();

@@ -25,12 +25,11 @@
 
 use lsgd_check::sync::{AtomicU64, AtomicUsize, Ordering, UnsafeCell};
 
-/// One completed span: an interned label plus start/duration in
+/// One completed span: a phase label plus start/duration in
 /// nanoseconds since the trace epoch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct SpanRecord {
-    /// Interned label id (`Phase` ids occupy `0..PHASES`; dynamic labels
-    /// from [`crate::label`] follow).
+    /// Label id: the discriminant of the span's `Phase` (`0..PHASES`).
     pub label: u32,
     /// Span start, nanoseconds since the trace epoch.
     pub start_ns: u64,

@@ -22,8 +22,6 @@ fn traced_run_end_to_end() {
 
     // --- Run 1: two workers produce counters and spans concurrently. ---
     let collector = Collector::new();
-    let layer_label = lsgd_trace::label("layer0.fwd");
-    assert_eq!(lsgd_trace::label("layer0.fwd"), layer_label, "interning must be idempotent");
 
     let handles: Vec<_> = (0..2)
         .map(|_| {
@@ -33,7 +31,7 @@ fn traced_run_end_to_end() {
                     let g = lsgd_trace::span(Phase::GradCompute);
                     std::hint::black_box(0u64);
                     drop(g);
-                    let g = lsgd_trace::span_labeled(lsgd_trace::label("layer0.fwd"));
+                    let g = lsgd_trace::span(Phase::Publish);
                     std::hint::black_box(0u64);
                     drop(g);
                 }
@@ -51,10 +49,9 @@ fn traced_run_end_to_end() {
     assert_eq!(dump.counter(Counter::QueueEmptyPop), 0);
     let grad = dump.phases.get(Phase::GradCompute).expect("phase stats collected");
     assert_eq!(grad.count(), 20);
-    let labeled = dump.label_stats();
-    assert_eq!(labeled.len(), 1);
-    assert_eq!(labeled[0].0, "layer0.fwd");
-    assert_eq!(labeled[0].1.count(), 20);
+    let publish = dump.phases.get(Phase::Publish).expect("phase stats collected");
+    assert_eq!(publish.count(), 20);
+    assert_eq!(dump.events.len(), 40, "every span drained from the rings exactly once");
     // Two producing threads → at least two distinct event lanes.
     let mut lanes: Vec<u32> = dump.events.iter().map(|e| e.worker).collect();
     lanes.sort_unstable();

@@ -1,10 +1,9 @@
 //! Overhead guard: proves the default (no-feature) build of the probe
 //! API is genuinely free. Every guard object is a ZST, so a span in the
 //! step hot path compiles to nothing — there is no state to carry, no
-//! Drop to run, no branch on a gate. The ISSUE's zero-cost acceptance
-//! criterion (disabled-build `sgd_step` medians within noise of the
-//! committed reference) is the end-to-end check; this test pins the
-//! mechanism it rests on.
+//! Drop to run, no branch on a gate. The repo benchmark's untraced
+//! runs (`benchmark/`, `--trace 0`) are the end-to-end check; this test
+//! pins the mechanism it rests on.
 #![cfg(not(lsgd_model))]
 #![cfg(not(feature = "enabled"))]
 
@@ -31,9 +30,7 @@ fn disabled_build_probes_record_nothing_and_gate_stays_off() {
     lsgd_trace::count(Counter::PublishRetry);
     lsgd_trace::count_n(Counter::Park, 100);
     let _g = lsgd_trace::span(Phase::GradCompute);
-    let _l = lsgd_trace::span_labeled(lsgd_trace::label("layer0.fwd"));
     drop(_g);
-    drop(_l);
 
     let mut c = Collector::new();
     c.sample();

@@ -1,12 +1,11 @@
-//! Property tests for `lsgd_sync::SegQueue` against reference models.
+//! Property tests for `lsgd_sync::SegQueue` against a reference model.
 //!
 //! Single-threaded differential testing: an arbitrary op sequence is
-//! replayed against `VecDeque` (the semantics oracle) and against the
-//! mutex queue the workspace used before. Randomised lengths make the
-//! sequences straddle segment boundaries (31-slot segments), which is
-//! where the lock-free index/hop bookkeeping lives.
+//! replayed against `VecDeque`, the semantics oracle. Randomised lengths
+//! make the sequences straddle segment boundaries (31-slot segments),
+//! which is where the lock-free index/hop bookkeeping lives.
 
-use leashed_sgd::sync::{MutexSegQueue, SegQueue};
+use leashed_sgd::sync::SegQueue;
 use proptest::prelude::*;
 use std::collections::VecDeque;
 
@@ -38,29 +37,6 @@ proptest! {
         }
         prop_assert_eq!(q.pop(), None);
         prop_assert!(q.is_empty());
-    }
-
-    /// The lock-free queue and the old mutex queue are observationally
-    /// identical on any single-threaded schedule.
-    #[test]
-    fn lock_free_and_mutex_queues_agree(
-        ops in proptest::collection::vec((any::<bool>(), 0u32..1_000_000), 1..300),
-    ) {
-        let lf = SegQueue::new();
-        let mx = MutexSegQueue::new();
-        for (push, v) in ops {
-            if push {
-                lf.push(v);
-                mx.push(v);
-            } else {
-                prop_assert_eq!(lf.pop(), mx.pop());
-            }
-            prop_assert_eq!(lf.len(), mx.len());
-        }
-        while let Some(expected) = mx.pop() {
-            prop_assert_eq!(lf.pop(), Some(expected));
-        }
-        prop_assert_eq!(lf.pop(), None);
     }
 
     /// Pushing exactly `n` then popping `n` returns the exact sequence —

@@ -1,18 +1,16 @@
-//! `paper` — regenerates the paper's evaluation: Table I, Figs. 3–10,
-//! the Section IV model checks, and two ablations. Each id prints one
-//! table or figure:
+//! `paper` — regenerates the paper's evaluation: Table I, Figs. 3–10
+//! and the Section IV model checks. Each id prints one table or figure:
 //!
 //! ```text
 //! cargo run --release -p lsgd_bench --bin paper -- fig3 fig8 --threads=1,2 --csv=out
 //! cargo run --release -p lsgd_bench --bin paper -- --help
 //! ```
 //!
-//! A training id is a [`Spec`]: run [`Grid`]s over (workload, m, η,
-//! variant, algorithm, repetition), each with the tables to print from
-//! it. [`run`] trains every cell of a grid; a table is a view that
-//! aggregates each cell's runs into named [`column()`]s. With `--csv=DIR`
-//! the runs are also written to `DIR/<id>.csv`, one row per run with the
-//! columns of [`RECORD`].
+//! A training id is a run [`Grid`] over (workload, m, η, algorithm,
+//! repetition), with the tables to print from it. [`run`] trains every
+//! cell of the grid; a table is a view that aggregates each cell's runs
+//! into named [`column()`]s. With `--csv=DIR` the runs are also written
+//! to `DIR/<id>.csv`, one row per run with the columns of [`RECORD`].
 
 use lsgd_bench::expect::{print_expectation, EXPECTATIONS};
 use lsgd_bench::Args;
@@ -25,8 +23,7 @@ use lsgd_metrics::table::Table;
 use lsgd_metrics::{BoxStats, Outcome};
 use std::time::Duration;
 
-const IDS: &str = "table1 fig3 fig4 fig5 fig6 fig7 fig8 fig9 fig10 sec4 \
-                   ablation-recycling ablation-extensions";
+const IDS: &str = "table1 fig3 fig4 fig5 fig6 fig7 fig8 fig9 fig10 sec4";
 
 #[derive(Clone, Copy)]
 enum Workload {
@@ -66,82 +63,36 @@ impl Workload {
     }
 }
 
-/// The one `TrainConfig` knob a grid varies besides m, η and the
-/// algorithm.
-#[derive(Clone, Copy)]
-enum Variant {
-    Base,
-    Recycling(bool),
-    /// Top-k keep fraction (1 = dense).
-    Density(f32),
-    Policy(EtaPolicy),
-}
-
-impl Variant {
-    fn apply(self, cfg: &mut TrainConfig) {
-        match self {
-            Variant::Base => {}
-            Variant::Recycling(on) => cfg.pool_recycling = on,
-            Variant::Density(d) => cfg.sparsify = (d < 1.0).then_some(d),
-            Variant::Policy(p) => cfg.eta_policy = p,
-        }
-    }
-
-    fn label(self) -> String {
-        match self {
-            Variant::Base => "-".into(),
-            Variant::Recycling(on) => on.to_string(),
-            Variant::Density(d) => d.to_string(),
-            Variant::Policy(EtaPolicy::Constant) => "constant".into(),
-            Variant::Policy(EtaPolicy::TauAdaptive { beta }) => format!("tau-adaptive b={beta}"),
-        }
-    }
-}
-
-/// One run grid: `reps` runs of every combination of its lists, and the
-/// tables printed from them.
-#[derive(Clone)]
+/// A training id's run grid: `reps` runs of every combination of its
+/// lists, its banner (`Fig. 3 — …`; the paper's claims for that figure
+/// print after its tables) and the tables printed from it.
 struct Grid {
+    title: &'static str,
     workloads: Vec<Workload>,
     m: Vec<usize>,
     /// `None`: the paper lineup at m = 1, the parallel lineup otherwise.
     lineup: Option<Vec<Algorithm>>,
     etas: Vec<f32>,
     eps: Vec<f64>,
-    variants: Vec<Variant>,
     reps: usize,
     /// `title|column|…` per table; see [`show`].
     views: Vec<&'static str>,
 }
 
-/// A training id: its banner (`Fig. 3 — …`; the paper's claims for
-/// that figure print after its tables), its grids, and for an ablation
-/// the expected outcome.
-struct Spec {
-    title: &'static str,
-    grids: Vec<Grid>,
-    note: &'static str,
-}
-
-/// The spec behind training id `id` at the scale `a` asks for.
-fn spec(id: &str, a: &Args) -> Spec {
+/// The grid behind training id `id` at the scale `a` asks for.
+fn grid(id: &str, a: &Args) -> Grid {
     let last = *a.threads.last().unwrap_or(&2);
     let leashed = |persistence| Algorithm::Leashed { persistence };
     let quarters = vec![0.75, 0.5, 0.25, 0.1];
     let mut g = Grid {
+        title: "",
         workloads: vec![Workload::Mlp],
         m: a.threads.clone(),
         lineup: None,
         etas: vec![a.eta],
         eps: vec![0.5],
-        variants: vec![Variant::Base],
         reps: a.reps,
         views: vec![],
-    };
-    let mut s = Spec {
-        title: "",
-        grids: vec![],
-        note: "",
     };
     match id {
         "fig3" => {
@@ -149,7 +100,7 @@ fn spec(id: &str, a: &Args) -> Spec {
                 "--- Fig. 3 left: convergence rate ---|m|algo|time to eps=50%|diverge|crash|updates/s",
                 "--- Fig. 3 right: computational efficiency ---|m|algo|time/iter (mean)|Tc mean|Tu mean",
             ];
-            s.title = "Fig. 3 — MLP scalability: time to eps=50% + time/iteration";
+            g.title = "Fig. 3 — MLP scalability: time to eps=50% + time/iteration";
         }
         "fig4" => {
             g.eps = quarters;
@@ -160,13 +111,13 @@ fn spec(id: &str, a: &Args) -> Spec {
                 g.eps.extend([0.05, 0.025]);
             }
             g.views = vec!["\n--- m = {m} threads ---|algo|{eps}"];
-            s.title = "Fig. 4 — MLP time-to-eps at increasing precision";
+            g.title = "Fig. 4 — MLP time-to-eps at increasing precision";
         }
         // Trajectories and distributions: one run per cell, for the
         // whole wall budget.
         "fig5" => {
             (g.eps, g.reps) = (vec![0.02], 1);
-            s.title = "Fig. 5 — MLP training loss over time";
+            g.title = "Fig. 5 — MLP training loss over time";
         }
         "fig6" => {
             (g.eps, g.reps) = (vec![0.02], 1);
@@ -174,13 +125,13 @@ fn spec(id: &str, a: &Args) -> Spec {
                 "\n--- m = {m} threads ---\
                  |algo|updates|tau mean|tau p50|tau p95|tau max|tau_s mean|aborted",
             ];
-            s.title = "Fig. 6 — MLP staleness distributions";
+            g.title = "Fig. 6 — MLP staleness distributions";
         }
         "fig7" => {
             (g.workloads, g.eps) = (vec![Workload::Cnn], quarters);
             g.m = vec![if a.full { 16 } else { last }];
             g.views = vec!["\n--- time to eps (m = {m}) ---|algo|{eps}|best 10% run|stale mean"];
-            s.title = "Fig. 7 — CNN convergence, trajectories, staleness (m fixed)";
+            g.title = "Fig. 7 — CNN convergence, trajectories, staleness (m fixed)";
         }
         "fig8" => {
             g.m = vec![if a.full { 16 } else { last }];
@@ -191,13 +142,13 @@ fn spec(id: &str, a: &Args) -> Spec {
                 "--- convergence rate (wall-clock) ---|eta|algo|time to 50%|diverge|crash",
                 "--- statistical efficiency (iterations) ---|eta|algo|iterations to 50% (median)",
             ];
-            s.title = "Fig. 8 — step-size sweep: time + iterations to eps=50%";
+            g.title = "Fig. 8 — step-size sweep: time + iterations to eps=50%";
         }
         "fig9" => {
             (g.workloads, g.m) = (vec![Workload::Mlp, Workload::Cnn], vec![2]);
             (g.lineup, g.eps, g.reps) = (Some(vec![leashed(None)]), vec![0.01], 1);
             g.views = vec!["|arch|d|Tc mean|Tc min..max|Tu mean|Tu min..max|Tc/Tu|n*/m (m=16)"];
-            s.title = "Fig. 9 — gradient computation (Tc) and update (Tu) times";
+            g.title = "Fig. 9 — gradient computation (Tc) and update (Tu) times";
         }
         "fig10" => {
             g.workloads = vec![Workload::Mlp, Workload::Cnn];
@@ -205,48 +156,11 @@ fn spec(id: &str, a: &Args) -> Spec {
             g.views = vec![
                 "\n--- {arch} (d = {d}) ---|m|algo|mean live|peak live|pool peak (<=2m+1)|reuse/alloc",
             ];
-            s.title = "Fig. 10 — memory consumption (MLP and CNN)";
-        }
-        "ablation-recycling" => {
-            (g.m, g.lineup) = (vec![last], Some(vec![leashed(None), leashed(Some(0))]));
-            g.variants = vec![Variant::Recycling(true), Variant::Recycling(false)];
-            g.views =
-                vec!["|recycling|algo|updates/s|time to 50%|peak live KB|mean Tu|reuse/alloc"];
-            s.title = "Ablation — ParameterVector recycling on/off (MLP)";
-            s.note = "recycling removes steady-state allocation (reuse >>\n\
-                      \x20 allocs) at equal or better update throughput; without it every\n\
-                      \x20 LAU-SPC attempt pays an allocation + page-zeroing of d floats.";
-        }
-        "ablation-extensions" => {
-            (g.m, g.lineup) = (vec![last], Some(vec![Algorithm::Hogwild, leashed(Some(1))]));
-            g.variants = [1.0, 0.3, 0.1, 0.03].map(Variant::Density).to_vec();
-            g.views = vec![
-                "\n--- 1. gradient sparsification (keep-fraction sweep, m = {m}) ---\
-                 |density|algo|time to 50%|diverge|crash|updates/s",
-            ];
-            // A hot base step under 4x oversubscription, where
-            // constant-step runs destabilise.
-            let mut hot = g.clone();
-            (hot.m, hot.etas) = (vec![last * 4], vec![scaled(a.eta, 8.0)]);
-            hot.lineup = Some(vec![Algorithm::Hogwild, leashed(None)]);
-            hot.variants = vec![
-                Variant::Policy(EtaPolicy::Constant),
-                Variant::Policy(EtaPolicy::TauAdaptive { beta: 0.5 }),
-            ];
-            hot.views = vec![
-                "\n--- 2. staleness-adaptive step size (hot base eta, m = {m}) ---\
-                 |policy|algo|time to 50%|diverge|crash",
-            ];
-            s.grids.push(hot);
-            s.title = "Ablation — sparsification density + adaptive step size";
-            s.note = "density well below 1 keeps convergence (top-k carries\n\
-                      \x20 most of the signal) while extreme sparsity slows it; the adaptive\n\
-                      \x20 policy rescues hot step sizes that destabilise constant-step runs.";
+            g.title = "Fig. 10 — memory consumption (MLP and CNN)";
         }
         other => panic!("{other} is not a training id"),
     }
-    s.grids.insert(0, g);
-    s
+    g
 }
 
 /// `eta · k`, rounded to 6 decimals so sweep labels print as written.
@@ -258,7 +172,6 @@ fn scaled(eta: f32, k: f64) -> f32 {
 struct Run {
     workload: Workload,
     eta: f32,
-    variant: Variant,
     rep: usize,
     seed: u64,
     r: RunResult,
@@ -278,35 +191,30 @@ fn run(g: &Grid, a: &Args) -> Vec<Cell> {
                 _ => Algorithm::parallel_lineup(),
             });
             for &eta in &g.etas {
-                for &variant in &g.variants {
-                    for &algorithm in &lineup {
-                        let cell = (0..g.reps).map(|rep| {
-                            let seed = a.seed.wrapping_add(1000 * rep as u64);
-                            let mut cfg = TrainConfig {
-                                algorithm,
-                                threads: m,
-                                eta,
-                                epsilons: g.eps.clone(),
-                                max_updates: u64::MAX,
-                                max_wall: a.wall,
-                                eval_every: Duration::from_millis(60),
-                                seed,
-                                staleness_cap: 1024,
-                                ..TrainConfig::default()
-                            };
-                            variant.apply(&mut cfg);
-                            let r = train(&problem, &cfg);
-                            Run {
-                                workload,
-                                eta,
-                                variant,
-                                rep,
-                                seed,
-                                r,
-                            }
-                        });
-                        cells.push(cell.collect());
-                    }
+                for &algorithm in &lineup {
+                    let cell = (0..g.reps).map(|rep| {
+                        let seed = a.seed.wrapping_add(1000 * rep as u64);
+                        let cfg = TrainConfig {
+                            algorithm,
+                            threads: m,
+                            eta,
+                            epsilons: g.eps.clone(),
+                            max_updates: u64::MAX,
+                            max_wall: a.wall,
+                            eval_every: Duration::from_millis(60),
+                            seed,
+                            staleness_cap: 1024,
+                        };
+                        let r = train(&problem, &cfg);
+                        Run {
+                            workload,
+                            eta,
+                            rep,
+                            seed,
+                            r,
+                        }
+                    });
+                    cells.push(cell.collect());
                 }
             }
         }
@@ -324,7 +232,6 @@ const RECORD: &[Field] = &[
     ("m", |x| x.r.threads.to_string()),
     ("algo", |x| x.r.algorithm.label()),
     ("eta", |x| x.eta.to_string()),
-    ("variant", |x| x.variant.label()),
     ("rep", |x| x.rep.to_string()),
     ("seed", |x| x.seed.to_string()),
     ("eps", |x| join(&x.r.outcomes, |(eps, _)| eps.to_string())),
@@ -424,7 +331,6 @@ fn column(name: &str, c: &[Run]) -> String {
         "m" => r.threads.to_string(),
         "algo" => r.algorithm.label(),
         "eta" => x.eta.to_string(),
-        "recycling" | "density" | "policy" => x.variant.label(),
         "arch" => x.workload.name().into(),
         "d" => x.workload.dim().to_string(),
         "time to eps=50%" | "time to 50%" => column("eps=50%", c),
@@ -433,7 +339,7 @@ fn column(name: &str, c: &[Run]) -> String {
         "updates/s" => format!("{:.0}", mean(c, |r| r.updates_per_sec())),
         "time/iter (mean)" => format!("{}ms", ms(mean(c, |r| r.iter_time.mean()), 2)),
         "Tc mean" => format!("{}ms", ms(mean(c, |r| r.tc.mean()), 2)),
-        "Tu mean" | "mean Tu" => format!("{}ms", ms(mean(c, |r| r.tu.mean()), 3)),
+        "Tu mean" => format!("{}ms", ms(mean(c, |r| r.tu.mean()), 3)),
         "Tc min..max" => format!("{}..{}ms", ms(r.tc.min(), 2), ms(r.tc.max(), 2)),
         "Tu min..max" => format!("{}..{}ms", ms(r.tu.min(), 3), ms(r.tu.max(), 3)),
         "Tc/Tu" => format!("{:.0}", tc_per_tu(r)),
@@ -461,7 +367,6 @@ fn column(name: &str, c: &[Run]) -> String {
         "stale mean" => format!("{:.2}", mean(c, |r| r.staleness.mean())),
         "mean live" => format!("{:.0}KB", mem_mean(r) / 1024.0),
         "peak live" => format!("{peak_kb}KB"),
-        "peak live KB" => peak_kb.to_string(),
         "pool peak (<=2m+1)" if leashed => r.pool_outstanding_peak.to_string(),
         "tau_s mean" | "pool peak (<=2m+1)" => "-".into(),
         "reuse/alloc" => {
@@ -546,48 +451,43 @@ fn loss_curves(a: &Args, cells: &[Cell]) {
 
 /// Trains, prints and records training id `id`.
 fn figure(id: &str, a: &Args) {
-    let spec = spec(id, a);
+    let g = grid(id, a);
     let scale = if a.full { "FULL (paper)" } else { "quick" };
-    println!("\n=== {} ===", spec.title);
+    println!("\n=== {} ===", g.title);
     println!(
         "  scale: {scale} | samples {} | batch {} | eta {} | reps {} | wall {:?}",
         a.samples, a.batch, a.eta, a.reps, a.wall
     );
+    let cells = run(&g, a);
+    g.views.iter().for_each(|view| show(&cells, view));
     let mut records = Table::new(RECORD.iter().map(|&(name, _)| name).collect());
-    for g in &spec.grids {
-        let cells = run(g, a);
-        g.views.iter().for_each(|view| show(&cells, view));
-        for x in cells.iter().flatten() {
-            records.row(RECORD.iter().map(|(_, field)| field(x)).collect());
-        }
-        match id {
-            "fig5" => loss_curves(a, &cells),
-            "fig6" => {
-                let mut bins = table("m|algo|tau|count");
-                for c in &cells {
-                    for (tau, n) in c[0].r.staleness.nonzero_bins() {
-                        let (m, algo) = (column("m", c), column("algo", c));
-                        bins.row(vec![m, algo, tau.to_string(), n.to_string()]);
-                    }
-                }
-                a.maybe_write_csv("fig6_tau.csv", &bins.to_csv());
-            }
-            "fig9" => {
-                let (mlp, cnn) = (tc_per_tu(&cells[0][0].r), tc_per_tu(&cells[1][0].r));
-                let order = if cnn > mlp { ">" } else { "<= (MISMATCH)" };
-                println!(
-                    "  shape check: CNN Tc/Tu ({cnn:.0}) {order} MLP Tc/Tu ({mlp:.0}) \
-                     — paper expects CNN >> MLP"
-                );
-            }
-            _ => {}
-        }
+    for x in cells.iter().flatten() {
+        records.row(RECORD.iter().map(|(_, field)| field(x)).collect());
     }
-    if !spec.note.is_empty() {
-        println!("  expectation: {}", spec.note);
+    match id {
+        "fig5" => loss_curves(a, &cells),
+        "fig6" => {
+            let mut bins = table("m|algo|tau|count");
+            for c in &cells {
+                for (tau, n) in c[0].r.staleness.nonzero_bins() {
+                    let (m, algo) = (column("m", c), column("algo", c));
+                    bins.row(vec![m, algo, tau.to_string(), n.to_string()]);
+                }
+            }
+            a.maybe_write_csv("fig6_tau.csv", &bins.to_csv());
+        }
+        "fig9" => {
+            let (mlp, cnn) = (tc_per_tu(&cells[0][0].r), tc_per_tu(&cells[1][0].r));
+            let order = if cnn > mlp { ">" } else { "<= (MISMATCH)" };
+            println!(
+                "  shape check: CNN Tc/Tu ({cnn:.0}) {order} MLP Tc/Tu ({mlp:.0}) \
+                 — paper expects CNN >> MLP"
+            );
+        }
+        _ => {}
     }
     // `Fig. 3` prints the claims filed as `Fig. 3 (left)` and `(right)`.
-    let (fig, _) = spec.title.split_once(" — ").expect("Fig. N — …");
+    let (fig, _) = g.title.split_once(" — ").expect("Fig. N — …");
     for e in EXPECTATIONS.iter().map(|e| e.id) {
         if e == fig || e.starts_with(&format!("{fig} (")) {
             print_expectation(e);

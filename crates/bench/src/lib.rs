@@ -2,9 +2,8 @@
 //! # lsgd-bench — experiment harness for the Leashed-SGD reproduction
 //!
 //! One binary, `paper <id>...`, regenerates the paper's tables and
-//! figures (`table1`, `fig3`…`fig10`, `sec4`) and two ablations
-//! (`ablation-recycling`, `ablation-extensions`); `paper --help` lists
-//! the ids. Each id prints the same rows/series the paper plots, plus a
+//! figures (`table1`, `fig3`…`fig10`, `sec4`); `paper --help` lists the
+//! ids. Each id prints the same rows/series the paper plots, plus a
 //! `paper-vs-measured` note stating the published claim the output should
 //! be compared against.
 //!

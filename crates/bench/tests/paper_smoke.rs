@@ -32,23 +32,9 @@ const IDS: &[(&str, &str, &[&str], usize)] = &[
         12,
     ),
     ("sec4", "=== fixed points and closed form", &["Sec. IV"], 0),
-    // Recycling on/off x {LSH_ps_inf, LSH_ps0}.
-    (
-        "ablation-recycling",
-        "=== Ablation — ParameterVector recycling",
-        &[],
-        4,
-    ),
-    // Four densities x two algorithms, then two step policies x two.
-    (
-        "ablation-extensions",
-        "=== Ablation — sparsification density",
-        &[],
-        12,
-    ),
 ];
 
-const RECORD_KEYS: &str = "workload,m,algo,eta,variant,rep,seed,eps,outcome,";
+const RECORD_KEYS: &str = "workload,m,algo,eta,rep,seed,eps,outcome,";
 
 #[test]
 fn every_id_prints_its_figure_and_records_one_row_per_run() {

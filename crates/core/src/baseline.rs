@@ -226,10 +226,6 @@ macro_rules! copy_on_read_store {
                 f(&w.local)
             }
 
-            fn tau_est(&self, w: &CopyWorker) -> u64 {
-                self.current_seq().saturating_sub(w.t0)
-            }
-
             fn publish(
                 &self,
                 w: &mut CopyWorker,

@@ -58,7 +58,6 @@ pub mod pool;
 pub mod problem;
 pub mod result;
 pub mod shard;
-pub mod sparsify;
 pub mod store;
 pub mod trainer;
 
@@ -74,7 +73,7 @@ pub use problem::{NnProblem, Problem, RegressionProblem, SparseLogRegProblem};
 pub use result::{RunResult, UpdateHistograms, WorkerCrash};
 pub use shard::{ShardedPublish, ShardedShared, ShardedSnapshot, SnapshotMode};
 pub use store::{Direction, ParamStore, StepOutcome};
-pub use trainer::{train, EtaPolicy, TrainConfig};
+pub use trainer::{train, TrainConfig};
 
 /// Convenient glob import for examples and harnesses.
 pub mod prelude {
@@ -82,5 +81,5 @@ pub mod prelude {
     pub use crate::problem::{NnProblem, Problem, RegressionProblem, SparseLogRegProblem};
     pub use crate::result::RunResult;
     pub use crate::shard::SnapshotMode;
-    pub use crate::trainer::{train, EtaPolicy, TrainConfig};
+    pub use crate::trainer::{train, TrainConfig};
 }

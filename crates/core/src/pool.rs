@@ -4,7 +4,13 @@
 //! relies on recycling to bound memory (paper §III P2, Lemma 2). This pool
 //! provides the recycling: buffers released by `safe_delete` go onto a
 //! lock-free free list and are handed back out to subsequent allocations,
-//! so steady-state execution performs no heap allocation at all.
+//! so in steady state no θ buffer is heap-allocated. The paper's memory
+//! bound covers these θ buffers only. The `ParamVec` header each
+//! publication `Box`es is kept until the store drops (see
+//! [`LeashedShared`](crate::paramvec::LeashedShared)), so headers grow as
+//! O(published), off the [`MemoryGauge`]. The header arena and this
+//! pool's free list are `SegQueue`s, which also allocate a segment every
+//! 31 pushes.
 //!
 //! The free list is `lsgd_sync::SegQueue` — CAS-only push/pop — so the
 //! recycle fast path (`acquire` hitting the free list, `release` in
@@ -23,10 +29,12 @@
 //! drop, so nothing leaks even if callers lose track of outstanding
 //! buffers (as happens to the final published vector of a run).
 //!
-//! For the `paper ablation-recycling` experiment the pool can be built with
-//! recycling disabled ([`BufferPool::new_with_recycling`]): every release
-//! then frees eagerly and every acquire heap-allocates — the behaviour of
-//! a naive implementation of Algorithm 3's `new ParamVector()`.
+//! [`BufferPool::new_with_recycling`]`(.., false)` builds a pool with
+//! recycling disabled: every release then frees eagerly and every acquire
+//! heap-allocates — the behaviour of a naive implementation of Algorithm
+//! 3's `new ParamVector()`. Training never builds one; the switch serves
+//! the pool's own tests and the `benchmark` package's
+//! `ShardedShared::new(.., recycle)` calls, whose signature is kept.
 
 use crate::mem::MemoryGauge;
 use lsgd_check::annotate;
@@ -66,7 +74,7 @@ impl BufferPool {
     }
 
     /// Creates a pool with recycling switched on or off (off = eager
-    /// free + fresh allocation each time; used by the recycling ablation).
+    /// free + fresh allocation each time; see the module docs).
     pub fn new_with_recycling(dim: usize, gauge: Arc<MemoryGauge>, recycle: bool) -> Self {
         assert!(dim > 0, "buffer dimension must be positive");
         BufferPool {

@@ -397,21 +397,6 @@ impl ParamStore for ShardedShared {
         f(&w.local)
     }
 
-    /// τ estimate in *update* units (matching the baseline stores): the
-    /// max per-shard seq advance since the read. Each concurrent update
-    /// bumps every shard it touches by exactly 1, so the max over shards
-    /// counts concurrent updates (exactly for dense updates, a lower
-    /// bound for sparse ones) — summing shard seqs would instead count
-    /// shard-publications and inflate τ by up to S.
-    fn tau_est(&self, w: &ShardedWorker) -> u64 {
-        self.shards
-            .iter()
-            .zip(&w.base_seqs)
-            .map(|(shard, &base)| shard.current_seq().saturating_sub(base))
-            .max()
-            .unwrap_or(0)
-    }
-
     fn publish(
         &self,
         w: &mut ShardedWorker,

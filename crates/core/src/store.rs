@@ -76,10 +76,6 @@ pub trait ParamStore: Sync {
     /// was read.
     fn read<R>(&self, worker: &mut Self::Worker, f: impl FnOnce(&[f32]) -> R) -> R;
 
-    /// Updates published since `worker`'s last `read` (the τ estimate
-    /// that feeds [`EtaPolicy`](crate::trainer::EtaPolicy)).
-    fn tau_est(&self, worker: &Self::Worker) -> u64;
-
     /// Applies `θ -= eta · direction` and makes it visible. `tu` receives
     /// the paper's `Tu`: one sample per call, or one per CAS attempt for
     /// the LAU-SPC stores.

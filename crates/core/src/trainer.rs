@@ -33,36 +33,6 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-/// Step-size policy — `Constant` reproduces the paper; `TauAdaptive`
-/// implements the staleness-adaptive direction the paper cites as
-/// orthogonal, complementary work (its refs \[4\], \[33\], \[38\], \[43\]):
-/// the effective step of an update with estimated staleness `τ` is
-/// `η / (1 + β·τ)`, damping stale updates instead of discarding them.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum EtaPolicy {
-    /// Fixed step size (the paper's setting).
-    Constant,
-    /// `η_eff = η / (1 + beta · τ_est)` with `τ_est` the number of
-    /// updates published since this worker read its parameters.
-    TauAdaptive {
-        /// Damping strength β (0 recovers `Constant`).
-        beta: f64,
-    },
-}
-
-impl EtaPolicy {
-    /// Effective step size for an update with estimated staleness `tau`.
-    #[inline]
-    pub fn effective(&self, eta: f32, tau: u64) -> f32 {
-        match self {
-            EtaPolicy::Constant => eta,
-            EtaPolicy::TauAdaptive { beta } => {
-                (eta as f64 / (1.0 + beta * tau as f64)) as f32
-            }
-        }
-    }
-}
-
 /// Training-run configuration.
 #[derive(Debug, Clone)]
 pub struct TrainConfig {
@@ -84,20 +54,6 @@ pub struct TrainConfig {
     pub seed: u64,
     /// Unit-bin cap for the staleness histograms.
     pub staleness_cap: usize,
-    /// Top-|g| gradient sparsification: keep this fraction of components
-    /// (`None` = dense updates, the paper's setting).
-    pub sparsify: Option<f32>,
-    /// Step-size policy (constant in the paper).
-    pub eta_policy: EtaPolicy,
-    /// ParameterVector buffer recycling (Leashed-SGD only; `false` runs
-    /// the naive allocate/free variant for the recycling ablation).
-    pub pool_recycling: bool,
-    /// Momentum coefficient `μ` (0 = the paper's plain SGD). Each worker
-    /// keeps a private velocity `v ← μ·v + g` and applies `v` instead of
-    /// `g` — the standard local-momentum formulation for asynchronous
-    /// SGD (the paper lists momentum among the hyper-parameters that
-    /// "play a significant role", §I).
-    pub momentum: f32,
 }
 
 impl Default for TrainConfig {
@@ -112,10 +68,6 @@ impl Default for TrainConfig {
             eval_every: Duration::from_millis(50),
             seed: 1,
             staleness_cap: 512,
-            sparsify: None,
-            eta_policy: EtaPolicy::Constant,
-            pool_recycling: true,
-            momentum: 0.0,
         }
     }
 }
@@ -247,7 +199,7 @@ pub fn train<P: Problem>(problem: &P, cfg: &TrainConfig) -> RunResult {
                 Algorithm::ShardedLeashed { shards, .. } => effective_shards(shards, dim, threads),
                 _ => 1,
             };
-            let store = ShardedShared::new(&theta0, shards, Arc::clone(&gauge), cfg.pool_recycling);
+            let store = ShardedShared::new(&theta0, shards, Arc::clone(&gauge), true);
             run_on(problem, cfg, threads, &gauge, &store)
         }
     }
@@ -516,22 +468,6 @@ fn run_on<P: Problem, S: ParamStore>(
 /// terminated) is reported as stalled by the monitor's watchdog.
 const STALL_WINDOW: Duration = Duration::from_secs(1);
 
-/// Folds the freshly computed gradient into the worker's velocity buffer
-/// (`v ← μ·v + g`) and returns the slice to apply. With `μ = 0` the
-/// gradient passes through untouched (no velocity buffer is kept).
-fn fold_momentum<'g>(grad: &'g mut [f32], velocity: &'g mut Vec<f32>, mu: f32) -> &'g [f32] {
-    if mu == 0.0 {
-        return grad;
-    }
-    if velocity.is_empty() {
-        velocity.resize(grad.len(), 0.0);
-    }
-    for (v, &g) in velocity.iter_mut().zip(grad.iter()) {
-        *v = mu * *v + g;
-    }
-    velocity
-}
-
 /// How one [`WorkerState::step`] ended.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Step {
@@ -555,8 +491,6 @@ pub struct WorkerState<'a, P: Problem, S: ParamStore> {
     rng: SmallRng64,
     grad: Vec<f32>,
     pairs: Vec<(u32, f32)>,
-    sparsify_scratch: Vec<f32>,
-    velocity: Vec<f32>,
     steps: u64,
     stats: WorkerStats,
 }
@@ -579,8 +513,6 @@ impl<'a, P: Problem, S: ParamStore> WorkerState<'a, P, S> {
             ),
             grad: vec![0.0f32; problem.dim()],
             pairs: Vec::new(),
-            sparsify_scratch: Vec::new(),
-            velocity: Vec::new(),
             steps: 0,
             stats: WorkerStats::new(cfg.staleness_cap),
         }
@@ -589,24 +521,22 @@ impl<'a, P: Problem, S: ParamStore> WorkerState<'a, P, S> {
     /// One SGD iteration — the thread body of Algorithms 2–4: read θ,
     /// compute a minibatch gradient, publish `θ -= η·direction`.
     pub fn step(&mut self) -> Step {
-        let (store, cfg, ctx) = (self.store, self.cfg, self.ctx);
+        let (store, ctx) = (self.store, self.ctx);
         ctx.beat(BeatPhase::Snapshot);
         lsgd_fault::worker_step(self.steps);
         self.steps += 1;
         let iter_start = Instant::now();
-        // A sparse direction bypasses the dense gradient buffer entirely;
-        // momentum needs a dense velocity fold, so it forces the dense
-        // path.
-        let sparse_ok = S::SPARSE_NATIVE && cfg.momentum == 0.0;
 
         let read_span = lsgd_trace::span(Phase::SnapshotRead);
-        let (loss, mut sparse) = store.read(&mut self.worker, |theta| {
+        let (loss, sparse) = store.read(&mut self.worker, |theta| {
             drop(read_span);
             ctx.phase(BeatPhase::Grad);
             let tc_start = Instant::now();
             let _span = lsgd_trace::span(Phase::GradCompute);
             let (scratch, rng) = (&mut self.scratch, &mut self.rng);
-            let native = if sparse_ok && cfg.sparsify.is_none() {
+            // A sparse direction bypasses the dense gradient buffer
+            // entirely, on stores that land it in fewer than d writes.
+            let native = if S::SPARSE_NATIVE {
                 self.problem.grad_sparse(theta, &mut self.pairs, scratch, rng)
             } else {
                 None
@@ -623,30 +553,15 @@ impl<'a, P: Problem, S: ParamStore> WorkerState<'a, P, S> {
         if !loss.is_finite() {
             return Step::NonFinite;
         }
-        if let Some(frac) = cfg.sparsify {
-            let tmp = &mut self.sparsify_scratch;
-            if sparse_ok {
-                // Index extraction feeds the dirty-shard path directly —
-                // no zeroing pass, no dense re-scan at publish time.
-                crate::sparsify::sparsify_top_frac_indices(&self.grad, frac, tmp, &mut self.pairs);
-                sparse = true;
-            } else {
-                crate::sparsify::sparsify_top_frac(&mut self.grad, frac, tmp);
-            }
-        }
-        let eta = match cfg.eta_policy {
-            EtaPolicy::Constant => cfg.eta,
-            policy => policy.effective(cfg.eta, store.tau_est(&self.worker)),
-        };
         let direction = if sparse {
             Direction::Sparse(&self.pairs)
         } else {
-            Direction::Dense(fold_momentum(&mut self.grad, &mut self.velocity, cfg.momentum))
+            Direction::Dense(&self.grad)
         };
         ctx.phase(BeatPhase::Publish);
         let out = {
             let _span = lsgd_trace::span(Phase::Publish);
-            store.publish(&mut self.worker, direction, eta, &mut stats.tu)
+            store.publish(&mut self.worker, direction, self.cfg.eta, &mut stats.tu)
         };
         stats.failed_cas += out.failed_cas as u64;
         let step = if out.published {

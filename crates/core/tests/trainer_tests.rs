@@ -3,6 +3,7 @@
 use lsgd_core::prelude::*;
 use lsgd_data::blobs::gaussian_blobs;
 use lsgd_data::regression::dense_regression;
+use lsgd_data::sparse_logreg::sparse_logreg;
 use lsgd_nn::tiny_mlp;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
@@ -23,7 +24,6 @@ fn quick_cfg(algorithm: Algorithm, threads: usize) -> TrainConfig {
         eval_every: Duration::from_millis(15),
         seed: 7,
         staleness_cap: 256,
-        ..TrainConfig::default()
     }
 }
 
@@ -156,19 +156,19 @@ fn staleness_grows_with_thread_count_for_async() {
 #[test]
 fn leashed_tau_s_zero_under_persistence_zero() {
     // §IV.2: with Tp = 0, every *published* update won its CAS on the
-    // first try, so its scheduling staleness τs is exactly zero.
-    let p = blob_problem(10);
-    let r = train(
-        &p,
-        &quick_cfg(Algorithm::Leashed { persistence: Some(0) }, 4),
-    );
-    assert!(r.published > 0);
-    assert_eq!(
-        r.tau_s.bin(0),
-        r.tau_s.count(),
-        "all τs must be zero under Tp=0; got mean {}",
-        r.tau_s.mean()
-    );
+    // first try, so its scheduling staleness τs is exactly zero. The
+    // sparse problem takes the sparse-native publish.
+    let cfg = quick_cfg(Algorithm::Leashed { persistence: Some(0) }, 4);
+    let sparse = SparseLogRegProblem::new(sparse_logreg(400, 256, 8, 3), 8);
+    for r in [train(&blob_problem(10), &cfg), train(&sparse, &cfg)] {
+        assert!(r.published > 0);
+        assert_eq!(
+            r.tau_s.bin(0),
+            r.tau_s.count(),
+            "all τs must be zero under Tp=0; got mean {}",
+            r.tau_s.mean()
+        );
+    }
 }
 
 #[test]
@@ -282,7 +282,6 @@ fn regression_problem_trains_under_all_algorithms() {
             eval_every: Duration::from_millis(10),
             seed: 3,
             staleness_cap: 128,
-            ..TrainConfig::default()
         };
         let r = train(&p, &cfg);
         assert!(!r.crashed, "{algo}: {}", r.summary());
@@ -298,20 +297,6 @@ fn deterministic_problem_init_across_algorithms() {
     let a = p.init_theta(99);
     let b = p.init_theta(99);
     assert_eq!(a, b);
-}
-
-#[test]
-fn recycling_disabled_still_trains_correctly() {
-    // The recycling ablation path: correctness must be identical, only
-    // the allocation behaviour differs.
-    let p = blob_problem(16);
-    let mut cfg = quick_cfg(Algorithm::Leashed { persistence: Some(1) }, 3);
-    cfg.pool_recycling = false;
-    let r = train(&p, &cfg);
-    assert!(!r.crashed, "{}", r.summary());
-    assert!(r.fully_converged(), "{}", r.summary());
-    // Lemma-2 style bound still holds for concurrently-live buffers.
-    assert!(r.pool_outstanding_peak <= 2 * r.threads + 1);
 }
 
 #[test]

@@ -77,7 +77,6 @@ fn chaos_cfg(algorithm: Algorithm, threads: usize) -> TrainConfig {
         eval_every: Duration::from_millis(40),
         seed: 2,
         staleness_cap: 512,
-        ..TrainConfig::default()
     }
 }
 

@@ -34,7 +34,6 @@ fn cfg(algorithm: Algorithm, threads: usize) -> TrainConfig {
         eval_every: Duration::from_millis(40),
         seed: 2,
         staleness_cap: 512,
-        ..TrainConfig::default()
     }
 }
 

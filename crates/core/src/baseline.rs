@@ -61,8 +61,14 @@ impl LockedParams {
 
     /// [`update`](Self::update) for a direction given as `(index, value)`
     /// pairs: `theta[i] -= eta * v` under the lock.
+    ///
+    /// # Panics
+    /// Panics (debug) if indices are not strictly ascending or out of
+    /// range.
     pub fn update_sparse(&self, pairs: &[(u32, f32)], eta: f32) -> u64 {
         let mut guard = self.theta.lock();
+        debug_assert!(pairs.windows(2).all(|w| w[0].0 < w[1].0), "indices ascending");
+        debug_assert!(pairs.last().map_or(true, |&(i, _)| (i as usize) < guard.len()));
         for &(i, v) in pairs {
             guard[i as usize] -= eta * v;
         }
@@ -161,7 +167,13 @@ impl HogwildParams {
     /// [`update`](Self::update) for a direction given as `(index, value)`
     /// pairs: the same racy read-modify-write, on the listed components
     /// only.
+    ///
+    /// # Panics
+    /// Panics (debug) if indices are not strictly ascending or out of
+    /// range.
     pub fn update_sparse(&self, pairs: &[(u32, f32)], eta: f32) -> u64 {
+        debug_assert!(pairs.windows(2).all(|w| w[0].0 < w[1].0), "indices ascending");
+        debug_assert!(pairs.last().map_or(true, |&(i, _)| (i as usize) < self.theta.len()));
         // ORDERING: SeqCst — the paper's FetchAndAdd total order on t.
         let t = self.seq.fetch_add(1, Ordering::SeqCst) + 1;
         for &(i, v) in pairs {
@@ -206,8 +218,9 @@ pub struct CopyWorker {
 }
 
 /// `LockedParams` and `HogwildParams` plug into the step the same way:
-/// `read_into` a local copy, `update` in place, one `Tu` sample per
-/// update, staleness from the global sequence number.
+/// `read_into` a local copy, `update` (or `update_sparse` on the pairs
+/// only) in place, one `Tu` sample per update, staleness from the global
+/// sequence number.
 macro_rules! copy_on_read_store {
     ($store:ty) => {
         impl ParamStore for $store {
@@ -357,6 +370,22 @@ mod tests {
     #[should_panic]
     fn hogwild_update_rejects_length_mismatch() {
         HogwildParams::new(&[0.0; 4], gauge()).update(&[1.0; 5], 0.1);
+    }
+
+    // `Direction::Sparse` promises strictly ascending indices; the sparse
+    // arms check it in debug builds.
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "indices ascending")]
+    fn locked_update_sparse_rejects_unsorted_pairs() {
+        LockedParams::new(vec![0.0; 4], gauge()).update_sparse(&[(2, 1.0), (1, 1.0)], 0.1);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "indices ascending")]
+    fn hogwild_update_sparse_rejects_unsorted_pairs() {
+        HogwildParams::new(&[0.0; 4], gauge()).update_sparse(&[(2, 1.0), (1, 1.0)], 0.1);
     }
 
     #[test]

@@ -47,9 +47,9 @@ pub trait Problem: Send + Sync {
     /// Sparse-gradient path: computes a stochastic minibatch gradient as
     /// **ascending** `(index, value)` pairs written into `pairs` and
     /// returns the minibatch loss, or `None` when the problem has no
-    /// native sparse representation (the default). The sharded trainer
-    /// prefers this path — pairs flow straight into the dirty-shard
-    /// publication without touching a dense buffer.
+    /// native sparse representation (the default). The step asks this
+    /// first and falls back to [`grad`](Self::grad) only on `None`; every
+    /// store writes just the pairs, without touching a dense buffer.
     fn grad_sparse(
         &self,
         _theta: &[f32],
@@ -220,10 +220,11 @@ impl Problem for RegressionProblem {
 
 /// High-dimensional sparse logistic regression over [`SparseLogReg`]
 /// minibatches — the workload exercising the sharded dirty-shard
-/// publication path. Implements both the dense [`Problem::grad`] (for
-/// SEQ/ASYNC/HOG) and the native sparse [`Problem::grad_sparse`] (for
-/// sharded Leashed-SGD): one minibatch touches only the union of its
-/// documents' token coordinates.
+/// publication path. Every algorithm's step takes the native sparse
+/// [`Problem::grad_sparse`]: one minibatch touches only the union of its
+/// documents' token coordinates. The dense [`Problem::grad`] is the same
+/// gradient scattered into d slots, kept as the reference the tests check
+/// the sparse path against.
 pub struct SparseLogRegProblem {
     data: SparseLogReg,
     batch: usize,

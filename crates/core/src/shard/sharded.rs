@@ -345,8 +345,6 @@ pub struct ShardedWorker {
 impl ParamStore for ShardedShared {
     type Worker = ShardedWorker;
 
-    const SPARSE_NATIVE: bool = true;
-
     fn worker(&self, algorithm: &Algorithm) -> ShardedWorker {
         let (persistence, mode) = match *algorithm {
             Algorithm::ShardedLeashed {

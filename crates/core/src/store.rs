@@ -8,8 +8,8 @@
 //!
 //! | store | `read` | `publish` | paper |
 //! |---|---|---|---|
-//! | [`LockedParams`](crate::baseline::LockedParams) | lock, copy into the worker's buffer, unlock | lock, `θ -= η·g` in place, unlock | SEQ (`m = 1`), ASYNC — Algorithm 2 |
-//! | [`HogwildParams`](crate::baseline::HogwildParams) | unsynchronised per-component copy | racy per-component read-modify-write | HOGWILD! — Algorithm 4 |
+//! | [`LockedParams`](crate::baseline::LockedParams) | lock, copy into the worker's buffer, unlock | lock, `θ -= η·g` in place (a sparse `g` writes only its pairs), unlock | SEQ (`m = 1`), ASYNC — Algorithm 2 |
+//! | [`HogwildParams`](crate::baseline::HogwildParams) | unsynchronised per-component copy | racy per-component read-modify-write, on a sparse `g`'s pairs only | HOGWILD! — Algorithm 4 |
 //! | [`ShardedShared`](crate::shard::ShardedShared) with S = 1 | zero-copy read of the one domain: a counted read of the published buffer (P3) | LAU-SPC: copy latest, apply, one CAS, retry ≤ `Tp` | Leashed-SGD — Algorithm 3 |
 //! | [`ShardedShared`](crate::shard::ShardedShared) with S > 1 | per-shard counted reads gathered into the worker's buffer | LAU-SPC on the dirty shards only | sharded Leashed-SGD (extension) |
 //!
@@ -58,11 +58,6 @@ pub trait ParamStore: Sync {
     /// accounting for [`worker_bytes`](Self::worker_bytes) (returned on
     /// drop, so a worker that unwinds does not leak them).
     type Worker: Send;
-
-    /// Whether the store lands a [`Direction::Sparse`] by touching fewer
-    /// than `d` components. The step only builds sparse directions for
-    /// such stores; every store accepts both kinds.
-    const SPARSE_NATIVE: bool = false;
 
     /// Creates one worker's state. `algorithm` carries the per-algorithm
     /// read/publish parameters (persistence bound, snapshot mode).

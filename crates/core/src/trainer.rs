@@ -48,7 +48,11 @@ pub struct TrainConfig {
     pub max_updates: u64,
     /// Stop after this much wall-clock time (budget).
     pub max_wall: Duration,
-    /// Monitor cadence (loss evaluation + memory sampling).
+    /// Monitor cadence (loss evaluation + memory sampling). The monitor
+    /// sleeps in slices of `min(eval_every, 20 ms)` until it has slept at
+    /// least `eval_every`, then evaluates, so the real period is
+    /// `eval_every` rounded up to a whole number of slices plus one
+    /// `eval_loss`: 25 ms observes every 40 ms plus one evaluation.
     pub eval_every: Duration,
     /// Seed for parameter init and worker RNG streams.
     pub seed: u64,
@@ -535,13 +539,8 @@ impl<'a, P: Problem, S: ParamStore> WorkerState<'a, P, S> {
             let _span = lsgd_trace::span(Phase::GradCompute);
             let (scratch, rng) = (&mut self.scratch, &mut self.rng);
             // A sparse direction bypasses the dense gradient buffer
-            // entirely, on stores that land it in fewer than d writes.
-            let native = if S::SPARSE_NATIVE {
-                self.problem.grad_sparse(theta, &mut self.pairs, scratch, rng)
-            } else {
-                None
-            };
-            let out = match native {
+            // entirely: every store lands it on its support only.
+            let out = match self.problem.grad_sparse(theta, &mut self.pairs, scratch, rng) {
                 Some(loss) => (loss, true),
                 None => (self.problem.grad(theta, &mut self.grad, scratch, rng), false),
             };

@@ -6,8 +6,8 @@
 //! thread, takes 50 warm-up steps on `LockedParams` and on
 //! `HogwildParams`, which size its local copy, its gradient and its
 //! problem scratch. The next 500 steps must then allocate nothing, on
-//! `sparse_logreg` (a sparse gradient into the dense buffer) and on a
-//! tiny MLP.
+//! `sparse_logreg` (a sparse gradient, published as `(index, value)`
+//! pairs) and on a tiny MLP.
 //!
 //! The LAU-SPC store (`ShardedShared`) is the exception and is not
 //! checked here: its θ buffers are recycled by the pool, but every shard

@@ -68,7 +68,12 @@ fn assert_bits_eq(got: &[f32], want: &[f32], what: &str) {
 
 /// Every store, stepped single-threaded, must equal the oracle bit for bit.
 fn check_all_stores<P: Problem>(p: &P, what: &str, cfg: &TrainConfig) {
-    let want = oracle(p, cfg);
+    check_all_stores_against(&oracle(p, cfg), p, what, cfg);
+}
+
+/// Every store, stepped single-threaded on `p`, must equal `want` bit for
+/// bit.
+fn check_all_stores_against<P: Problem>(want: &[f32], p: &P, what: &str, cfg: &TrainConfig) {
     assert!(want.iter().all(|v| v.is_finite()));
     let theta0 = p.init_theta(cfg.seed);
     assert_ne!(want, theta0, "{what}: the oracle must have moved");
@@ -79,11 +84,11 @@ fn check_all_stores<P: Problem>(p: &P, what: &str, cfg: &TrainConfig) {
 
     let locked = LockedParams::new(theta0.clone(), gauge());
     let got = drive(p, &locked, &with(Algorithm::Sequential));
-    assert_bits_eq(&got, &want, &format!("{what} SEQ"));
+    assert_bits_eq(&got, want, &format!("{what} SEQ"));
 
     let hog = HogwildParams::new(&theta0, gauge());
     let got = drive(p, &hog, &with(Algorithm::Hogwild));
-    assert_bits_eq(&got, &want, &format!("{what} HOG"));
+    assert_bits_eq(&got, want, &format!("{what} HOG"));
 
     let sharded = |shards, snapshot| Algorithm::ShardedLeashed {
         persistence: Some(0),
@@ -101,12 +106,50 @@ fn check_all_stores<P: Problem>(p: &P, what: &str, cfg: &TrainConfig) {
     ] {
         let store = ShardedShared::new(&theta0, shards, gauge(), true);
         let got = drive(p, &store, &with(algorithm));
-        assert_bits_eq(&got, &want, &format!("{what} {algorithm} S={shards}"));
+        assert_bits_eq(&got, want, &format!("{what} {algorithm} S={shards}"));
+    }
+}
+
+/// `sparse_logreg` with no dense gradient: a step that calls
+/// [`Problem::grad`] panics, so a store passes only on the sparse path.
+struct SparseOnly(SparseLogRegProblem);
+
+impl Problem for SparseOnly {
+    type Scratch = <SparseLogRegProblem as Problem>::Scratch;
+
+    fn dim(&self) -> usize {
+        self.0.dim()
+    }
+
+    fn init_theta(&self, seed: u64) -> Vec<f32> {
+        self.0.init_theta(seed)
+    }
+
+    fn scratch(&self) -> Self::Scratch {
+        self.0.scratch()
+    }
+
+    fn grad(&self, _: &[f32], _: &mut [f32], _: &mut Self::Scratch, _: &mut SmallRng64) -> f32 {
+        panic!("the step took the dense gradient of a sparse problem")
+    }
+
+    fn eval_loss(&self, theta: &[f32], scratch: &mut Self::Scratch) -> f64 {
+        self.0.eval_loss(theta, scratch)
+    }
+
+    fn grad_sparse(
+        &self,
+        theta: &[f32],
+        pairs: &mut Vec<(u32, f32)>,
+        scratch: &mut Self::Scratch,
+        rng: &mut SmallRng64,
+    ) -> Option<f32> {
+        self.0.grad_sparse(theta, pairs, scratch, rng)
     }
 }
 
 /// The step configuration the stores are checked at (on `sparse_logreg`
-/// the sharded store takes its sparse-native path).
+/// every store takes the sparse path).
 fn config(eta: f32) -> TrainConfig {
     TrainConfig {
         eta,
@@ -119,6 +162,16 @@ fn config(eta: f32) -> TrainConfig {
 fn every_store_is_bit_identical_to_sequential_sgd_on_sparse_logreg() {
     let p = SparseLogRegProblem::new(sparse_logreg(400, 256, 8, 3), 8);
     check_all_stores(&p, "sparse_logreg", &config(0.5));
+}
+
+/// Every store lands a sparse gradient through its sparse arm, and that
+/// arm matches the dense oracle bit for bit.
+#[test]
+fn every_store_takes_the_sparse_path_on_a_sparse_problem() {
+    let p = SparseLogRegProblem::new(sparse_logreg(400, 256, 8, 3), 8);
+    let cfg = config(0.5);
+    let want = oracle(&p, &cfg);
+    check_all_stores_against(&want, &SparseOnly(p), "sparse-only sparse_logreg", &cfg);
 }
 
 #[test]

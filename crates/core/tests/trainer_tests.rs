@@ -157,7 +157,7 @@ fn staleness_grows_with_thread_count_for_async() {
 fn leashed_tau_s_zero_under_persistence_zero() {
     // §IV.2: with Tp = 0, every *published* update won its CAS on the
     // first try, so its scheduling staleness τs is exactly zero. The
-    // sparse problem takes the sparse-native publish.
+    // sparse problem publishes `(index, value)` pairs.
     let cfg = quick_cfg(Algorithm::Leashed { persistence: Some(0) }, 4);
     let sparse = SparseLogRegProblem::new(sparse_logreg(400, 256, 8, 3), 8);
     for r in [train(&blob_problem(10), &cfg), train(&sparse, &cfg)] {
@@ -409,7 +409,7 @@ fn sharded_trainer_exploits_sparse_logreg_gradients() {
     let r = train(&p, &cfg);
     assert!(!r.crashed);
     assert!(r.fully_converged(), "{}", r.summary());
-    // The sparse-native path must leave most shards clean: a 16-doc
+    // The sparse path must leave most shards clean: a 16-doc
     // minibatch touches ≲ 16·18 coordinates spread over 2048, so the mean
     // dirty-shard count sits well below S.
     assert!(r.dirty_shards.count() > 0);

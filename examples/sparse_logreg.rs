@@ -3,11 +3,12 @@
 //!
 //! A high-dimensional text-like instance (power-law token frequencies,
 //! L2-normalised log-tf rows) trained with SEQ, HOGWILD!, and sharded
-//! Leashed-SGD. The sharded runs use the native sparse-gradient path:
-//! each minibatch publishes only `(index, value)` pairs, so only the
-//! shards owning touched coordinates are copied + CASed — watch the
-//! dirty-shard column sit far below S while the unsharded algorithms pay
-//! the full dimension every update.
+//! Leashed-SGD. Every run uses the native sparse-gradient path: each
+//! minibatch publishes only `(index, value)` pairs. SEQ and HOGWILD!
+//! write just those pairs but still read all d coordinates into the
+//! worker's copy every update; the sharded runs copy + CAS only the
+//! shards owning touched coordinates — watch the dirty-shard column sit
+//! far below S.
 //!
 //! ```text
 //! cargo run --release --example sparse_logreg
@@ -103,8 +104,8 @@ fn main() {
     println!(
         "\nThe sharded rows publish sparse (index, value) pairs: only the \
          \nshards owning a minibatch's tokens are copied + CASed, so the \
-         \nmean dirty-shard count stays far below S={shards_eff} while SEQ/HOG \
-         \ntouch all d={dim} coordinates every update. The first \
-         \nargument sets the shard count."
+         \nmean dirty-shard count stays far below S={shards_eff}. SEQ/HOG write \
+         \nonly the pairs too, but read all d={dim} coordinates every \
+         \nupdate. The first argument sets the shard count."
     );
 }

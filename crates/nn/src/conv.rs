@@ -42,8 +42,8 @@
 //! warm second step at new parameters) in `tests/fastpath_differential.rs`.
 
 use crate::layer::{Layer, LayerCache, RowsPtr};
-use lsgd_runtime::{split_ranges, Runtime};
-use lsgd_tensor::gemm::{gemm_flex, gemm_slices, ASource, BSource, Transpose};
+use lsgd_runtime::{split_range, Runtime};
+use lsgd_tensor::gemm::{gemm_flex, ASource, BSource, Transpose};
 use lsgd_tensor::{Matrix, PackedA, PackedB};
 use std::cell::RefCell;
 use std::ops::Range;
@@ -273,11 +273,11 @@ impl Conv2d {
     /// range, inline otherwise. `work` must touch only sample-disjoint
     /// state.
     fn for_sample_ranges(rt: &Runtime, batch: usize, work: &(dyn Fn(Range<usize>) + Sync)) {
-        let ranges = split_ranges(batch, rt.threads());
-        if ranges.len() <= 1 {
+        let tasks = rt.threads().min(batch);
+        if tasks <= 1 {
             work(0..batch);
         } else {
-            rt.parallel_for(ranges.len(), &|t| work(ranges[t].clone()));
+            rt.parallel_for(tasks, &|t| work(split_range(batch, tasks, t)));
         }
     }
 
@@ -294,7 +294,7 @@ impl Conv2d {
             shape: (patch, ohw),
         };
         let asrc = ASource::Prepacked(pa);
-        gemm_flex(1.0, &asrc, &bsrc, 0.0, out_row, (self.filters, ohw));
+        gemm_flex(None, 1.0, &asrc, &bsrc, 0.0, out_row, (self.filters, ohw));
         for f in 0..self.filters {
             let b = bias[f];
             for v in &mut out_row[f * ohw..(f + 1) * ohw] {
@@ -310,8 +310,7 @@ impl Conv2d {
     #[allow(clippy::too_many_arguments)]
     fn backward_sample(
         &self,
-        w: &[f32],
-        pb: Option<&PackedB>,
+        pb: &PackedB,
         dy: &[f32],
         sample: &[f32],
         gi_row: &mut [f32],
@@ -329,50 +328,29 @@ impl Conv2d {
             shape: (self.filters, ohw),
             trans: Transpose::Yes,
         };
-        match pb {
-            Some(pb) => gemm_flex(
-                1.0,
-                &asrc,
-                &BSource::Prepacked(pb),
-                0.0,
-                dcols.as_mut_slice(),
-                (ohw, patch),
-            ),
-            None => gemm_slices(
-                1.0,
-                dy,
-                (self.filters, ohw),
-                Transpose::Yes,
-                w,
-                (self.filters, patch),
-                Transpose::No,
-                0.0,
-                dcols.as_mut_slice(),
-                (ohw, patch),
-            ),
-        }
+        let bsrc = BSource::Prepacked(pb);
+        gemm_flex(None, 1.0, &asrc, &bsrc, 0.0, dcols.as_mut_slice(), (ohw, patch));
         self.col2im_add(dcols, gi_row);
 
         // dW_s = dY (filters, ohw) · cols (ohw, patch). With the paper
-        // CNN's filter counts this sits below gemm's small-m cutoff and
-        // streams the materialised cols on the naive path — which is why
-        // the lowering is still materialised here (the forward pass is
-        // not).
+        // CNN's first layer (4 filters) this sits below gemm_flex's
+        // small-m cutoff and streams the materialised cols on the naive
+        // path — which is why the lowering is still materialised here
+        // (the forward pass is not).
         cols.resize_for_overwrite(ohw, patch);
         self.im2col(sample, cols);
         let (dw_s, db_s) = slab_row.split_at_mut(self.filters * patch);
-        gemm_slices(
-            1.0,
-            dy,
-            (self.filters, ohw),
-            Transpose::No,
-            cols.as_slice(),
-            (ohw, patch),
-            Transpose::No,
-            0.0,
-            dw_s,
-            (self.filters, patch),
-        );
+        let asrc = ASource::Slices {
+            a: dy,
+            shape: (self.filters, ohw),
+            trans: Transpose::No,
+        };
+        let bsrc = BSource::Slices {
+            b: cols.as_slice(),
+            shape: (ohw, patch),
+            trans: Transpose::No,
+        };
+        gemm_flex(None, 1.0, &asrc, &bsrc, 0.0, dw_s, (self.filters, patch));
         for f in 0..self.filters {
             db_s[f] = dy[f * ohw..(f + 1) * ohw].iter().sum::<f32>();
         }
@@ -452,18 +430,8 @@ impl Layer for Conv2d {
         // sample — no zero-fill) and are reduced in ascending sample
         // order below, which is the serial association exactly.
         cache.grad_slab.resize(batch * pl, 0.0);
-        // Prepacked W is only usable where the fresh-operand path would
-        // also take the packed kernel (m = out_h·out_w rows in the dcols
-        // product); tiny outputs prefer the streaming naive kernel, and
-        // matching that policy keeps the paths bitwise identical.
-        let use_pb = !lsgd_tensor::gemm::small_m_prefers_naive(
-            self.out_h() * self.out_w(),
-            Transpose::No,
-        );
-        if use_pb {
-            cache.packed_b.pack(w, (self.filters, patch), Transpose::No);
-        }
-        let pb = use_pb.then_some(&cache.packed_b);
+        cache.packed_b.pack(w, (self.filters, patch), Transpose::No);
+        let pb = &cache.packed_b;
         let gi = RowsPtr::of(grad_in);
         let slab = RowsPtr::of_slab(&mut cache.grad_slab, pl);
         let work = |range: Range<usize>| {
@@ -475,7 +443,6 @@ impl Layer for Conv2d {
                     // borrows of `grad_in` / `grad_slab` end.
                     let (gi_row, slab_row) = unsafe { (gi.row(s), slab.row(s)) };
                     self.backward_sample(
-                        w,
                         pb,
                         grad_out.row(s),
                         input.row(s),

@@ -8,19 +8,15 @@
 //! step issues — forward `Y = X·Wᵀ` and backward `dX = dY·W` — in two
 //! different pack orientations. Each pass packs its orientation into the
 //! layer's one `LayerCache::packed_b` slot (the backward pass overwrites
-//! the forward's `Wᵀ` with `W`), and every product goes through the `_in`
-//! parallel kernels on the caller's runtime: they fan out when the
-//! runtime has more than one thread and the product is large enough, run
-//! the serial rect otherwise, and are bitwise identical either way.
-//! `dW = dYᵀ·X` involves only per-batch operands, so it packs inside the
-//! kernel.
+//! the forward's `Wᵀ` with `W`), and every product goes through
+//! `gemm_flex` on the caller's runtime, which picks the kernel and
+//! decides whether to split; results are bitwise identical at every
+//! runtime width. `dW = dYᵀ·X` involves only per-batch operands, so it
+//! packs inside the kernel.
 
 use crate::layer::{Layer, LayerCache};
 use lsgd_runtime::Runtime;
-use lsgd_tensor::gemm::{
-    gemm_flex_parallel_in, gemm_slices_parallel_in, small_m_prefers_naive, ASource, BSource,
-    Transpose,
-};
+use lsgd_tensor::gemm::{gemm_flex, ASource, BSource, Transpose};
 use lsgd_tensor::Matrix;
 
 /// Fully-connected layer `y = x Wᵀ + b`.
@@ -80,8 +76,6 @@ impl Layer for Dense {
         let (w, b) = self.split(params);
         let w_shape = (self.out_dim, self.in_dim);
         // Y = X · Wᵀ   (batch,in) x (out,in)ᵀ -> (batch,out)
-        // `tb = Yes` always takes the packed kernel, so the prepacked
-        // orientation of W is usable at every batch size.
         cache.packed_b.pack(w, w_shape, Transpose::Yes);
         let asrc = ASource::Slices {
             a: input.as_slice(),
@@ -90,7 +84,7 @@ impl Layer for Dense {
         };
         let bsrc = BSource::Prepacked(&cache.packed_b);
         let c_shape = (batch, self.out_dim);
-        gemm_flex_parallel_in(rt, 1.0, &asrc, &bsrc, 0.0, output.as_mut_slice(), c_shape);
+        gemm_flex(Some(rt), 1.0, &asrc, &bsrc, 0.0, output.as_mut_slice(), c_shape);
         // += bias, broadcast over rows.
         for r in 0..batch {
             let row = output.row_mut(r);
@@ -121,19 +115,17 @@ impl Layer for Dense {
         // transposed copy of dY is materialised and no scalar fallback
         // runs (this product dominated Tc before the packed kernel).
         // Both operands are fresh per step, so nothing to prepack.
-        gemm_slices_parallel_in(
-            rt,
-            1.0,
-            grad_out.as_slice(),
-            (batch, self.out_dim),
-            Transpose::Yes,
-            input.as_slice(),
-            (batch, self.in_dim),
-            Transpose::No,
-            0.0,
-            dw,
-            w_shape,
-        );
+        let asrc = ASource::Slices {
+            a: grad_out.as_slice(),
+            shape: (batch, self.out_dim),
+            trans: Transpose::Yes,
+        };
+        let bsrc = BSource::Slices {
+            b: input.as_slice(),
+            shape: (batch, self.in_dim),
+            trans: Transpose::No,
+        };
+        gemm_flex(Some(rt), 1.0, &asrc, &bsrc, 0.0, dw, w_shape);
         // db = column sums of dY.
         db.iter_mut().for_each(|v| *v = 0.0);
         for r in 0..batch {
@@ -143,34 +135,15 @@ impl Layer for Dense {
             }
         }
         // dX = dY · W   (batch,out) x (out,in) -> (batch,in)
-        // Tiny batches prefer the streaming naive kernel; matching that
-        // policy here (instead of forcing the prepacked packed kernel)
-        // keeps results bitwise identical to the fresh-operand path.
-        if !small_m_prefers_naive(batch, Transpose::No) {
-            cache.packed_b.pack(w, w_shape, Transpose::No);
-            let asrc = ASource::Slices {
-                a: grad_out.as_slice(),
-                shape: (batch, self.out_dim),
-                trans: Transpose::No,
-            };
-            let bsrc = BSource::Prepacked(&cache.packed_b);
-            let c_shape = (batch, self.in_dim);
-            gemm_flex_parallel_in(rt, 1.0, &asrc, &bsrc, 0.0, grad_in.as_mut_slice(), c_shape);
-        } else {
-            gemm_slices_parallel_in(
-                rt,
-                1.0,
-                grad_out.as_slice(),
-                (batch, self.out_dim),
-                Transpose::No,
-                w,
-                w_shape,
-                Transpose::No,
-                0.0,
-                grad_in.as_mut_slice(),
-                (batch, self.in_dim),
-            );
-        }
+        cache.packed_b.pack(w, w_shape, Transpose::No);
+        let asrc = ASource::Slices {
+            a: grad_out.as_slice(),
+            shape: (batch, self.out_dim),
+            trans: Transpose::No,
+        };
+        let bsrc = BSource::Prepacked(&cache.packed_b);
+        let c_shape = (batch, self.in_dim);
+        gemm_flex(Some(rt), 1.0, &asrc, &bsrc, 0.0, grad_in.as_mut_slice(), c_shape);
     }
 }
 

@@ -5,13 +5,14 @@
 //! through one workspace size every buffer: activations, each layer's
 //! packed weight slots, the conv slabs and the thread-local GEMM and
 //! lowering scratch. The next five calls must then allocate nothing, on
-//! the paper's MLP (batch 64) and CNN (batch 32).
+//! the paper's MLP (batch 64) and CNN (batch 32), each on an injected
+//! `Runtime::new(1)` and `Runtime::new(2)`.
 //!
-//! The workspace runs on an injected `Runtime::new(1)`, so every split
-//! runs inline on the test thread, where the counter sees it. Wider
-//! runtimes are out of scope here: on two threads the CNN step still
-//! allocates a few times per step in its sample split (`split_ranges`
-//! returns a `Vec` of ranges).
+//! The counter is thread-local: it sees only the calling thread. On one
+//! thread every split runs inline there, so it sees the whole step. On
+//! two threads it sees the caller's share of the step — its GEMM bands
+//! and conv sample ranges, and the fan-out itself (task queue, range
+//! arithmetic) — but not what the helper thread runs.
 
 use lsgd_nn::Network;
 use lsgd_runtime::Runtime;
@@ -66,6 +67,12 @@ fn allocations(f: impl FnOnce()) -> usize {
 }
 
 fn assert_warm_steps_allocate_nothing(net: &Network, batch: usize) {
+    for threads in [1, 2] {
+        assert_warm_steps_allocate_nothing_on(net, batch, threads);
+    }
+}
+
+fn assert_warm_steps_allocate_nothing_on(net: &Network, batch: usize, threads: usize) {
     let theta = net.init_params(1);
     let mut rng = SmallRng64::new(2);
     let x = Matrix::from_fn(batch, net.in_dim(), |_, _| rng.next_f32() - 0.5);
@@ -73,7 +80,7 @@ fn assert_warm_steps_allocate_nothing(net: &Network, batch: usize) {
         .map(|_| rng.next_below(net.n_classes()) as u8)
         .collect();
     let mut ws = net.workspace(batch);
-    ws.set_runtime(Runtime::new(1).into());
+    ws.set_runtime(Runtime::new(threads).into());
     let mut grad = vec![0.0f32; net.param_len()];
     // The cold call fills the packed slots: proof that the counter is live.
     let cold = allocations(|| {
@@ -90,7 +97,7 @@ fn assert_warm_steps_allocate_nothing(net: &Network, batch: usize) {
     });
     assert_eq!(
         n, 0,
-        "5 warm loss_grad calls at batch {batch} allocated {n} times"
+        "5 warm loss_grad calls at batch {batch} on {threads} threads allocated {n} times"
     );
 }
 

@@ -21,9 +21,11 @@
 //!
 //! The runtime schedules *which thread* runs a task, never *what* the task
 //! computes: `parallel_for(n, f)` always runs `f(0..n)` exactly once each,
-//! and callers that need bitwise-reproducible results (the GEMM layer)
-//! partition work into disjoint output rectangles with [`split_ranges`] and
-//! reduce in ascending range order on the calling thread. Differential
+//! and callers that need bitwise-reproducible results (the GEMM and conv
+//! layers) partition work into disjoint output rectangles — GEMM bands
+//! computed by `lsgd_tensor::gemm::gemm_flex`, conv sample ranges by
+//! [`split_range`] — and reduce in ascending range order on the calling
+//! thread. Differential
 //! suites (`gemm_differential`, `fastpath_differential`,
 //! `prepacked_differential`) hold the serial ≡ parallel bitwise guarantee
 //! across this runtime.
@@ -312,30 +314,23 @@ fn default_threads() -> usize {
 }
 
 // ---------------------------------------------------------------------------
-// split_ranges
+// split_range
 // ---------------------------------------------------------------------------
 
-/// Split `0..n` into at most `max_tasks` contiguous near-equal ranges
-/// (longer ranges first). Deterministic: callers that reduce per-range
-/// partial results in ascending range order get bitwise-identical results
-/// regardless of which threads ran which range — this is the foundation of
-/// the serial ≡ parallel guarantee in the GEMM layer.
-pub fn split_ranges(n: usize, max_tasks: usize) -> Vec<Range<usize>> {
-    if n == 0 || max_tasks == 0 {
-        return Vec::new();
-    }
-    let tasks = max_tasks.min(n);
-    let base = n / tasks;
-    let extra = n % tasks;
-    let mut out = Vec::with_capacity(tasks);
-    let mut start = 0;
-    for t in 0..tasks {
-        let len = base + usize::from(t < extra);
-        out.push(start..start + len);
-        start += len;
-    }
-    debug_assert_eq!(start, n);
-    out
+/// Range `t` of `0..n` split into `tasks` contiguous near-equal ranges
+/// (longer ranges first), computed without allocating so a
+/// `parallel_for(tasks, …)` task can find its own range. Deterministic:
+/// callers that reduce per-range partial results in ascending range order
+/// get bitwise-identical results regardless of which threads ran which
+/// range. The ranges are non-empty when `tasks <= n`.
+///
+/// # Panics
+/// Panics if `t >= tasks`.
+pub fn split_range(n: usize, tasks: usize, t: usize) -> Range<usize> {
+    assert!(t < tasks, "split_range: task {t} of {tasks}");
+    let (base, extra) = (n / tasks, n % tasks);
+    let start = t * base + t.min(extra);
+    start..start + base + usize::from(t < extra)
 }
 
 // ---------------------------------------------------------------------------
@@ -524,14 +519,10 @@ mod tests {
 
     #[test]
     fn split_ranges_partitions_exactly() {
-        for n in [0usize, 1, 2, 7, 64, 1000] {
+        for n in [1usize, 2, 7, 64, 1000] {
             for max_tasks in [1usize, 2, 3, 8, 1000] {
-                let ranges = split_ranges(n, max_tasks);
-                if n == 0 {
-                    assert!(ranges.is_empty());
-                    continue;
-                }
-                assert!(ranges.len() <= max_tasks);
+                let tasks = max_tasks.min(n);
+                let ranges: Vec<_> = (0..tasks).map(|t| split_range(n, tasks, t)).collect();
                 let mut next = 0;
                 for r in &ranges {
                     assert_eq!(r.start, next);

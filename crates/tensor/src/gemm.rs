@@ -7,20 +7,18 @@
 //!
 //! Entry points:
 //!
-//! * [`gemm`] over [`Matrix`] operands, and
-//! * [`gemm_slices`] over raw `&[f32]` row-major buffers with explicit
-//!   shapes — used by the neural-network layers, whose weight matrices are
-//!   *sub-slices of the flat ParameterVector* (the paper's central data
-//!   structure) and must be multiplied in place without copies;
-//! * [`gemm_slices_parallel_in`] — the same contract, with the M (or, for
-//!   wide outputs, N) panel loop split by a [`Runtime`]'s `parallel_for`
-//!   (callers pass [`lsgd_runtime::global`] or an injected
-//!   one). Small products fall back to the serial path so the paper's
-//!   tiny CNN im2col GEMMs never pay dispatch overhead;
-//! * [`gemm_flex`] / [`gemm_flex_parallel_in`] — either operand may be
-//!   prepacked panels, or (for `B`) a custom block packer;
-//! * [`gemm_naive_slices`] — the previous blocked-loop kernel, retained
-//!   as the differential-testing oracle.
+//! * [`gemm_flex`] — the one entry the rest of the workspace calls. Each
+//!   operand is an [`ASource`] / [`BSource`]: a raw row-major `&[f32]`
+//!   with its stored shape (the neural-network layers' weight matrices
+//!   are *sub-slices of the flat ParameterVector*, the paper's central
+//!   data structure, and are multiplied in place without copies),
+//!   prepacked panels, or (for `B`) a custom block packer. It alone
+//!   decides which kernel runs and whether the product is split across
+//!   the [`Runtime`] it is handed (`None` means serial);
+//! * [`gemm`] over [`Matrix`] operands — a serial wrapper over it;
+//! * [`gemm_naive_slices`] — the previous blocked-loop kernel: what
+//!   [`gemm_flex`] runs for short untransposed-`B` slice products, and
+//!   the differential-testing oracle.
 //!
 //! # Kernel design (BLIS-style packed panels)
 //!
@@ -90,89 +88,13 @@ pub const NC: usize = 256;
 const _: () = assert!(NC % (2 * NR) == 0, "NC must be a multiple of 2*NR");
 const _: () = assert!(MC % MR == 0, "MC must be a multiple of MR");
 
-/// Minimum `2·m·n·k` flop count before [`gemm_slices_parallel_in`] fans out;
+/// Minimum `2·m·n·k` flop count before [`gemm_flex`] fans out;
 /// below this the dispatch overhead exceeds the win (the paper's CNN
 /// im2col products sit well under it).
 const PAR_MIN_FLOPS: usize = 1 << 21;
 
-/// `C = alpha * op(A) * op(B) + beta * C` over raw row-major slices.
-///
-/// `a_shape`, `b_shape` are the *stored* shapes `(rows, cols)` of the
-/// buffers (before `op` is applied); `c_shape` is the shape of `C`.
-///
-/// # Panics
-/// Panics if any buffer length or the operand shapes are inconsistent.
-#[allow(clippy::too_many_arguments)]
-pub fn gemm_slices(
-    alpha: f32,
-    a: &[f32],
-    a_shape: (usize, usize),
-    ta: Transpose,
-    b: &[f32],
-    b_shape: (usize, usize),
-    tb: Transpose,
-    beta: f32,
-    c: &mut [f32],
-    c_shape: (usize, usize),
-) {
-    let (m, n, k) = validate(a, a_shape, ta, b, b_shape, tb, c, c_shape);
-    scale_c(beta, c);
-    if alpha == 0.0 || m == 0 || n == 0 || k == 0 {
-        return;
-    }
-    if small_m_prefers_naive(m, tb) {
-        return naive_dispatch(alpha, a, b, c, ta, tb, m, n, k);
-    }
-    let asrc = ASource::Slices { a, shape: a_shape, trans: ta };
-    let bsrc = BSource::Slices { b, shape: b_shape, trans: tb };
-    // SAFETY: `c` is the unique mutable borrow of the full `m × n` output
-    // and this call covers the whole rectangle serially.
-    unsafe {
-        packed_rect(alpha, &asrc, &bsrc, CPtr(c.as_mut_ptr()), n, (0, m), (0, n), k);
-    }
-}
-
-/// With only a handful of output rows and an untransposed `B`, the
-/// packed kernel cannot amortise its `B`-panel copy (each packed element
-/// is used `⌈m/MR⌉ ≈ 1` time) and pads `A` up to a full `MR` micro-panel,
-/// while the naive `ikj`/rank-1 loops stream `B` straight from memory at
-/// full vector width. The paper's per-sample CNN im2col products
-/// (`4 × 9 × 676`) sit squarely in this regime.
-///
-/// Public so callers holding *prepacked* operands (which can only feed
-/// the packed kernel) can apply the identical policy — falling back to a
-/// fresh-operand [`gemm_slices`] call for shapes this predicate claims —
-/// and thereby stay bitwise identical to the fresh-pack path on every
-/// shape.
-#[inline]
-pub fn small_m_prefers_naive(m: usize, tb: Transpose) -> bool {
-    !tb.is_t() && m < 8
-}
-
-
-/// Orientation dispatch into the retained naive kernels (post-validation,
-/// post-`beta`).
-#[allow(clippy::too_many_arguments)]
-fn naive_dispatch(
-    alpha: f32,
-    a: &[f32],
-    b: &[f32],
-    c: &mut [f32],
-    ta: Transpose,
-    tb: Transpose,
-    m: usize,
-    n: usize,
-    k: usize,
-) {
-    match (ta.is_t(), tb.is_t()) {
-        (false, false) => gemm_nn(alpha, a, b, c, m, n, k),
-        (false, true) => gemm_nt(alpha, a, b, c, m, n, k),
-        (true, false) => gemm_tn(alpha, a, b, c, m, n, k),
-        (true, true) => gemm_tt(alpha, a, b, c, m, n, k),
-    }
-}
-
-/// `C = alpha * op(A) * op(B) + beta * C` over [`Matrix`] operands.
+/// `C = alpha * op(A) * op(B) + beta * C` over [`Matrix`] operands,
+/// serially: [`gemm_flex`] with no runtime.
 ///
 /// # Panics
 /// Panics if the shapes are inconsistent.
@@ -185,115 +107,11 @@ pub fn gemm(
     beta: f32,
     c: &mut Matrix,
 ) {
-    let a_shape = (a.rows(), a.cols());
-    let b_shape = (b.rows(), b.cols());
+    let asrc = ASource::Slices { a: a.as_slice(), shape: (a.rows(), a.cols()), trans: ta };
+    let bsrc = BSource::Slices { b: b.as_slice(), shape: (b.rows(), b.cols()), trans: tb };
     let c_shape = (c.rows(), c.cols());
-    gemm_slices(
-        alpha,
-        a.as_slice(),
-        a_shape,
-        ta,
-        b.as_slice(),
-        b_shape,
-        tb,
-        beta,
-        c.as_mut_slice(),
-        c_shape,
-    );
+    gemm_flex(None, alpha, &asrc, &bsrc, beta, c.as_mut_slice(), c_shape);
 }
-
-/// Convenience wrapper allocating the output: `op(A) * op(B)`.
-pub fn matmul(a: &Matrix, ta: Transpose, b: &Matrix, tb: Transpose) -> Matrix {
-    let m = if ta.is_t() { a.cols() } else { a.rows() };
-    let n = if tb.is_t() { b.rows() } else { b.cols() };
-    let mut c = Matrix::zeros(m, n);
-    gemm(1.0, a, ta, b, tb, 0.0, &mut c);
-    c
-}
-
-// ---------------------------------------------------------------------------
-// Parallel entry points
-// ---------------------------------------------------------------------------
-
-/// [`gemm_slices`] with the panel loop split across `pool`.
-///
-/// Falls back to the serial kernel when the pool has a single thread or
-/// the product is too small to amortise dispatch (see `PAR_MIN_FLOPS`).
-/// Results are bitwise identical to the serial kernel: threads partition
-/// `C` disjointly and each partition runs the same blocked loop.
-#[allow(clippy::too_many_arguments)]
-pub fn gemm_slices_parallel_in(
-    pool: &Runtime,
-    alpha: f32,
-    a: &[f32],
-    a_shape: (usize, usize),
-    ta: Transpose,
-    b: &[f32],
-    b_shape: (usize, usize),
-    tb: Transpose,
-    beta: f32,
-    c: &mut [f32],
-    c_shape: (usize, usize),
-) {
-    let (m, n, k) = validate(a, a_shape, ta, b, b_shape, tb, c, c_shape);
-    scale_c(beta, c);
-    if alpha == 0.0 || m == 0 || n == 0 || k == 0 {
-        return;
-    }
-    if small_m_prefers_naive(m, tb) {
-        // Same fast path as the serial entry point: keeps parallel and
-        // serial results bitwise identical for every shape.
-        return naive_dispatch(alpha, a, b, c, ta, tb, m, n, k);
-    }
-    let asrc = ASource::Slices { a, shape: a_shape, trans: ta };
-    let bsrc = BSource::Slices { b, shape: b_shape, trans: tb };
-    let cp = CPtr(c.as_mut_ptr());
-    let threads = pool.threads();
-    if threads <= 1 || 2 * m * n * k < PAR_MIN_FLOPS {
-        // SAFETY: unique borrow of C, whole rectangle, serial.
-        unsafe {
-            packed_rect(alpha, &asrc, &bsrc, cp, n, (0, m), (0, n), k);
-        }
-        return;
-    }
-
-    // Partition C into disjoint rectangles: by M-panels when there are
-    // enough rows to feed every thread a micro-panel multiple, otherwise
-    // (short-and-wide outputs) by N-panels.
-    let (split_rows, chunk, ntasks) = if m >= threads * MR {
-        let chunk = m.div_ceil(threads).next_multiple_of(MR);
-        (true, chunk, m.div_ceil(chunk))
-    } else if n >= threads * NR {
-        // Column chunks are aligned to the *paired* panel width (2·NR),
-        // not NR: the AVX2 macro-kernel consumes B panels in pairs
-        // starting from each block's first panel, so only 2·NR-aligned
-        // block starts keep the pair grouping — and therefore the FMA
-        // rounding of every element — identical to the serial kernel's
-        // NC-aligned blocks (NC is a multiple of 2·NR by const assert).
-        let chunk = n.div_ceil(threads).next_multiple_of(2 * NR);
-        (false, chunk, n.div_ceil(chunk))
-    } else {
-        (true, m, 1)
-    };
-    pool.parallel_for(ntasks, &|t| {
-        let (rows, cols) = if split_rows {
-            ((t * chunk, ((t + 1) * chunk).min(m)), (0, n))
-        } else {
-            ((0, m), (t * chunk, ((t + 1) * chunk).min(n)))
-        };
-        // SAFETY: tasks cover pairwise-disjoint rectangles of C (distinct
-        // `t` ⇒ distinct row or column ranges), and `parallel_for` joins
-        // every task before returning, so the `&mut c` borrow outlives
-        // all writes through `cp`.
-        unsafe {
-            packed_rect(alpha, &asrc, &bsrc, cp, n, rows, cols, k);
-        }
-    });
-}
-
-// ---------------------------------------------------------------------------
-// Flexible-source entry points (prepacked panels / fused custom packing)
-// ---------------------------------------------------------------------------
 
 /// Where the `A` operand of a [`gemm_flex`] call comes from.
 pub enum ASource<'a> {
@@ -317,12 +135,8 @@ impl ASource<'_> {
     fn dims(&self) -> (usize, usize) {
         match self {
             ASource::Slices { a, shape, trans } => {
-                assert_eq!(a.len(), shape.0 * shape.1, "gemm_flex: A buffer length");
-                if trans.is_t() {
-                    (shape.1, shape.0)
-                } else {
-                    *shape
-                }
+                assert_eq!(a.len(), shape.0 * shape.1, "gemm: A buffer length");
+                op_shape(*shape, *trans)
             }
             ASource::Prepacked(pa) => pa.dims(),
         }
@@ -353,7 +167,7 @@ pub enum BSource<'a> {
     /// with exactly what [`crate::pack::pack_b`] would produce for that
     /// block of the logical `k × n` operand (zero-padded `NR`-column
     /// micro-panels), so results stay bitwise identical to materialising
-    /// the operand and calling [`gemm_slices`].
+    /// the operand as a [`BSource::Slices`].
     Packer {
         /// Block packer: `(dst, k0, j0, kc, nc)`.
         pack: &'a BlockPacker<'a>,
@@ -367,12 +181,8 @@ impl BSource<'_> {
     fn dims(&self) -> (usize, usize) {
         match self {
             BSource::Slices { b, shape, trans } => {
-                assert_eq!(b.len(), shape.0 * shape.1, "gemm_flex: B buffer length");
-                if trans.is_t() {
-                    (shape.1, shape.0)
-                } else {
-                    *shape
-                }
+                assert_eq!(b.len(), shape.0 * shape.1, "gemm: B buffer length");
+                op_shape(*shape, *trans)
             }
             BSource::Prepacked(pb) => pb.dims(),
             BSource::Packer { shape, .. } => *shape,
@@ -380,17 +190,43 @@ impl BSource<'_> {
     }
 }
 
+/// A stored `(rows, cols)` shape as seen through `op`.
+fn op_shape((rows, cols): (usize, usize), trans: Transpose) -> (usize, usize) {
+    if trans.is_t() {
+        (cols, rows)
+    } else {
+        (rows, cols)
+    }
+}
+
 /// `C = alpha * op(A) * op(B) + beta * C` where either operand may be a
 /// plain slice, a prepacked panel set, or (for `B`) a custom block
-/// packer. Always runs the packed kernel; results are bitwise identical
-/// to [`gemm_slices`] whenever that call would take the packed path
-/// (callers holding prepacked operands should consult
-/// [`small_m_prefers_naive`] and fall back to [`gemm_slices`] for shapes
-/// it claims, as the nn layers do).
+/// packer. `rt = None` runs on the calling thread; `Some(rt)` may split
+/// the product across `rt`'s threads.
+///
+/// This is the one place that picks a kernel and a partition:
+///
+/// * **Kernel.** Two slice operands with a short, untransposed-`B`
+///   product (see `small_m_prefers_naive`) take the naive streaming
+///   kernel of [`gemm_naive_slices`]; every other call, and every call
+///   with a prepacked or packer operand, takes the packed kernel.
+///   Prepacked and packer operands feed that kernel exactly the bytes a
+///   fresh pack would, so they agree bitwise with slice operands on
+///   every packed-kernel shape.
+/// * **Split.** Serial when `rt` is `None` or has one thread, or the
+///   product is under `PAR_MIN_FLOPS`. Otherwise all-slice calls split
+///   `C` into `MR`-aligned row bands when `m ≥ threads·MR`, else into
+///   `2·NR`-aligned column bands when `n ≥ threads·NR`; calls with any
+///   other source split into `MC`-aligned row bands only, and only when
+///   `m ≥ 2·MC`, because prepacked blocks exist only at `MC`/`NC`-aligned
+///   starts. Each task runs the serial blocked loop over its own band,
+///   so every element's reduction order — and every output bit — is the
+///   same serial or parallel, at any thread count.
 ///
 /// # Panics
 /// Panics on shape/buffer-length inconsistencies.
 pub fn gemm_flex(
+    rt: Option<&Runtime>,
     alpha: f32,
     a: &ASource<'_>,
     b: &BSource<'_>,
@@ -398,66 +234,76 @@ pub fn gemm_flex(
     c: &mut [f32],
     c_shape: (usize, usize),
 ) {
-    let (m, n, k) = validate_flex(a, b, c, c_shape);
+    let (m, n, k) = validate(a, b, c, c_shape);
+    let slices = match (a, b) {
+        (
+            &ASource::Slices { a, shape: a_shape, trans: ta },
+            &BSource::Slices { b, shape: b_shape, trans: tb },
+        ) => {
+            if small_m_prefers_naive(m, tb) {
+                return gemm_naive_slices(alpha, a, a_shape, ta, b, b_shape, tb, beta, c, c_shape);
+            }
+            true
+        }
+        _ => false,
+    };
     scale_c(beta, c);
     if alpha == 0.0 || m == 0 || n == 0 || k == 0 {
         return;
     }
-    // SAFETY: unique mutable borrow of the whole `m × n` output, serial.
-    unsafe {
-        packed_rect(alpha, a, b, CPtr(c.as_mut_ptr()), n, (0, m), (0, n), k);
-    }
-}
-
-/// [`gemm_flex`] with the M-panel loop split across `pool`.
-///
-/// Unlike [`gemm_slices_parallel_in`] this splits **rows only** (each task
-/// sweeps the full `jc`/`pc` block loops from column 0), because
-/// prepacked `B` blocks exist only at `NC`-aligned starts; row chunks are
-/// `MC`-aligned so prepacked `A` blocks line up too. Serial and parallel
-/// results are bitwise identical for the same reason as
-/// [`gemm_slices_parallel_in`]: tasks own disjoint row bands of `C` and run
-/// the identical blocked loop over them.
-pub fn gemm_flex_parallel_in(
-    pool: &Runtime,
-    alpha: f32,
-    a: &ASource<'_>,
-    b: &BSource<'_>,
-    beta: f32,
-    c: &mut [f32],
-    c_shape: (usize, usize),
-) {
-    let (m, n, k) = validate_flex(a, b, c, c_shape);
-    scale_c(beta, c);
-    if alpha == 0.0 || m == 0 || n == 0 || k == 0 {
-        return;
-    }
-    let threads = pool.threads();
+    let threads = rt.map_or(1, Runtime::threads);
+    let par = threads > 1 && 2 * m * n * k >= PAR_MIN_FLOPS;
+    let (split_rows, chunk) = if par && slices && m >= threads * MR {
+        (true, m.div_ceil(threads).next_multiple_of(MR))
+    } else if par && slices && n >= threads * NR {
+        // Column chunks are aligned to the *paired* panel width (2·NR),
+        // not NR: the AVX2 macro-kernel consumes B panels in pairs
+        // starting from each block's first panel, so only 2·NR-aligned
+        // block starts keep the pair grouping — and therefore the FMA
+        // rounding of every element — identical to the serial kernel's
+        // NC-aligned blocks (NC is a multiple of 2·NR by const assert).
+        (false, n.div_ceil(threads).next_multiple_of(2 * NR))
+    } else if par && !slices && m >= 2 * MC {
+        // MC-aligned row chunks keep every task's `ic` block starts at the
+        // positions prepacked A blocks live at (multiples of MC from zero).
+        (true, m.div_ceil(threads).next_multiple_of(MC))
+    } else {
+        (true, m)
+    };
+    let ntasks = if split_rows { m } else { n }.div_ceil(chunk);
     let cp = CPtr(c.as_mut_ptr());
-    if threads <= 1 || 2 * m * n * k < PAR_MIN_FLOPS || m < 2 * MC {
-        // SAFETY: unique borrow of C, whole rectangle, serial.
-        unsafe {
-            packed_rect(alpha, a, b, cp, n, (0, m), (0, n), k);
-        }
-        return;
-    }
-    // MC-aligned row chunks keep every task's `ic` block starts at the
-    // positions prepacked A blocks live at (multiples of MC from zero).
-    let chunk = m.div_ceil(threads).next_multiple_of(MC);
-    let ntasks = m.div_ceil(chunk);
-    pool.parallel_for(ntasks, &|t| {
-        let rows = (t * chunk, ((t + 1) * chunk).min(m));
-        // SAFETY: tasks cover pairwise-disjoint row bands of C, and
-        // `parallel_for` joins every task before returning, so the
+    let task = |t: usize| {
+        let (rows, cols) = if split_rows {
+            ((t * chunk, ((t + 1) * chunk).min(m)), (0, n))
+        } else {
+            ((0, m), (t * chunk, ((t + 1) * chunk).min(n)))
+        };
+        // SAFETY: tasks cover pairwise-disjoint rectangles of C (distinct
+        // `t` ⇒ distinct row or column bands); non-slice calls split only
+        // rows, at MC multiples (the block starts `packed_rect` needs);
+        // and `parallel_for` joins every task before returning, so the
         // `&mut c` borrow outlives all writes through `cp`.
-        unsafe {
-            packed_rect(alpha, a, b, cp, n, rows, (0, n), k);
-        }
-    });
+        unsafe { packed_rect(alpha, a, b, cp, n, rows, cols, k) }
+    };
+    match rt {
+        Some(rt) => rt.parallel_for(ntasks, &task),
+        None => task(0),
+    }
 }
 
-/// Shape validation for the flexible-source entry points.
-fn validate_flex(
+/// With only a handful of output rows and an untransposed `B`, the
+/// packed kernel cannot amortise its `B`-panel copy (each packed element
+/// is used `⌈m/MR⌉ ≈ 1` time) and pads `A` up to a full `MR` micro-panel,
+/// while the naive `ikj`/rank-1 loops stream `B` straight from memory at
+/// full vector width. The paper's per-sample CNN weight-gradient products
+/// (`4 × 676 × 9`) sit squarely in this regime.
+#[inline]
+fn small_m_prefers_naive(m: usize, tb: Transpose) -> bool {
+    !tb.is_t() && m < 8
+}
+
+/// Checks buffer lengths and operand shapes; returns the logical `(m, n, k)`.
+fn validate(
     a: &ASource<'_>,
     b: &BSource<'_>,
     c: &[f32],
@@ -465,45 +311,15 @@ fn validate_flex(
 ) -> (usize, usize, usize) {
     let (m, k) = a.dims();
     let (kb, n) = b.dims();
-    assert_eq!(k, kb, "gemm_flex: inner dimensions disagree ({k} vs {kb})");
-    assert_eq!(c.len(), c_shape.0 * c_shape.1, "gemm_flex: C buffer length");
-    assert_eq!(c_shape, (m, n), "gemm_flex: C shape");
+    assert_eq!(k, kb, "gemm: inner dimensions disagree ({k} vs {kb})");
+    assert_eq!(c.len(), c_shape.0 * c_shape.1, "gemm: C buffer length");
+    assert_eq!(c_shape, (m, n), "gemm: C shape");
     (m, n, k)
 }
 
 // ---------------------------------------------------------------------------
 // Shared plumbing
 // ---------------------------------------------------------------------------
-
-/// Checks buffer lengths and operand shapes; returns the logical `(m, n, k)`.
-#[allow(clippy::too_many_arguments)]
-fn validate(
-    a: &[f32],
-    a_shape: (usize, usize),
-    ta: Transpose,
-    b: &[f32],
-    b_shape: (usize, usize),
-    tb: Transpose,
-    c: &[f32],
-    c_shape: (usize, usize),
-) -> (usize, usize, usize) {
-    assert_eq!(a.len(), a_shape.0 * a_shape.1, "gemm: A buffer length");
-    assert_eq!(b.len(), b_shape.0 * b_shape.1, "gemm: B buffer length");
-    assert_eq!(c.len(), c_shape.0 * c_shape.1, "gemm: C buffer length");
-    let (m, k) = if ta.is_t() {
-        (a_shape.1, a_shape.0)
-    } else {
-        a_shape
-    };
-    let (kb, n) = if tb.is_t() {
-        (b_shape.1, b_shape.0)
-    } else {
-        b_shape
-    };
-    assert_eq!(k, kb, "gemm: inner dimensions disagree ({k} vs {kb})");
-    assert_eq!(c_shape, (m, n), "gemm: C shape");
-    (m, n, k)
-}
 
 /// Applies the `beta * C` term. `beta == 0` overwrites (so pre-existing
 /// NaN/Inf in `C` cannot propagate), `beta == 1` is a no-op.
@@ -551,9 +367,9 @@ thread_local! {
 /// rectangle `rows × cols`, and no other thread may read or write that
 /// rectangle for the duration of the call. Additionally, prepacked
 /// operands require their aligned block starts: `rows.0 % MC == 0` when
-/// `A` is prepacked, `cols.0 % NC == 0` when `B` is (upheld by the
-/// public entry points, which row-split at `MC` multiples and never
-/// column-split non-slice sources).
+/// `A` is prepacked, `cols.0 % NC == 0` when `B` is (upheld by
+/// [`gemm_flex`], which row-splits non-slice calls at `MC` multiples and
+/// never column-splits them).
 #[allow(clippy::too_many_arguments)]
 unsafe fn packed_rect(
     alpha: f32,
@@ -764,8 +580,9 @@ fn microkernel_portable(kc: usize, pa: &[f32], pb: &[f32], acc: &mut [[f32; NR];
 
 /// The pre-packing blocked kernel over raw slices: cache-blocked `ikj`
 /// loops for the `No/No` orientation, dot/axpy loops for the transposed
-/// ones (scalar for `tt`). Kept verbatim as the differential-testing
-/// oracle; new code should call [`gemm_slices`].
+/// ones (scalar for `tt`). [`gemm_flex`] runs it for the short products
+/// `small_m_prefers_naive` claims, and the differential suites use it as
+/// the oracle for the packed kernel; other code should call [`gemm_flex`].
 #[allow(clippy::too_many_arguments)]
 pub fn gemm_naive_slices(
     alpha: f32,
@@ -779,12 +596,19 @@ pub fn gemm_naive_slices(
     c: &mut [f32],
     c_shape: (usize, usize),
 ) {
-    let (m, n, k) = validate(a, a_shape, ta, b, b_shape, tb, c, c_shape);
+    let asrc = ASource::Slices { a, shape: a_shape, trans: ta };
+    let bsrc = BSource::Slices { b, shape: b_shape, trans: tb };
+    let (m, n, k) = validate(&asrc, &bsrc, c, c_shape);
     scale_c(beta, c);
     if alpha == 0.0 || m == 0 || n == 0 || k == 0 {
         return;
     }
-    naive_dispatch(alpha, a, b, c, ta, tb, m, n, k);
+    match (ta.is_t(), tb.is_t()) {
+        (false, false) => gemm_nn(alpha, a, b, c, m, n, k),
+        (false, true) => gemm_nt(alpha, a, b, c, m, n, k),
+        (true, false) => gemm_tn(alpha, a, b, c, m, n, k),
+        (true, true) => gemm_tt(alpha, a, b, c, m, n, k),
+    }
 }
 
 #[inline]
@@ -991,6 +815,27 @@ mod tests {
         );
     }
 
+    /// `op(A) * op(B)` into a fresh output.
+    fn matmul(a: &Matrix, ta: Transpose, b: &Matrix, tb: Transpose) -> Matrix {
+        let (m, n) = (op_shape((a.rows(), a.cols()), ta).0, op_shape((b.rows(), b.cols()), tb).1);
+        let mut c = Matrix::zeros(m, n);
+        gemm(1.0, a, ta, b, tb, 0.0, &mut c);
+        c
+    }
+
+    /// `op(A) * op(B)` of two row-major slices through [`gemm_flex`].
+    fn slices<'a>(
+        a: &'a Matrix,
+        ta: Transpose,
+        b: &'a Matrix,
+        tb: Transpose,
+    ) -> (ASource<'a>, BSource<'a>) {
+        (
+            ASource::Slices { a: a.as_slice(), shape: (a.rows(), a.cols()), trans: ta },
+            BSource::Slices { b: b.as_slice(), shape: (b.rows(), b.cols()), trans: tb },
+        )
+    }
+
     fn rand_mat(rows: usize, cols: usize, seed: u64) -> Matrix {
         let mut s = crate::rng::SmallRng64::new(seed);
         Matrix::from_fn(rows, cols, |_, _| s.next_f32() * 2.0 - 1.0)
@@ -1113,18 +958,8 @@ mod tests {
         let mut c1 = Matrix::zeros(5, 4);
         gemm(1.0, &a, Transpose::No, &b, Transpose::No, 0.0, &mut c1);
         let mut c2 = vec![0.0f32; 20];
-        gemm_slices(
-            1.0,
-            a.as_slice(),
-            (5, 6),
-            Transpose::No,
-            b.as_slice(),
-            (6, 4),
-            Transpose::No,
-            0.0,
-            &mut c2,
-            (5, 4),
-        );
+        let (asrc, bsrc) = slices(&a, Transpose::No, &b, Transpose::No);
+        gemm_flex(None, 1.0, &asrc, &bsrc, 0.0, &mut c2, (5, 4));
         assert_eq!(c1.as_slice(), &c2[..]);
     }
 
@@ -1151,19 +986,8 @@ mod tests {
             let mut c1 = Matrix::zeros(m, n);
             gemm(1.0, &a, Transpose::No, &b, Transpose::No, 0.0, &mut c1);
             let mut c2 = Matrix::zeros(m, n);
-            gemm_slices_parallel_in(
-                &pool,
-                1.0,
-                a.as_slice(),
-                (m, k),
-                Transpose::No,
-                b.as_slice(),
-                (k, n),
-                Transpose::No,
-                0.0,
-                c2.as_mut_slice(),
-                (m, n),
-            );
+            let (asrc, bsrc) = slices(&a, Transpose::No, &b, Transpose::No);
+            gemm_flex(Some(&pool), 1.0, &asrc, &bsrc, 0.0, c2.as_mut_slice(), (m, n));
             assert_eq!(c1.as_slice(), c2.as_slice(), "m={m} n={n} k={k}");
         }
     }
@@ -1172,17 +996,8 @@ mod tests {
     #[should_panic]
     fn slice_api_rejects_bad_buffer_length() {
         let mut c = vec![0.0f32; 4];
-        gemm_slices(
-            1.0,
-            &[1.0; 5],
-            (2, 3),
-            Transpose::No,
-            &[1.0; 6],
-            (3, 2),
-            Transpose::No,
-            0.0,
-            &mut c,
-            (2, 2),
-        );
+        let asrc = ASource::Slices { a: &[1.0; 5], shape: (2, 3), trans: Transpose::No };
+        let bsrc = BSource::Slices { b: &[1.0; 6], shape: (3, 2), trans: Transpose::No };
+        gemm_flex(None, 1.0, &asrc, &bsrc, 0.0, &mut c, (2, 2));
     }
 }

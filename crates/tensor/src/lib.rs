@@ -13,9 +13,10 @@
 //! * [`gemm`](mod@gemm) — packed, register-blocked matrix multiplication with
 //!   transpose variants (`C = alpha * op(A) * op(B) + beta * C`), the
 //!   workhorse of both the dense layers and the im2col convolution
-//!   lowering. [`pack`] holds the panel-packing routines;
-//!   `gemm::gemm_slices_parallel_in` / `gemm::gemm_flex_parallel_in` split
-//!   across an `lsgd_runtime::Runtime`'s helper threads and the caller.
+//!   lowering. [`pack`] holds the panel-packing routines. One entry,
+//!   `gemm::gemm_flex`, takes slice, prepacked or packer operands,
+//!   picks the kernel, and splits across an `lsgd_runtime::Runtime`'s
+//!   helper threads and the caller when handed one.
 //! * [`panels`] — [`PackedA`] / [`PackedB`], a weight operand packed in
 //!   full ahead of the products that read it; each layer keeps one of
 //!   each and repacks it in place whenever it packs.

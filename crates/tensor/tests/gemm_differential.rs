@@ -13,12 +13,12 @@
 //!   values every special-cased branch keys on);
 //! * degenerate dims (`m/n/k ∈ {0, 1}`) and shapes straddling the
 //!   `MR`/`NR` micro-tile and `MC`/`KC`/`NC` cache-block boundaries;
-//! * the serial entry point and the pool-parallel one, which must agree
-//!   with each other **bitwise** (partitioning may not change any
-//!   element's reduction order).
+//! * `gemm_flex` with no runtime, a 1-thread and a 4-thread runtime,
+//!   which must agree with each other **bitwise** (partitioning may not
+//!   change any element's reduction order).
 
 use lsgd_tensor::gemm::{
-    gemm_naive_slices, gemm_slices, gemm_slices_parallel_in, Transpose, KC, MC, MR, NC, NR,
+    gemm_flex, gemm_naive_slices, ASource, BSource, Transpose, KC, MC, MR, NC, NR,
 };
 
 use lsgd_tensor::SmallRng64;
@@ -31,6 +31,32 @@ use std::sync::OnceLock;
 fn pool() -> &'static Runtime {
     static RT: OnceLock<Runtime> = OnceLock::new();
     RT.get_or_init(|| Runtime::new(4))
+}
+
+/// Shared 1-thread runtime: `Some` but serial.
+fn one() -> &'static Runtime {
+    static RT: OnceLock<Runtime> = OnceLock::new();
+    RT.get_or_init(|| Runtime::new(1))
+}
+
+/// `gemm_flex` over two row-major slice operands (`rt = None`: serial).
+#[allow(clippy::too_many_arguments)]
+fn gemm_slices(
+    rt: Option<&Runtime>,
+    alpha: f32,
+    a: &[f32],
+    a_shape: (usize, usize),
+    ta: Transpose,
+    b: &[f32],
+    b_shape: (usize, usize),
+    tb: Transpose,
+    beta: f32,
+    c: &mut [f32],
+    c_shape: (usize, usize),
+) {
+    let asrc = ASource::Slices { a, shape: a_shape, trans: ta };
+    let bsrc = BSource::Slices { b, shape: b_shape, trans: tb };
+    gemm_flex(rt, alpha, &asrc, &bsrc, beta, c, c_shape);
 }
 
 /// Strategy drawing a dimension from a pool of adversarial values:
@@ -61,8 +87,9 @@ fn orientations(i: usize) -> (Transpose, Transpose) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
-    /// Packed serial == naive oracle (within float reassociation slack),
-    /// and packed parallel == packed serial bitwise.
+    /// Serial `gemm_flex` == naive oracle (within float reassociation
+    /// slack), and the same call on a 1-thread and a 4-thread runtime ==
+    /// serial bitwise.
     #[test]
     fn packed_matches_naive_all_orientations(
         m in dim(M_POOL),
@@ -86,7 +113,7 @@ proptest! {
         gemm_naive_slices(alpha, &a, a_shape, ta, &b, b_shape, tb, beta, &mut c_oracle, (m, n));
 
         let mut c_packed = c0.clone();
-        gemm_slices(alpha, &a, a_shape, ta, &b, b_shape, tb, beta, &mut c_packed, (m, n));
+        gemm_slices(None, alpha, &a, a_shape, ta, &b, b_shape, tb, beta, &mut c_packed, (m, n));
 
         // Reassociation (blocking, FMA) perturbs each element by at most
         // O(k·eps) relative to the naive left-to-right sum.
@@ -99,14 +126,17 @@ proptest! {
             );
         }
 
-        let mut c_par = c0.clone();
-        gemm_slices_parallel_in(
-            pool(), alpha, &a, a_shape, ta, &b, b_shape, tb, beta, &mut c_par, (m, n),
-        );
-        prop_assert!(
-            c_par.iter().zip(&c_packed).all(|(x, y)| x.to_bits() == y.to_bits()),
-            "parallel result diverged from serial for ({ta:?},{tb:?}) m={m} n={n} k={k}"
-        );
+        for rt in [one(), pool()] {
+            let mut c_par = c0.clone();
+            gemm_slices(
+                Some(rt), alpha, &a, a_shape, ta, &b, b_shape, tb, beta, &mut c_par, (m, n),
+            );
+            prop_assert!(
+                c_par.iter().zip(&c_packed).all(|(x, y)| x.to_bits() == y.to_bits()),
+                "{}-thread result diverged from serial for ({ta:?},{tb:?}) m={m} n={n} k={k}",
+                rt.threads()
+            );
+        }
     }
 
     /// `beta == 0` must *overwrite* C: pre-existing NaN/Inf garbage (e.g.
@@ -129,14 +159,9 @@ proptest! {
         let poison = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY];
         let c0: Vec<f32> = (0..m * n).map(|i| poison[i % poison.len()]).collect();
 
-        for run in ["serial", "parallel"] {
+        for (run, rt) in [("serial", None), ("parallel", Some(pool()))] {
             let mut c = c0.clone();
-            match run {
-                "serial" => gemm_slices(1.0, &a, a_shape, ta, &b, b_shape, tb, 0.0, &mut c, (m, n)),
-                _ => gemm_slices_parallel_in(
-                    pool(), 1.0, &a, a_shape, ta, &b, b_shape, tb, 0.0, &mut c, (m, n),
-                ),
-            }
+            gemm_slices(rt, 1.0, &a, a_shape, ta, &b, b_shape, tb, 0.0, &mut c, (m, n));
             prop_assert!(
                 c.iter().all(|v| v.is_finite()),
                 "{run} ({ta:?},{tb:?}) m={m} n={n} k={k}: NaN/Inf survived beta=0"
@@ -168,10 +193,10 @@ fn parallel_fanout_row_and_col_split_match_naive_and_serial() {
             let mut want = c0.clone();
             gemm_naive_slices(0.5, &a, a_shape, ta, &b, b_shape, tb, 2.0, &mut want, (m, n));
             let mut serial = c0.clone();
-            gemm_slices(0.5, &a, a_shape, ta, &b, b_shape, tb, 2.0, &mut serial, (m, n));
+            gemm_slices(None, 0.5, &a, a_shape, ta, &b, b_shape, tb, 2.0, &mut serial, (m, n));
             let mut par = c0.clone();
-            gemm_slices_parallel_in(
-                pool(),
+            gemm_slices(
+                Some(pool()),
                 0.5,
                 &a,
                 a_shape,
@@ -215,7 +240,7 @@ fn exhaustive_block_boundary_sweep_nn_tt() {
                     let mut want = c0.clone();
                     gemm_naive_slices(0.5, &a, a_shape, ta, &b, b_shape, tb, 1.0, &mut want, (m, n));
                     let mut got = c0.clone();
-                    gemm_slices(0.5, &a, a_shape, ta, &b, b_shape, tb, 1.0, &mut got, (m, n));
+                    gemm_slices(None, 0.5, &a, a_shape, ta, &b, b_shape, tb, 1.0, &mut got, (m, n));
                     let tol = 1e-5 * (k as f32 + 1.0) + 1e-6;
                     assert!(
                         got.iter().zip(&want).all(|(x, y)| (x - y).abs() <= tol),

@@ -4,7 +4,7 @@
 //! gradient the SGD algorithms exchange flows through it — so its algebraic
 //! identities are checked against randomly generated shapes and contents.
 
-use lsgd_tensor::gemm::{gemm, matmul, Transpose};
+use lsgd_tensor::gemm::{gemm, Transpose};
 use lsgd_tensor::ops;
 use lsgd_tensor::Matrix;
 use proptest::prelude::*;
@@ -12,6 +12,15 @@ use proptest::prelude::*;
 /// Strategy: random small shape triple (m, n, k).
 fn shape() -> impl Strategy<Value = (usize, usize, usize)> {
     (1usize..12, 1usize..12, 1usize..24)
+}
+
+/// `op(A) * op(B)` into a fresh output, through the packed `gemm`.
+fn matmul(a: &Matrix, ta: Transpose, b: &Matrix, tb: Transpose) -> Matrix {
+    let m = if ta.is_t() { a.cols() } else { a.rows() };
+    let n = if tb.is_t() { b.rows() } else { b.cols() };
+    let mut c = Matrix::zeros(m, n);
+    gemm(1.0, a, ta, b, tb, 0.0, &mut c);
+    c
 }
 
 fn naive_matmul(a: &Matrix, b: &Matrix) -> Matrix {

@@ -1,5 +1,6 @@
 //! The source audit: every `Ordering::Relaxed` / `Ordering::SeqCst` site
-//! in `crates/` must carry an adjacent `// ORDERING:` justification, and
+//! in `crates/` and in the umbrella package's `src/` must carry an
+//! adjacent `// ORDERING:` justification, and
 //! every `unsafe` block and `unsafe impl` outside test code an adjacent
 //! `// SAFETY:` one.
 //!
@@ -241,12 +242,17 @@ pub fn workspace_root() -> PathBuf {
         .unwrap_or(manifest)
 }
 
-/// Audits every `.rs` file under `<root>/crates/`, returning all
-/// unjustified `Relaxed`/`SeqCst` and `unsafe` sites.
+/// Audits every `.rs` file under `<root>/crates/` and, when the root has
+/// one, under the umbrella package's `<root>/src/` (not its `tests/` or
+/// `examples/`), returning all unjustified `Relaxed`/`SeqCst` and
+/// `unsafe` sites.
 pub fn audit_crates(root: &Path) -> std::io::Result<Vec<Violation>> {
-    let crates = root.join("crates");
     let mut files = Vec::new();
-    walk(&crates, &mut files)?;
+    walk(&root.join("crates"), &mut files)?;
+    let umbrella = root.join("src");
+    if umbrella.is_dir() {
+        walk(&umbrella, &mut files)?;
+    }
     files.sort();
     let mut violations = Vec::new();
     for file in files {
@@ -426,6 +432,28 @@ mod tests {
         assert!(
             real.join("lib.rs").is_file(),
             "crates/runtime sources missing from the audited tree"
+        );
+    }
+
+    #[test]
+    fn audit_walk_covers_umbrella_src_but_not_its_tests_or_examples() {
+        // Code folded into the umbrella package lives under `src/`; its
+        // integration tests and examples stay outside the audit.
+        let root = std::env::temp_dir().join(format!("lsgd-audit-umbrella-{}", std::process::id()));
+        let site = format!("let x = a.load(Ordering::{});\n", "Relaxed");
+        for dir in ["crates/a/src", "src/bin/paper", "tests", "examples"] {
+            std::fs::create_dir_all(root.join(dir)).unwrap();
+            std::fs::write(root.join(dir).join("x.rs"), &site).unwrap();
+        }
+        let v = audit_crates(&root).unwrap();
+        std::fs::remove_dir_all(&root).unwrap();
+        let paths: Vec<_> = v.iter().map(|v| v.path.clone()).collect();
+        assert_eq!(
+            paths,
+            [
+                Path::new("crates/a/src/x.rs"),
+                Path::new("src/bin/paper/x.rs")
+            ]
         );
     }
 }

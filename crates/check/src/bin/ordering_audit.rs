@@ -1,6 +1,6 @@
 //! CI entry point for the source audit: scans every `.rs` file under
-//! `crates/` and exits nonzero if any `Ordering::Relaxed` /
-//! `Ordering::SeqCst` site lacks an adjacent `// ORDERING:` comment, or
+//! `crates/` and the umbrella's `src/` and exits nonzero if any
+//! `Ordering::Relaxed` / `Ordering::SeqCst` site lacks an adjacent `// ORDERING:` comment, or
 //! any `unsafe` block or `unsafe impl` outside test code an adjacent
 //! `// SAFETY:` one. See `lsgd_check::audit` for the rules.
 

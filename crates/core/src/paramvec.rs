@@ -74,14 +74,6 @@ impl ParamVec {
         self.t.load(Ordering::SeqCst)
     }
 
-    /// Current reader count (diagnostic).
-    #[inline]
-    pub fn readers(&self) -> u32 {
-        // ORDERING: SeqCst for consistency with the protocol's other
-        // n_rdrs accesses; this getter is diagnostic only.
-        self.n_rdrs.load(Ordering::SeqCst)
-    }
-
     /// Algorithm 1 `safe_delete`: reclaim the buffer iff stale, unread and
     /// not already reclaimed.
     fn safe_delete(&self, pool: &BufferPool) {
@@ -213,6 +205,22 @@ pub enum PublishOutcome {
         /// CAS failures (= `Tp + 1`).
         failed_cas: u32,
     },
+}
+
+/// Lemma 2's bound on the pool buffers one [`LeashedShared`] has
+/// outstanding at once, with `workers` publishing threads and `readers`
+/// threads that only read.
+///
+/// One buffer is the published vector. A publishing worker holds at most
+/// two more: the private fresh vector of its LAU-SPC attempt, and one
+/// counted read — the gradient read, or the copy-latest read inside an
+/// attempt, dropped before the CAS, never both — which can pin a vector
+/// that has since been replaced. A pure reader pins at most one vector.
+/// Hence `2·workers + 1 + readers`: `2m+1` for m bare workers, and
+/// `2m+2` under `train`, whose convergence monitor is one reader
+/// ([`LeashedShared::snapshot_into`] holds its guard for the whole copy).
+pub const fn outstanding_bound(workers: usize, readers: usize) -> usize {
+    2 * workers + 1 + readers
 }
 
 /// The shared state of a Leashed-SGD run: the global pointer `P`, the
@@ -703,8 +711,6 @@ mod tests {
 
     #[test]
     fn memory_stays_bounded_under_concurrency() {
-        // Lemma 2: at most ~2m+1 pool buffers live at once (m new_params +
-        // m read-held + 1 published).
         let m = 4usize;
         let s = Arc::new(shared(32, 0.0));
         std::thread::scope(|sc| {
@@ -722,10 +728,10 @@ mod tests {
             }
         });
         let peak = s.pool().outstanding_peak();
+        let bound = outstanding_bound(m, 0);
         assert!(
-            peak <= 2 * m + 1,
-            "outstanding peak {peak} exceeds Lemma-2 style bound {}",
-            2 * m + 1
+            peak <= bound,
+            "outstanding peak {peak} exceeds Lemma 2's {bound}"
         );
     }
 

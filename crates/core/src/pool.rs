@@ -223,7 +223,7 @@ impl BufferPool {
     }
 
     /// High-water mark of concurrently outstanding buffers — the quantity
-    /// Lemma 2 bounds by `3m`.
+    /// Lemma 2 bounds by [`outstanding_bound`](crate::paramvec::outstanding_bound).
     pub fn outstanding_peak(&self) -> usize {
         // ORDERING: Relaxed — diagnostic; exact only after a join.
         self.outstanding_peak.load(Ordering::Relaxed)

@@ -122,13 +122,6 @@ impl ShardedShared {
         &self.shards[s]
     }
 
-    /// Writes the current per-shard sequence vector into `out`
-    /// (unvalidated point reads; diagnostic).
-    pub fn seq_vector(&self, out: &mut Vec<u64>) {
-        out.clear();
-        out.extend(self.shards.iter().map(|s| s.current_seq()));
-    }
-
     /// Sum of the per-shard sequence numbers (unvalidated; the sharded
     /// analogue of [`LeashedShared::current_seq`]).
     pub fn total_seq(&self) -> u64 {
@@ -505,8 +498,7 @@ mod tests {
         let out = sh.publish_dense(&grad, 1.0, None, None, |_| {});
         assert_eq!(out.dirty, 1);
         assert_eq!(out.published, 1);
-        let mut seqs = Vec::new();
-        sh.seq_vector(&mut seqs);
+        let seqs: Vec<u64> = (0..4).map(|s| sh.shard(s).current_seq()).collect();
         assert_eq!(seqs, vec![0, 1, 0, 0], "untouched shards keep seq 0");
         let mut buf = vec![0.0f32; 16];
         sh.snapshot_into(&mut buf);

@@ -94,31 +94,6 @@ pub fn all_finite(x: &[f32]) -> bool {
     x.iter().all(|v| v.is_finite())
 }
 
-/// In-place ReLU: `x = max(0, x)`.
-#[inline]
-pub fn relu_inplace(x: &mut [f32]) {
-    for v in x {
-        if *v < 0.0 {
-            *v = 0.0;
-        }
-    }
-}
-
-/// Backward of ReLU: zero `grad` wherever the forward activation was zero
-/// or negative.
-///
-/// # Panics
-/// Panics if lengths differ.
-#[inline]
-pub fn relu_backward(activation: &[f32], grad: &mut [f32]) {
-    assert_eq!(activation.len(), grad.len());
-    for (g, &a) in grad.iter_mut().zip(activation) {
-        if a <= 0.0 {
-            *g = 0.0;
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -163,21 +138,6 @@ mod tests {
         assert!(!all_finite(&[1.0, f32::NAN]));
         assert!(!all_finite(&[f32::INFINITY]));
         assert!(!all_finite(&[f32::NEG_INFINITY, 0.0]));
-    }
-
-    #[test]
-    fn relu_zeroes_negatives_only() {
-        let mut x = [-1.0, 0.0, 2.0];
-        relu_inplace(&mut x);
-        assert_eq!(x, [0.0, 0.0, 2.0]);
-    }
-
-    #[test]
-    fn relu_backward_masks_gradient() {
-        let act = [0.0, 1.0, 0.5, 0.0];
-        let mut g = [9.0, 9.0, 9.0, 9.0];
-        relu_backward(&act, &mut g);
-        assert_eq!(g, [0.0, 9.0, 9.0, 0.0]);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Discrete-event simulation of the LAU-SPC thread dynamics.
 //!
-//! The fluid model of [`crate::fluid`] is a mean-field idealisation; this
+//! The fluid model of [`super::fluid`] is a mean-field idealisation; this
 //! simulator runs the actual stochastic system — `m` threads alternating
 //! between gradient computation (`~Tc`) and LAU-SPC attempts (`~Tu`) —
 //! and measures loop occupancy, publish throughput, persistence aborts and
@@ -206,7 +206,7 @@ pub fn simulate(cfg: &DesConfig) -> DesResult {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fluid::FluidModel;
+    use crate::dynamics::fluid::FluidModel;
 
     fn base() -> DesConfig {
         DesConfig {

@@ -9,7 +9,7 @@
 /// arbitrary time unit; one recurrence step advances one unit).
 ///
 /// ```
-/// use lsgd_dynamics::FluidModel;
+/// use leashed_sgd::dynamics::FluidModel;
 ///
 /// // 16 threads, Tc = 3 time units, Tu = 1 (contended regime).
 /// let m = FluidModel::new(16.0, 3.0, 1.0);

@@ -1,5 +1,4 @@
-#![warn(missing_docs)]
-//! # lsgd-dynamics — the paper's Section IV thread-dynamics model
+//! The paper's Section IV thread-dynamics model.
 //!
 //! Section IV of the Leashed-SGD paper models how worker threads flow
 //! between gradient computation (duration `Tc`) and the LAU-SPC retry loop

@@ -7,7 +7,7 @@
 //! and observes that the compute-phase component behaves like the number
 //! of other threads publishing during one computation.
 
-use crate::fluid::FluidModel;
+use crate::dynamics::fluid::FluidModel;
 
 /// Model-based staleness estimates for a Leashed-SGD configuration.
 #[derive(Debug, Clone, Copy)]

@@ -4,7 +4,7 @@ mod common;
 
 use common::{Watchdog, STRESS_LIMIT};
 use leashed_sgd::core::mem::MemoryGauge;
-use leashed_sgd::core::paramvec::LeashedShared;
+use leashed_sgd::core::paramvec::{outstanding_bound, LeashedShared};
 use leashed_sgd::core::pool::BufferPool;
 use std::sync::Arc;
 
@@ -15,8 +15,7 @@ fn make(dim: usize) -> (Arc<MemoryGauge>, LeashedShared) {
 }
 
 /// Lemma 2 (ii): the number of simultaneously live ParameterVector
-/// buffers is bounded (≤ 2m + 1 in our accounting: one published, one
-/// read-held and one in-flight new vector per thread).
+/// buffers is bounded by `outstanding_bound(m, 0)` (no monitor reads).
 #[test]
 fn outstanding_buffers_bounded_by_lemma_2() {
     let _watchdog = Watchdog::arm("outstanding_buffers_bounded_by_lemma_2", STRESS_LIMIT);
@@ -39,11 +38,8 @@ fn outstanding_buffers_bounded_by_lemma_2() {
             }
         });
         let peak = s.pool().outstanding_peak();
-        assert!(
-            peak <= 2 * m + 1,
-            "m={m}: peak {peak} exceeds 2m+1 = {}",
-            2 * m + 1
-        );
+        let bound = outstanding_bound(m, 0);
+        assert!(peak <= bound, "m={m}: peak {peak} exceeds {bound}");
     }
 }
 

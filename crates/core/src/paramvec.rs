@@ -12,122 +12,206 @@
 //!
 //! 1. acquire `P` through the `latest_pointer()` retry loop
 //!    ([`LeashedShared::latest`]), which increments the vector's reader
-//!    count and re-checks its stale flag (paper P3);
+//!    count and re-checks that it is still the published one (paper P3);
 //! 2. compute a gradient directly from the published buffer (no copy);
 //! 3. run the **LAU-SPC** loop ([`LeashedShared::publish_update`]):
-//!    re-acquire the latest vector, copy it into a private fresh vector,
-//!    apply the gradient, and attempt to swing `P` with a single CAS
-//!    (paper P1/P5). Failed CASes retry up to the persistence bound `Tp`,
-//!    after which the update is abandoned (contention regulation, §IV.2);
-//! 4. a replaced vector is flagged stale and reclaimed by its last reader
-//!    (paper P2/P4, `safe_delete`).
+//!    re-acquire the latest vector, copy it into a private vector from
+//!    the pool, apply the gradient, and attempt to swing `P` with a
+//!    single CAS (paper P1/P5). Failed CASes retry up to the persistence
+//!    bound `Tp`, after which the update is abandoned (contention
+//!    regulation, §IV.2);
+//! 4. a replaced vector is flagged stale and returned to the pool by its
+//!    last reader (paper P2/P4, `safe_delete`).
+//!
+//! A `ParamVec` is one pool slot: a header that owns its θ buffer. The
+//! pool allocates both together and frees them only when it drops, so a
+//! slot goes round publish → stale → free list → private → publish with
+//! no allocation. The header's reader count and its `STALE` and
+//! `DELETED` flags share one state word.
 //!
 //! # Safety model (why the `unsafe` here is sound)
 //!
-//! * **Headers are never freed during a run.** Algorithm 1's
-//!   `safe_delete` frees only the `theta` array; we mirror that by
-//!   arena-registering every header and freeing them when the
-//!   [`LeashedShared`] is dropped (strictly after all workers have
-//!   joined). Consequently the CAS on `P` is ABA-free — a header address
-//!   is never recycled into a *different* logical vector — and reading a
-//!   header's atomics is always safe.
-//! * **A buffer is dereferenced only under the read protocol.** A reader
-//!   increments `n_rdrs` *before* checking `stale` (SeqCst); reclamation
-//!   requires `stale ∧ n_rdrs = 0 ∧ CAS(deleted)` (SeqCst). In the SeqCst
-//!   total order, a reader that observed `¬stale` after its increment is
-//!   counted by any later reclamation check, so the buffer cannot be
-//!   released while it is readable. Published buffers are never written
-//!   (updates go to private fresh buffers), so `&[f32]` views are
-//!   race-free.
+//! * **Slots are never freed during a run.** Every pointer ever loaded
+//!   from `P` stays dereferenceable until the [`LeashedShared`] (and its
+//!   pool) drops, strictly after all workers have joined, so touching a
+//!   header's atomics is always memory-safe. What recycling changes is
+//!   which logical vector a slot holds. Two rules make that harmless.
+//! * **The CAS is ABA-free.** A publisher keeps its counted read of the
+//!   base vector until after the CAS. A counted slot cannot be reclaimed,
+//!   so it cannot be recycled and republished while the CAS is pending:
+//!   `P` still equal to the base means no publication happened since the
+//!   copy, and a successful CAS loses no update.
+//! * **A late increment is harmless.** A reader that loaded `P` may
+//!   increment the count only after the slot was replaced, reclaimed and
+//!   taken off the free list by a publisher. Re-acquiring a slot clears
+//!   `STALE | DELETED` with one `fetch_and` that keeps the count, so the
+//!   late reader's decrement always balances. After its increment, the
+//!   reader re-loads `P` and backs off unless `P` still points at the
+//!   slot, so it never reads a free or private buffer. `safe_delete` is
+//!   one CAS from exactly `STALE` with 0 readers to `STALE | DELETED`, so
+//!   a backing-off reader cannot free a slot that is published, private
+//!   or already free.
+//! * **A buffer is dereferenced only under the read protocol.** Every
+//!   change to a slot's state word is an RMW, so they fall in one
+//!   modification order. A reclamation CAS after a reader's increment in
+//!   that order sees the count and fails. One before it must have been
+//!   followed by a re-acquire (else the reader sees `STALE` and backs
+//!   off). The CAS that moved `P` off the slot before that reclamation
+//!   happens-before the increment (its `STALE` flag heads the release
+//!   sequence the increment reads from), so the reader's re-load of `P`
+//!   can return the slot only from a later republication, whose writes
+//!   it then acquires. Either way the buffer cannot be released while it
+//!   is readable. Published buffers are never written (updates go to
+//!   private slots), so `&[f32]` views are race-free.
 //! * **Writes to a private buffer happen-before its publication.** The
-//!   publishing CAS is `AcqRel`; readers load `P` with `Acquire`.
+//!   publishing CAS is `AcqRel`; readers load `P` with `Acquire`. A
+//!   slot's previous owner's accesses happen-before its next owner's
+//!   through the pool's free list (push → pop is release/acquire).
 
 use crate::pool::BufferPool;
 use lsgd_check::annotate;
-use lsgd_check::sync::{AtomicBool, AtomicPtr, AtomicU32, AtomicU64, Ordering};
-use lsgd_sync::SegQueue;
+use lsgd_check::sync::{AtomicPtr, AtomicU64, Ordering};
+use std::ptr::NonNull;
 
-/// One ParameterVector instance: metadata header + owned `theta` buffer
-/// (paper Algorithm 1).
+/// State-word flag: the vector was replaced as the published one (or its
+/// update was abandoned).
+const STALE: u64 = 1 << 63;
+/// State-word flag: `safe_delete` returned the slot to the pool.
+const DELETED: u64 = 1 << 62;
+
+/// One ParameterVector instance: a pool slot holding the metadata header
+/// and its `theta` buffer (paper Algorithm 1).
 pub struct ParamVec {
     /// Sequence number of the most recent update applied to `theta`
     /// (Algorithm 1 line 2). Published vectors are totally ordered by it.
     t: AtomicU64,
-    /// Active reader count (`n_rdrs`).
-    n_rdrs: AtomicU32,
-    /// Set once the vector has been replaced as the global one.
-    stale: AtomicBool,
-    /// Set by the (single) reclaimer; guards double-free.
-    deleted: AtomicBool,
-    /// The parameter array; null after reclamation.
-    buf: AtomicPtr<f32>,
+    /// Active reader count (`n_rdrs`) in the low bits, plus [`STALE`]
+    /// and [`DELETED`].
+    state: AtomicU64,
+    /// The parameter array, owned by this slot for the pool's lifetime.
+    buf: NonNull<f32>,
     /// Buffer length `d`.
     dim: usize,
 }
 
+// SAFETY: `t` and `state` are atomics and `dim` never changes. `buf` is
+// the only raw field: the pool owns the allocation and frees it only on
+// drop, and the buffer is written only by the slot's private owner and
+// read only under the counted-reader protocol (module docs), so sending
+// or sharing a header across threads races on nothing.
+unsafe impl Send for ParamVec {}
+// SAFETY: as for `Send`: every `&self` access to `buf` follows the
+// counted-reader protocol.
+unsafe impl Sync for ParamVec {}
+
 impl ParamVec {
+    /// Allocates a slot: a header and its zeroed `dim`-length buffer.
+    pub(crate) fn alloc(dim: usize) -> *mut ParamVec {
+        let buf: Box<[f32]> = vec![0.0f32; dim].into_boxed_slice();
+        let buf = NonNull::new(Box::into_raw(buf) as *mut f32).expect("Box is non-null");
+        let slot = Box::into_raw(Box::new(ParamVec {
+            t: AtomicU64::new(0),
+            state: AtomicU64::new(0),
+            buf,
+            dim,
+        }));
+        // Model checker: both regions are tracked until the pool frees
+        // the slot, so any access after that is a use-after-free report.
+        annotate::fresh(buf.as_ptr() as usize, dim * std::mem::size_of::<f32>());
+        annotate::fresh(slot as usize, std::mem::size_of::<ParamVec>());
+        slot
+    }
+
+    /// Frees a slot made by [`alloc`](Self::alloc).
+    ///
+    /// # Safety
+    /// `slot` came from `alloc`, is freed once, and has no other user.
+    pub(crate) unsafe fn free(slot: *mut ParamVec) {
+        let pv = Box::from_raw(slot);
+        annotate::retire(slot as usize, std::mem::size_of::<ParamVec>());
+        annotate::retire(
+            pv.buf.as_ptr() as usize,
+            pv.dim * std::mem::size_of::<f32>(),
+        );
+        drop(Box::from_raw(std::ptr::slice_from_raw_parts_mut(
+            pv.buf.as_ptr(),
+            pv.dim,
+        )));
+    }
+
+    /// Makes a slot taken off the free list usable again: clears
+    /// `STALE | DELETED` and keeps the count of any late reader, whose
+    /// own decrement will balance it.
+    pub(crate) fn reuse(&self) {
+        // ORDERING: SeqCst — in the same total order as the late
+        // readers' increments and `latest`'s re-load of `P`, which the
+        // module's safety argument quantifies over.
+        self.state.fetch_and(!(STALE | DELETED), Ordering::SeqCst);
+    }
+
     /// Sequence number of this vector.
     #[inline]
     pub fn seq(&self) -> u64 {
         // ORDERING: SeqCst keeps `t` in the same total order as the
-        // publication CAS and stale/n_rdrs protocol it is read alongside.
+        // publication CAS and the state-word protocol it is read alongside.
         self.t.load(Ordering::SeqCst)
     }
 
-    /// Algorithm 1 `safe_delete`: reclaim the buffer iff stale, unread and
-    /// not already reclaimed.
-    fn safe_delete(&self, pool: &BufferPool) {
-        // ORDERING: SeqCst on stale, n_rdrs and the deleted CAS — the
-        // safety argument (module docs) relies on the SeqCst total order
-        // to prove a counted reader that saw ¬stale is visible to every
-        // later reclamation check. Release/acquire alone does not give
-        // the needed read(n_rdrs) / write(stale) ordering both ways.
-        if self.stale.load(Ordering::SeqCst)
-            && self.n_rdrs.load(Ordering::SeqCst) == 0
+    /// Algorithm 1 `safe_delete`: `state` is the word the caller's own
+    /// RMW just produced. Only a caller that left it at exactly `STALE`
+    /// (no readers, not yet reclaimed) tries to reclaim, and the CAS to
+    /// `STALE | DELETED` lets only one of them win.
+    fn safe_delete(&self, state: u64, pool: &BufferPool) {
+        // ORDERING: SeqCst — the safety argument (module docs) relies on
+        // the SeqCst total order to prove a counted reader that saw `P`
+        // still on this slot is visible to every later reclamation CAS.
+        if state == STALE
             && self
-                .deleted
-                .compare_exchange(false, true, Ordering::SeqCst, Ordering::SeqCst)
+                .state
+                .compare_exchange(STALE, STALE | DELETED, Ordering::SeqCst, Ordering::SeqCst)
                 .is_ok()
         {
-            // ORDERING: SeqCst swap publishes the null and joins the
-            // winning reclaimer into the total order; the deleted CAS
-            // already guarantees exclusivity.
-            let ptr = self.buf.swap(std::ptr::null_mut(), Ordering::SeqCst);
-            debug_assert!(!ptr.is_null(), "published vector reclaimed twice");
-            // SAFETY: `deleted` CAS guarantees exactly one reclaimer; the
-            // stale/n_rdrs conditions guarantee no current or future
-            // readers (see module-level safety model).
-            unsafe { pool.release(ptr) };
+            // SAFETY: the CAS makes this thread the only reclaimer, and
+            // stale with no readers means no current or future reader
+            // (see the module-level safety model).
+            unsafe { pool.release(self as *const ParamVec as *mut ParamVec) };
         }
+    }
+
+    /// Flags the vector stale (P2 retirement, or an abandoned update) and
+    /// reclaims it if no reader holds it.
+    fn mark_stale(&self, pool: &BufferPool) {
+        // ORDERING: SeqCst — flags retirement inside the protocol's total
+        // order so no reader past its P3 check is missed by safe_delete.
+        let state = self.state.fetch_or(STALE, Ordering::SeqCst) | STALE;
+        self.safe_delete(state, pool);
     }
 
     /// Algorithm 1 `stop_reading`: drop one reader and attempt reclaim.
     fn stop_reading(&self, pool: &BufferPool) {
         // ORDERING: SeqCst — the decrement must order after this reader's
-        // buffer reads and before the safe_delete checks (its own and any
+        // buffer reads and before the reclamation CAS (its own or any
         // other thread's), which the SeqCst total order provides.
-        let prev = self.n_rdrs.fetch_sub(1, Ordering::SeqCst);
-        debug_assert!(prev > 0, "stop_reading without start_reading");
-        self.safe_delete(pool);
+        let prev = self.state.fetch_sub(1, Ordering::SeqCst);
+        debug_assert!(
+            (prev & !(STALE | DELETED)) > 0,
+            "stop_reading without start_reading"
+        );
+        self.safe_delete(prev - 1, pool);
     }
 
     /// Immutable view of theta.
     ///
     /// # Safety
-    /// Caller must hold the read protocol (counted reader that observed
-    /// `¬stale`) or exclusive pre-publication ownership.
+    /// Caller must hold the read protocol (a counted reader that saw `P`
+    /// still on this slot) or exclusive pre-publication ownership.
     #[inline]
     unsafe fn theta(&self) -> &[f32] {
-        // ORDERING: Acquire pairs with the Release publication of the
-        // buffer pointer (pool handoff / header init) so the pointee is
-        // fully initialised before we build a slice over it.
-        let ptr = self.buf.load(Ordering::Acquire);
-        debug_assert!(!ptr.is_null());
         // Model checker: a counted read of the whole buffer. The base
         // address keys the buffer as one object, so any write that is
         // not happens-before ordered with this read is a reported race.
-        annotate::data_read(ptr as usize);
-        std::slice::from_raw_parts(ptr, self.dim)
+        annotate::data_read(self.buf.as_ptr() as usize);
+        std::slice::from_raw_parts(self.buf.as_ptr(), self.dim)
     }
 
     /// Mutable view of theta.
@@ -137,15 +221,10 @@ impl ParamVec {
     #[inline]
     #[allow(clippy::mut_from_ref)]
     unsafe fn theta_mut(&self) -> &mut [f32] {
-        // ORDERING: Acquire — same pairing as `theta`; the writer must
-        // also see the previous owner's handoff before reusing a
-        // recycled buffer.
-        let ptr = self.buf.load(Ordering::Acquire);
-        debug_assert!(!ptr.is_null());
         // Model checker: an exclusive write to the whole buffer; races
         // with any unordered read or write are reported.
-        annotate::data_write(ptr as usize);
-        std::slice::from_raw_parts_mut(ptr, self.dim)
+        annotate::data_write(self.buf.as_ptr() as usize);
+        std::slice::from_raw_parts_mut(self.buf.as_ptr(), self.dim)
     }
 }
 
@@ -159,7 +238,7 @@ impl<'a> ReadGuard<'a> {
     /// The parameter values (valid for the guard's lifetime).
     #[inline]
     pub fn theta(&self) -> &[f32] {
-        // SAFETY: guard holds a counted read that observed ¬stale.
+        // SAFETY: guard holds a counted read that saw `P` on its slot.
         unsafe { self.pv.theta() }
     }
 
@@ -167,6 +246,16 @@ impl<'a> ReadGuard<'a> {
     #[inline]
     pub fn seq(&self) -> u64 {
         self.pv.seq()
+    }
+
+    /// Whether this vector is still the published one. The guard keeps
+    /// its slot from being recycled, so `true` means no publication
+    /// since the read.
+    pub(crate) fn is_latest(&self) -> bool {
+        // ORDERING: SeqCst — a double-collect validation read, kept after
+        // every shard's acquisition (its SeqCst increment and re-load of
+        // `P`) in the single total order.
+        self.shared.p.load(Ordering::SeqCst) == self.raw()
     }
 
     fn raw(&self) -> *mut ParamVec {
@@ -207,15 +296,15 @@ pub enum PublishOutcome {
     },
 }
 
-/// Lemma 2's bound on the pool buffers one [`LeashedShared`] has
+/// Lemma 2's bound on the pool slots one [`LeashedShared`] has
 /// outstanding at once, with `workers` publishing threads and `readers`
 /// threads that only read.
 ///
-/// One buffer is the published vector. A publishing worker holds at most
-/// two more: the private fresh vector of its LAU-SPC attempt, and one
-/// counted read — the gradient read, or the copy-latest read inside an
-/// attempt, dropped before the CAS, never both — which can pin a vector
-/// that has since been replaced. A pure reader pins at most one vector.
+/// One slot is the published vector. A publishing worker holds at most
+/// two more: the private vector of its LAU-SPC attempt, and one counted
+/// read — the gradient read, or the copy-latest read inside an attempt,
+/// held until after its CAS, never both — which can pin a vector that
+/// has since been replaced. A pure reader pins at most one vector.
 /// Hence `2·workers + 1 + readers`: `2m+1` for m bare workers, and
 /// `2m+2` under `train`, whose convergence monitor is one reader
 /// ([`LeashedShared::snapshot_into`] holds its guard for the whole copy).
@@ -223,8 +312,8 @@ pub const fn outstanding_bound(workers: usize, readers: usize) -> usize {
     2 * workers + 1 + readers
 }
 
-/// The shared state of a Leashed-SGD run: the global pointer `P`, the
-/// buffer pool, and the header arena.
+/// The shared state of a Leashed-SGD run: the global pointer `P` and the
+/// pool of ParameterVector slots.
 ///
 /// ```
 /// use lsgd_core::paramvec::{LeashedShared, PublishOutcome};
@@ -246,44 +335,24 @@ pub const fn outstanding_bound(workers: usize, readers: usize) -> usize {
 pub struct LeashedShared {
     p: AtomicPtr<ParamVec>,
     pool: BufferPool,
-    /// Every header ever allocated, freed on drop (never during the run).
-    ///
-    /// Ordering audit (PR 2): this queue is an arena *registry*, not a
-    /// publication channel — header contents reach other threads through
-    /// the `AcqRel` CAS on `p`, never through this queue, so nothing
-    /// here relies on the queue's push→pop release/acquire edge. Drop
-    /// drains it under `&mut self`, after every worker has joined.
-    headers: SegQueue<usize>,
     dim: usize,
 }
-
-// SAFETY: all cross-thread access goes through the atomic protocol
-// described in the module docs; raw pointers are either owned exclusively
-// (pre-publication) or read under the counted-reader protocol.
-unsafe impl Send for LeashedShared {}
-// SAFETY: shared access is the case that protocol is written for: every
-// `&self` method reaches a vector only through it.
-unsafe impl Sync for LeashedShared {}
 
 impl LeashedShared {
     /// Creates the shared state and publishes the initial vector with the
     /// contents of `init` at sequence number 0.
     pub fn new(init: &[f32], pool: BufferPool) -> Self {
         assert_eq!(init.len(), pool.dim(), "init length must match pool dim");
-        let shared = LeashedShared {
-            p: AtomicPtr::new(std::ptr::null_mut()),
-            pool,
-            headers: SegQueue::new(),
-            dim: init.len(),
-        };
-        let pv = shared.alloc_header();
+        let pv = pool.acquire();
         // SAFETY: exclusive ownership before first publication.
         unsafe { (*pv).theta_mut().copy_from_slice(init) };
-        // ORDERING: Release — the initial publication; pairs with the
-        // Acquire load in `latest` so workers see the initialised
-        // header and buffer contents.
-        shared.p.store(pv, Ordering::Release);
-        shared
+        LeashedShared {
+            // Moving `self` to the workers orders the initial contents
+            // before their first read.
+            p: AtomicPtr::new(pv),
+            pool,
+            dim: init.len(),
+        }
     }
 
     /// Parameter dimension `d`.
@@ -291,28 +360,9 @@ impl LeashedShared {
         self.dim
     }
 
-    /// The buffer pool (for memory diagnostics).
+    /// The slot pool (for memory diagnostics).
     pub fn pool(&self) -> &BufferPool {
         &self.pool
-    }
-
-    /// Allocates a fresh ParameterVector header + buffer, registered in
-    /// the header arena.
-    fn alloc_header(&self) -> *mut ParamVec {
-        let buf = self.pool.acquire();
-        let pv = Box::into_raw(Box::new(ParamVec {
-            t: AtomicU64::new(0),
-            n_rdrs: AtomicU32::new(0),
-            stale: AtomicBool::new(false),
-            deleted: AtomicBool::new(false),
-            buf: AtomicPtr::new(buf),
-            dim: self.dim,
-        }));
-        // Model checker: register the header region so use-after-free /
-        // leak tracking covers headers as well as buffers.
-        annotate::fresh(pv as usize, std::mem::size_of::<ParamVec>());
-        self.headers.push(pv as usize);
-        pv
     }
 
     /// Paper Algorithm 3 `latest_pointer()`: acquire the most recent
@@ -320,18 +370,27 @@ impl LeashedShared {
     /// retry implies another thread published (system-wide progress).
     pub fn latest(&self) -> ReadGuard<'_> {
         loop {
-            // ORDERING: Acquire pairs with the publishing AcqRel CAS (or
-            // the initial Release store) so the vector's contents
-            // happen-before this reader's use of them.
+            // ORDERING: Acquire pairs with the publishing AcqRel CAS so
+            // the vector's contents happen-before this reader's use.
             let ptr = self.p.load(Ordering::Acquire);
-            // SAFETY: headers are never freed during the run.
+            // SAFETY: slots are never freed while the pool lives.
             let pv = unsafe { &*ptr };
             // ORDERING: SeqCst increment-then-check (P3): the increment
-            // must precede the stale check in the single total order the
-            // reclamation proof quantifies over; see safe_delete.
-            pv.n_rdrs.fetch_add(1, Ordering::SeqCst);
+            // must precede the re-load of `P` in the single total order
+            // the reclamation proof quantifies over; see safe_delete.
+            let was = pv.state.fetch_add(1, Ordering::SeqCst);
+            // The slot may have been recycled between the load and the
+            // increment; only a slot `P` still points at is readable.
             // ORDERING: SeqCst — the other half of the P3 handshake.
-            if !pv.stale.load(Ordering::SeqCst) {
+            #[cfg(not(lsgd_mutate_skip_root_check))]
+            let current = self.p.load(Ordering::SeqCst) == ptr;
+            // Mutation sentinel: trust the increment alone, so a late
+            // reader can read a recycled private slot;
+            // `model_paramvec.rs`'s `skipped_root_check_is_caught` must
+            // report it.
+            #[cfg(lsgd_mutate_skip_root_check)]
+            let current = true;
+            if was & STALE == 0 && current {
                 return ReadGuard { pv, shared: self };
             }
             // Raced with a publisher: back off this vector (possibly
@@ -341,21 +400,15 @@ impl LeashedShared {
         }
     }
 
-    /// Sequence number of the currently published vector (no read guard;
-    /// used for staleness bookkeeping).
+    /// Sequence number of the currently published vector.
     pub fn current_seq(&self) -> u64 {
-        // SAFETY: headers are never freed during the run; reading the
-        // sequence number of a just-replaced vector is benign (it only
-        // under-estimates, exactly like the C++ original).
-        // ORDERING: Acquire — same pairing as `latest`; `seq()` then
-        // reads `t` inside the acquired header.
-        unsafe { (*self.p.load(Ordering::Acquire)).seq() }
+        self.latest().seq()
     }
 
-    /// The LAU-SPC loop (paper Algorithm 3 lines 23–40): allocate a fresh
-    /// vector, copy the latest published parameters into it, apply
-    /// `grad` scaled by `-eta`, and publish with a CAS; retry on failure
-    /// up to `persistence` times (`None` = unbounded).
+    /// The LAU-SPC loop (paper Algorithm 3 lines 23–40): take a private
+    /// vector from the pool, copy the latest published parameters into
+    /// it, apply `grad` scaled by `-eta`, and publish with a CAS; retry on
+    /// failure up to `persistence` times (`None` = unbounded).
     ///
     /// `on_attempt` is invoked once per attempt with the attempt's
     /// duration in seconds — the quantity the paper reports as `Tu`.
@@ -409,17 +462,18 @@ impl LeashedShared {
     }
 
     /// The shared LAU-SPC attempt loop: copy-latest, `apply` the update to
-    /// the private fresh buffer, single CAS, retry up to the persistence
-    /// bound. `apply` is re-invoked on every attempt (the base copy is
-    /// re-taken from the then-latest vector).
+    /// the private vector, single CAS, retry up to the persistence bound.
+    /// `apply` is re-invoked on every attempt (the base copy is re-taken
+    /// from the then-latest vector).
     fn publish_with(
         &self,
         persistence: Option<u32>,
         mut apply: impl FnMut(&mut [f32]),
         mut on_attempt: impl FnMut(f64),
     ) -> PublishOutcome {
-        let new_ptr = self.alloc_header();
-        // SAFETY: exclusive ownership until published.
+        let new_ptr = self.pool.acquire();
+        // SAFETY: slots outlive the run; this one is private until the
+        // CAS below publishes it.
         let new_pv = unsafe { &*new_ptr };
         let mut failed: u32 = 0;
         let mut t_first_base: Option<u64> = None;
@@ -429,55 +483,40 @@ impl LeashedShared {
             // copy→CAS window here, driving contention/retries up.
             lsgd_fault::point(lsgd_fault::Site::Publish);
             let t0 = std::time::Instant::now();
-            let latest = self.latest();
-            let t_base = latest.seq();
+            // Counted until after the CAS, so the base slot cannot be
+            // recycled and republished in between (see the safety model).
+            let base = self.latest();
+            let t_base = base.seq();
             t_first_base.get_or_insert(t_base);
             {
-                // SAFETY: exclusive pre-publication ownership of new_pv;
-                // counted read of latest.
-                let dst = unsafe { new_pv.theta_mut() };
-                dst.copy_from_slice(latest.theta());
-            }
-            // ORDERING: SeqCst stores to `t` on a still-private vector;
-            // visibility is actually guaranteed by the publishing CAS
-            // below — SeqCst here keeps every `t` access in one total
-            // order so seq() comparisons never run backwards.
-            new_pv.t.store(t_base, Ordering::SeqCst);
-            let latest_raw = latest.raw();
-            drop(latest); // stop_reading before the CAS, as in Algorithm 3
-            // update(): t += 1; theta -= eta * grad  (Algorithm 1 line 15).
-            // ORDERING: SeqCst — see the store above.
-            new_pv.t.fetch_add(1, Ordering::SeqCst);
-            {
                 // SAFETY: new_pv is still private: the publishing CAS
-                // below has not run, and a failed CAS loops back to the
-                // copy above with it still private.
+                // below has not run, and a failed CAS loops back here
+                // with it still private. `base` is a counted read.
                 let dst = unsafe { new_pv.theta_mut() };
+                dst.copy_from_slice(base.theta());
+                // update(): theta -= eta * grad (Algorithm 1 line 15).
                 apply(dst);
             }
+            // update(): t += 1.
+            // ORDERING: SeqCst on a still-private vector; the publishing
+            // CAS below makes it visible, SeqCst keeps every `t` access
+            // in one total order.
+            new_pv.t.store(t_base + 1, Ordering::SeqCst);
             // ORDERING: AcqRel on success — Release publishes the private
             // writes to the new vector (pairs with latest()'s Acquire);
-            // Acquire orders the subsequent stale/safe_delete handling of
-            // the displaced vector after its publication. Acquire on
-            // failure: the retry re-reads the winner's vector next loop.
+            // Acquire orders the retirement of the displaced vector after
+            // its publication. Acquire on failure: the retry re-reads the
+            // winner's vector next loop.
             let succ = self
                 .p
-                .compare_exchange(
-                    latest_raw,
-                    new_ptr,
-                    Ordering::AcqRel,
-                    Ordering::Acquire,
-                )
+                .compare_exchange(base.raw(), new_ptr, Ordering::AcqRel, Ordering::Acquire)
                 .is_ok();
             on_attempt(t0.elapsed().as_secs_f64());
             if succ {
-                // SAFETY: header arena keeps latest_raw alive.
-                let old = unsafe { &*latest_raw };
-                // ORDERING: SeqCst — flags P2 retirement inside the
-                // protocol's total order so no reader past its P3 check
-                // can be missed by the safe_delete that follows.
-                old.stale.store(true, Ordering::SeqCst);
-                old.safe_delete(&self.pool);
+                // P2: the replaced vector goes stale; the last reader,
+                // perhaps this guard's drop, returns it to the pool.
+                base.pv.mark_stale(&self.pool);
+                drop(base);
                 return PublishOutcome::Published {
                     t_new: t_base + 1,
                     t_base,
@@ -485,16 +524,13 @@ impl LeashedShared {
                     failed_cas: failed,
                 };
             }
+            drop(base);
             failed += 1;
             lsgd_trace::count(lsgd_trace::Counter::PublishRetry);
             if let Some(tp) = persistence {
                 if failed > tp {
                     // Abandon: recycle the never-published vector.
-                    // ORDERING: SeqCst — same protocol as the success
-                    // path; the vector was never shared, so this only
-                    // feeds safe_delete's own checks.
-                    new_pv.stale.store(true, Ordering::SeqCst);
-                    new_pv.safe_delete(&self.pool);
+                    new_pv.mark_stale(&self.pool);
                     lsgd_trace::count(lsgd_trace::Counter::PublishAbort);
                     return PublishOutcome::Aborted { failed_cas: failed };
                 }
@@ -511,24 +547,11 @@ impl LeashedShared {
     }
 }
 
-impl Drop for LeashedShared {
-    fn drop(&mut self) {
-        // Free all headers; their buffers belong to the pool, which
-        // reclaims them in its own drop.
-        while let Some(addr) = self.headers.pop() {
-            // Model checker: close the header's region before the free.
-            annotate::retire(addr, std::mem::size_of::<ParamVec>());
-            // SAFETY: allocated via Box::into_raw in alloc_header; freed
-            // exactly once, and only after all users are gone (&mut self).
-            unsafe { drop(Box::from_raw(addr as *mut ParamVec)) };
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::mem::MemoryGauge;
+    use lsgd_check::sync::AtomicBool;
     use std::sync::Arc;
 
     fn shared(dim: usize, init: f32) -> LeashedShared {

@@ -1,50 +1,37 @@
-//! Lock-free recycling pool for `theta` buffers.
+//! Lock-free recycling pool of ParameterVector slots.
 //!
-//! Leashed-SGD allocates a fresh ParameterVector for every update and
-//! relies on recycling to bound memory (paper §III P2, Lemma 2). This pool
-//! provides the recycling: buffers released by `safe_delete` go onto a
-//! lock-free free list and are handed back out to subsequent allocations,
-//! so in steady state no θ buffer is heap-allocated. The paper's memory
-//! bound covers these θ buffers only. The `ParamVec` header each
-//! publication `Box`es is kept until the store drops (see
-//! [`LeashedShared`](crate::paramvec::LeashedShared)), so headers grow as
-//! O(published), off the [`MemoryGauge`]. The header arena and this
-//! pool's free list are `SegQueue`s, which also allocate a segment every
-//! 31 pushes.
+//! Leashed-SGD takes a fresh ParameterVector for every update and relies
+//! on recycling to bound memory (paper §III P2, Lemma 2). This pool
+//! provides the recycling. A slot is a [`ParamVec`] header that owns its
+//! θ buffer; both are allocated together on the pool's first demand and
+//! freed only when the pool drops. Slots that `safe_delete` releases go
+//! onto a lock-free free list and are handed back out by later
+//! acquires, so in steady state a publication allocates neither a header
+//! nor a buffer. The free list is an `lsgd_sync::SegQueue`, which still
+//! allocates a segment every 31 pushes and frees it once drained.
 //!
-//! The free list is `lsgd_sync::SegQueue` — CAS-only push/pop — so the
-//! recycle fast path (`acquire` hitting the free list, `release` in
-//! recycling mode) takes no lock; with PR 2 the end-to-end hot path is
-//! genuinely lock-free, as the paper claims. Cross-thread buffer reuse
-//! is data-race-free because the queue guarantees that a `push(addr)`
-//! happens-before the `pop()` returning `addr` (release/acquire on the
-//! slot state; see `lsgd_sync::queue`'s memory-ordering contract), so
-//! the previous owner's last writes to the buffer are visible before
-//! the next owner's first writes.
+//! The recycle fast path (`acquire` hitting the free list, `release`)
+//! takes no lock. Cross-thread slot reuse is data-race-free because the
+//! queue guarantees that a `push(addr)` happens-before the `pop()`
+//! returning `addr` (release/acquire on the queue slot state; see
+//! `lsgd_sync::queue`'s memory-ordering contract), so the previous
+//! owner's last writes to the buffer are visible before the next
+//! owner's first writes. A reader may still hold a late increment on a
+//! released slot; [`acquire`](BufferPool::acquire) keeps its count (see
+//! [`paramvec`](crate::paramvec)'s safety model).
 //!
-//! Buffers are fixed-dimension `d` `f32` arrays, passed around as raw
-//! pointers because ownership moves through the lock-free ParameterVector
-//! protocol rather than through Rust scopes. The pool itself retains
-//! logical ownership of every buffer it ever created and frees them all on
-//! drop, so nothing leaks even if callers lose track of outstanding
-//! buffers (as happens to the final published vector of a run).
-//!
-//! [`BufferPool::new_with_recycling`]`(.., false)` builds a pool with
-//! recycling disabled: every release then frees eagerly and every acquire
-//! heap-allocates — the behaviour of a naive implementation of Algorithm
-//! 3's `new ParamVector()`. Training never builds one; the switch serves
-//! the pool's own tests and the `benchmark` package's
-//! `ShardedShared::new(.., recycle)` calls, whose signature is kept.
+//! The pool retains logical ownership of every slot it ever created and
+//! frees them all on drop, so nothing leaks even if callers lose track of
+//! outstanding slots (as happens to the final published vector of a run).
 
 use crate::mem::MemoryGauge;
-use lsgd_check::annotate;
+use crate::paramvec::ParamVec;
 use lsgd_sync::SegQueue;
 use parking_lot::Mutex;
-use std::collections::HashSet;
 // Deliberately std (not the lsgd_check shims): `outstanding` and
 // `outstanding_peak` are diagnostic tallies outside the verified
 // protocol; keeping them off the model scheduler keeps model-state
-// space focused on the real handoff atomics. The `registry` Mutex is
+// space focused on the real handoff atomics. The `slots` Mutex is
 // likewise model-safe as plain parking_lot: it is only taken around
 // straight-line code with no shimmed operation (= no model schedule
 // point) inside the critical section, so a model thread can never be
@@ -52,40 +39,41 @@ use std::collections::HashSet;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-/// A recycling allocator of `f32` buffers of one fixed dimension.
+/// A recycling allocator of [`ParamVec`] slots of one fixed dimension.
 pub struct BufferPool {
     dim: usize,
-    recycle: bool,
     free: SegQueue<usize>,
-    /// Every currently-allocated buffer (addresses), for final
-    /// reclamation and for eager-free bookkeeping. Locked only on fresh
-    /// allocation / eager free — never on the recycled fast path.
-    registry: Mutex<HashSet<usize>>,
+    /// Every slot ever allocated (addresses), freed on drop. Locked only
+    /// on fresh allocation, never on the recycled fast path.
+    slots: Mutex<Vec<usize>>,
     outstanding: AtomicUsize,
     outstanding_peak: AtomicUsize,
     gauge: Arc<MemoryGauge>,
 }
 
 impl BufferPool {
-    /// Creates a recycling pool of `dim`-length buffers reporting to
+    /// Creates a recycling pool of `dim`-length slots reporting to
     /// `gauge`.
     pub fn new(dim: usize, gauge: Arc<MemoryGauge>) -> Self {
-        Self::new_with_recycling(dim, gauge, true)
-    }
-
-    /// Creates a pool with recycling switched on or off (off = eager
-    /// free + fresh allocation each time; see the module docs).
-    pub fn new_with_recycling(dim: usize, gauge: Arc<MemoryGauge>, recycle: bool) -> Self {
         assert!(dim > 0, "buffer dimension must be positive");
         BufferPool {
             dim,
-            recycle,
             free: SegQueue::new(),
-            registry: Mutex::new(HashSet::new()),
+            slots: Mutex::new(Vec::new()),
             outstanding: AtomicUsize::new(0),
             outstanding_peak: AtomicUsize::new(0),
             gauge,
         }
+    }
+
+    /// [`new`](Self::new), kept for callers that still pass the old
+    /// recycling switch.
+    ///
+    /// # Panics
+    /// Panics if `recycle` is `false`: a slot pool always recycles.
+    pub fn new_with_recycling(dim: usize, gauge: Arc<MemoryGauge>, recycle: bool) -> Self {
+        assert!(recycle, "the slot pool always recycles");
+        Self::new(dim, gauge)
     }
 
     /// Buffer dimension.
@@ -93,46 +81,29 @@ impl BufferPool {
         self.dim
     }
 
-    /// Bytes per buffer.
+    /// Bytes per θ buffer.
     pub fn buf_bytes(&self) -> usize {
         self.dim * std::mem::size_of::<f32>()
     }
 
-    /// Whether recycling is enabled.
-    pub fn recycling(&self) -> bool {
-        self.recycle
-    }
-
-    /// Acquires a buffer (recycled when possible). Contents are
+    /// Acquires a slot (recycled when possible). Buffer contents are
     /// unspecified; callers always fully overwrite.
     ///
     /// Under memory pressure — the gauge's soft cap would be exceeded,
     /// or an injected `oom:` fault fires — the slow path briefly polls
-    /// the free list for a recyclable buffer before allocating anyway.
+    /// the free list for a recyclable slot before allocating anyway.
     /// The wait is strictly bounded: a worker may be holding the very
-    /// buffer the cap is waiting for, so blocking here indefinitely
+    /// slot the cap is waiting for, so blocking here indefinitely
     /// could deadlock the protocol. Waits and forced allocations are
     /// counted (`pool.pressure_wait` / `pool.pressure_forced`).
-    pub fn acquire(&self) -> *mut f32 {
+    pub fn acquire(&self) -> *mut ParamVec {
         // Injection seam: an armed `stall:acquire` rule fires here.
         lsgd_fault::point(lsgd_fault::Site::PoolAcquire);
-        let ptr = if let Some(addr) = self.free.pop() {
-            // Ordering: the releasing thread's writes to *addr are
-            // visible here via the queue's push→pop release/acquire
-            // edge; no extra fence is needed before handing the buffer
-            // to a new owner. The model checker verifies exactly this:
-            // a recycled buffer keeps its region identity (no re-fresh
-            // here), so the next owner's writes race with the previous
-            // owner's accesses unless the queue edge really orders them.
-            self.gauge.note_reuse();
-            addr as *mut f32
-        } else {
-            self.alloc_fresh()
-        };
+        let slot = self.pop_free().unwrap_or_else(|| self.alloc_fresh());
         // ORDERING: Relaxed — `outstanding`/`outstanding_peak` are
         // diagnostic tallies that publish nothing; cross-thread exactness
         // is only asserted after a `thread::scope` join, which is itself
-        // a synchronisation point. Buffer handoff never reads them.
+        // a synchronisation point. Slot handoff never reads them.
         let out = self.outstanding.fetch_add(1, Ordering::Relaxed) + 1;
         // ORDERING: Relaxed — see above; the peak CAS loop tolerates any
         // interleaving and only ever ratchets upward.
@@ -149,12 +120,29 @@ impl BufferPool {
                 Err(p) => peak = p,
             }
         }
-        ptr
+        slot
+    }
+
+    /// Takes a released slot off the free list, made usable again.
+    fn pop_free(&self) -> Option<*mut ParamVec> {
+        // Ordering: the releasing thread's writes to the slot are
+        // visible here via the queue's push→pop release/acquire edge; no
+        // extra fence is needed before handing it to a new owner. The
+        // model checker verifies exactly this: a recycled buffer keeps
+        // its region identity (no re-fresh here), so the next owner's
+        // writes race with the previous owner's accesses unless the
+        // queue edge really orders them.
+        let slot = self.free.pop()? as *mut ParamVec;
+        self.gauge.note_reuse();
+        // SAFETY: every address on the free list is a live slot of this
+        // pool (slots are freed only in `drop`).
+        unsafe { (*slot).reuse() };
+        Some(slot)
     }
 
     /// Empty-free-list slow path: allocate fresh, with the bounded
     /// pressure wait described on [`acquire`](Self::acquire).
-    fn alloc_fresh(&self) -> *mut f32 {
+    fn alloc_fresh(&self) -> *mut ParamVec {
         // How many free-list polls a pressured allocation performs
         // before forcing through: a few cache-hot spins, then scheduler
         // yields. Worst case is a handful of microseconds — liveness
@@ -164,10 +152,8 @@ impl BufferPool {
         if self.gauge.would_exceed(self.buf_bytes()) || lsgd_fault::oom_on_alloc() {
             lsgd_trace::count(lsgd_trace::Counter::PoolPressureWait);
             for poll in 0..PRESSURE_POLLS {
-                if let Some(addr) = self.free.pop() {
-                    // Same push→pop edge as the fast path (see `acquire`).
-                    self.gauge.note_reuse();
-                    return addr as *mut f32;
+                if let Some(slot) = self.pop_free() {
+                    return slot;
                 }
                 if poll < PRESSURE_SPINS {
                     std::hint::spin_loop();
@@ -177,52 +163,36 @@ impl BufferPool {
             }
             lsgd_trace::count(lsgd_trace::Counter::PoolPressureForced);
         }
-        let boxed: Box<[f32]> = vec![0.0f32; self.dim].into_boxed_slice();
-        let ptr = Box::into_raw(boxed) as *mut f32;
-        // Model checker: a genuinely new region; tracked until the
-        // pool retires it (eager free or pool drop).
-        annotate::fresh(ptr as usize, self.buf_bytes());
+        let slot = ParamVec::alloc(self.dim);
         self.gauge.add(self.buf_bytes());
-        self.registry.lock().insert(ptr as usize);
-        ptr
+        self.slots.lock().push(slot as usize);
+        slot
     }
 
-    /// Returns a buffer: to the free list (recycling mode) or to the heap
-    /// (eager mode).
+    /// Returns a slot to the free list.
     ///
     /// # Safety
-    /// `ptr` must have been produced by [`BufferPool::acquire`] on this
-    /// pool and must not be accessed after release.
-    pub unsafe fn release(&self, ptr: *mut f32) {
-        debug_assert!(!ptr.is_null());
+    /// `slot` must have been produced by [`BufferPool::acquire`] on this
+    /// pool, and its buffer must not be accessed after release.
+    pub unsafe fn release(&self, slot: *mut ParamVec) {
+        debug_assert!(!slot.is_null());
         // ORDERING: Relaxed — diagnostic tally; see `acquire`.
         self.outstanding.fetch_sub(1, Ordering::Relaxed);
-        if self.recycle {
-            // The queue's push is a release operation on the slot that
-            // carries `ptr`, so this thread's final writes to the buffer
-            // happen-before the next `acquire` that pops it (see the
-            // module docs). The Relaxed counter above rides along: it
-            // orders nothing and needs to order nothing.
-            self.free.push(ptr as usize);
-        } else {
-            let removed = self.registry.lock().remove(&(ptr as usize));
-            debug_assert!(removed, "released pointer not owned by this pool");
-            // Model checker: eager mode really frees — close the region
-            // so any straggling access is a use-after-free report.
-            annotate::retire(ptr as usize, self.buf_bytes());
-            let slice: *mut [f32] = std::ptr::slice_from_raw_parts_mut(ptr, self.dim);
-            drop(Box::from_raw(slice));
-            self.gauge.sub(self.buf_bytes());
-        }
+        // The queue's push is a release operation on the queue slot that
+        // carries the address, so this thread's final writes to the
+        // buffer happen-before the next `acquire` that pops it (see the
+        // module docs). The Relaxed counter above rides along: it orders
+        // nothing and needs to order nothing.
+        self.free.push(slot as usize);
     }
 
-    /// Buffers currently held by callers (not on the free list).
+    /// Slots currently held by callers (not on the free list).
     pub fn outstanding(&self) -> usize {
         // ORDERING: Relaxed — diagnostic; exact only after a join.
         self.outstanding.load(Ordering::Relaxed)
     }
 
-    /// High-water mark of concurrently outstanding buffers — the quantity
+    /// High-water mark of concurrently outstanding slots — the quantity
     /// Lemma 2 bounds by [`outstanding_bound`](crate::paramvec::outstanding_bound).
     pub fn outstanding_peak(&self) -> usize {
         // ORDERING: Relaxed — diagnostic; exact only after a join.
@@ -237,34 +207,26 @@ impl BufferPool {
 
 impl Drop for BufferPool {
     fn drop(&mut self) {
-        // Reclaim every buffer the pool still owns, whether or not it was
-        // returned — the pool outlives all users (it is dropped only after
-        // the training scope joins all workers). The free list holds a
-        // subset of the registry, so draining the registry frees
-        // everything exactly once.
-        let registry = std::mem::take(&mut *self.registry.lock());
-        for addr in registry {
-            let ptr = addr as *mut f32;
-            // Model checker: close the region (post-join, so no recorded
-            // access can be concurrent with this free).
-            annotate::retire(addr, self.buf_bytes());
-            // SAFETY: allocated by `acquire` via Box<[f32]> of len dim and
-            // not yet freed (eager frees remove themselves from the
-            // registry).
-            unsafe {
-                let slice: *mut [f32] = std::ptr::slice_from_raw_parts_mut(ptr, self.dim);
-                drop(Box::from_raw(slice));
-            }
+        // Free every slot the pool created, whether or not it was
+        // returned — the pool outlives all users (it is dropped only
+        // after the training scope joins all workers). The free list
+        // holds a subset of `slots`, so this frees each exactly once.
+        for addr in std::mem::take(self.slots.get_mut()) {
+            // SAFETY: made by `ParamVec::alloc` in `alloc_fresh`, recorded
+            // once, and (post-join, `&mut self`) no longer in use.
+            unsafe { ParamVec::free(addr as *mut ParamVec) };
             self.gauge.sub(self.buf_bytes());
         }
     }
 }
 
-// SAFETY: the queues store plain addresses; buffer ownership transfer is
-// governed by the ParameterVector protocol (see paramvec.rs safety notes).
+// SAFETY: the queue and the slot list store plain addresses; slot
+// ownership transfer is governed by the ParameterVector protocol (see
+// paramvec.rs safety notes).
 unsafe impl Send for BufferPool {}
-// SAFETY: `&self` methods touch only the lock-free queues and atomic
-// counters; the addresses they hand out are owned per the same protocol.
+// SAFETY: `&self` methods touch only the lock-free queue, the slot list
+// under its lock, atomic counters, and the state word of a popped slot
+// (an atomic); the slots they hand out are owned per the same protocol.
 unsafe impl Sync for BufferPool {}
 
 #[cfg(test)]
@@ -331,34 +293,6 @@ mod tests {
     }
 
     #[test]
-    fn no_recycle_mode_frees_eagerly() {
-        let g = Arc::new(MemoryGauge::new());
-        let p = BufferPool::new_with_recycling(16, Arc::clone(&g), false);
-        assert!(!p.recycling());
-        let a = p.acquire();
-        assert_eq!(g.live(), 64);
-        unsafe { p.release(a) };
-        assert_eq!(g.live(), 0, "eager mode frees on release");
-        let b = p.acquire();
-        assert_eq!(g.total_allocs(), 2, "no reuse in eager mode");
-        assert_eq!(g.pool_reuses(), 0);
-        unsafe { p.release(b) };
-        drop(p);
-        assert_eq!(g.live(), 0);
-    }
-
-    #[test]
-    fn no_recycle_drop_frees_outstanding() {
-        let g = Arc::new(MemoryGauge::new());
-        {
-            let p = BufferPool::new_with_recycling(16, Arc::clone(&g), false);
-            let _held = p.acquire();
-            assert_eq!(g.live(), 64);
-        }
-        assert_eq!(g.live(), 0);
-    }
-
-    #[test]
     fn capped_pool_recycles_under_pressure_but_never_deadlocks() {
         let g = Arc::new(MemoryGauge::new());
         let p = BufferPool::new(32, Arc::clone(&g));
@@ -391,15 +325,14 @@ mod tests {
         let g = Arc::new(MemoryGauge::new());
         let p = Arc::new(BufferPool::new(64, Arc::clone(&g)));
         g.set_cap(Some(4 * p.buf_bytes()));
-        let held: Vec<*mut f32> = (0..4).map(|_| p.acquire()).collect();
-        let held: Vec<usize> = held.into_iter().map(|p| p as usize).collect();
+        let held: Vec<usize> = (0..4).map(|_| p.acquire() as usize).collect();
         std::thread::scope(|s| {
             {
                 let p = Arc::clone(&p);
                 s.spawn(move || {
                     for addr in held {
                         std::thread::yield_now();
-                        unsafe { p.release(addr as *mut f32) };
+                        unsafe { p.release(addr as *mut ParamVec) };
                     }
                 });
             }
@@ -421,44 +354,33 @@ mod tests {
 
     #[test]
     fn concurrent_acquire_release_is_balanced() {
-        for recycle in [true, false] {
-            let p = Arc::new(BufferPool::new_with_recycling(
-                32,
-                Arc::new(MemoryGauge::new()),
-                recycle,
-            ));
-            std::thread::scope(|s| {
-                for t in 0..4 {
-                    let p = Arc::clone(&p);
-                    s.spawn(move || {
-                        let mut held = Vec::new();
-                        for i in 0..2000 {
-                            held.push(p.acquire());
-                            if (i + t) % 3 == 0 {
-                                if let Some(ptr) = held.pop() {
-                                    unsafe { p.release(ptr) };
-                                }
-                            }
-                            while held.len() > 4 {
-                                let ptr = held.remove(0);
+        let p = Arc::new(BufferPool::new(32, Arc::new(MemoryGauge::new())));
+        std::thread::scope(|s| {
+            for t in 0..4 {
+                let p = Arc::clone(&p);
+                s.spawn(move || {
+                    let mut held = Vec::new();
+                    for i in 0..2000 {
+                        held.push(p.acquire());
+                        if (i + t) % 3 == 0 {
+                            if let Some(ptr) = held.pop() {
                                 unsafe { p.release(ptr) };
                             }
                         }
-                        for ptr in held {
+                        while held.len() > 4 {
+                            let ptr = held.remove(0);
                             unsafe { p.release(ptr) };
                         }
-                    });
-                }
-            });
-            assert_eq!(p.outstanding(), 0);
-            assert!(p.outstanding_peak() <= 4 * 5);
-            if recycle {
-                // Steady state should be dominated by reuse.
-                assert!(p.gauge().pool_reuses() > p.gauge().total_allocs());
-            } else {
-                assert_eq!(p.gauge().pool_reuses(), 0);
-                assert_eq!(p.gauge().live(), 0);
+                    }
+                    for ptr in held {
+                        unsafe { p.release(ptr) };
+                    }
+                });
             }
-        }
+        });
+        assert_eq!(p.outstanding(), 0);
+        assert!(p.outstanding_peak() <= 4 * 5);
+        // Steady state should be dominated by reuse.
+        assert!(p.gauge().pool_reuses() > p.gauge().total_allocs());
     }
 }

@@ -104,12 +104,6 @@ impl NnProblem {
     pub fn batch(&self) -> usize {
         self.batch
     }
-
-    /// Classification accuracy of `theta` on the evaluation subset.
-    pub fn eval_accuracy(&self, theta: &[f32], scratch: &mut NnScratch) -> f32 {
-        self.net
-            .accuracy(theta, &self.eval.images, &self.eval.labels, &mut scratch.ws)
-    }
 }
 
 impl Problem for NnProblem {
@@ -250,11 +244,6 @@ impl SparseLogRegProblem {
     /// The wrapped data.
     pub fn data(&self) -> &SparseLogReg {
         &self.data
-    }
-
-    /// Classification accuracy of `theta` on the full dataset.
-    pub fn eval_accuracy(&self, theta: &[f32]) -> f32 {
-        self.data.accuracy(theta)
     }
 
     /// Accumulates one minibatch's logistic gradient into the scratch
@@ -483,7 +472,7 @@ mod tests {
         }
         let fin = p.eval_loss(&theta, &mut s);
         assert!(fin < initial * 0.6, "{initial} -> {fin}");
-        assert!(p.eval_accuracy(&theta) > 0.75);
+        assert!(p.data().accuracy(&theta) > 0.75);
     }
 
     #[test]
@@ -495,21 +484,5 @@ mod tests {
         assert!(p
             .grad_sparse(&theta, &mut pairs, &mut s, &mut SmallRng64::new(1))
             .is_none());
-    }
-
-    #[test]
-    fn eval_accuracy_improves_with_training() {
-        let p = blob_problem();
-        let mut theta = p.init_theta(6);
-        let mut s = p.scratch();
-        let acc0 = p.eval_accuracy(&theta, &mut s);
-        let mut rng = SmallRng64::new(7);
-        let mut grad = vec![0.0; p.dim()];
-        for _ in 0..600 {
-            p.grad(&theta, &mut grad, &mut s, &mut rng);
-            lsgd_tensor::ops::sgd_step(&mut theta, &grad, 0.2);
-        }
-        let acc1 = p.eval_accuracy(&theta, &mut s);
-        assert!(acc1 > acc0.max(0.8), "accuracy {acc0} -> {acc1}");
     }
 }

@@ -9,8 +9,8 @@
 //! touches a handful of coordinates — exactly the sparse regime HOGWILD! (Niu et al., 2011)
 //! exploits. Splitting the vector into S fixed-width shards, each an
 //! independent publication domain running the same LAU-SPC protocol
-//! (per-shard sequence number `t`, `n_rdrs`/`stale`/`deleted`
-//! reclamation, per-shard `AtomicPtr` head, per-shard recycling pool over
+//! (per-shard sequence number `t`, reader-count/stale/deleted state-word
+//! reclamation, per-shard `AtomicPtr` head, per-shard slot pool over
 //! `lsgd_sync::SegQueue`), makes publication cost proportional to the
 //! number of *dirty* shards: an update with k nonzero coordinates copies
 //! and CASes only the shards those coordinates land in.
@@ -27,10 +27,12 @@
 //!   cross-shard relaxation; each shard is still internally untorn).
 //! * **Consistent** — the classic double-collect atomic snapshot: acquire
 //!   all shard heads recording the per-shard sequence vector, then
-//!   re-read every head's sequence number; if the vector is unchanged the
-//!   snapshot is linearizable (every shard held its sequence number
-//!   throughout the interval between the last acquisition and the first
-//!   validation read), otherwise drop the guards and retry. A validation
+//!   re-read every head; if each still points at the vector its guard
+//!   pins (a pinned slot cannot be recycled, so this is the same vector,
+//!   not a republished one) the snapshot is linearizable (every shard
+//!   held its sequence number throughout the interval between the last
+//!   acquisition and the first validation read), otherwise drop the
+//!   guards and retry. A validation
 //!   failure implies some shard published — system-wide progress — so the
 //!   retry loop is lock-free.
 //!

@@ -71,8 +71,11 @@ pub struct ShardedShared {
 impl ShardedShared {
     /// Creates `min(num_shards, d)` shard domains (at least 1) publishing
     /// the contents of `init` at per-shard sequence number 0. All shard
-    /// pools report to the same `gauge`; `recycle` selects buffer
-    /// recycling exactly as in [`BufferPool::new_with_recycling`].
+    /// pools report to the same `gauge`.
+    ///
+    /// # Panics
+    /// Panics if `recycle` is `false`, as
+    /// [`BufferPool::new_with_recycling`] does: slot pools always recycle.
     pub fn new(init: &[f32], num_shards: usize, gauge: Arc<MemoryGauge>, recycle: bool) -> Self {
         let dim = init.len();
         assert!(dim > 0, "parameter dimension must be positive");
@@ -120,12 +123,6 @@ impl ShardedShared {
     /// Direct access to one shard domain (tests).
     pub fn shard(&self, s: usize) -> &LeashedShared {
         &self.shards[s]
-    }
-
-    /// Sum of the per-shard sequence numbers (unvalidated; the sharded
-    /// analogue of [`LeashedShared::current_seq`]).
-    pub fn total_seq(&self) -> u64 {
-        self.shards.iter().map(|s| s.current_seq()).sum()
     }
 
     /// The memory gauge all shard pools report to.
@@ -177,14 +174,11 @@ impl ShardedShared {
                     retries,
                 };
             }
-            // Second collect: every shard still at its acquired sequence
-            // number ⇒ no shard published between the last acquisition
-            // and the first validation read ⇒ linearizable.
-            let valid = self
-                .shards
-                .iter()
-                .zip(&seqs)
-                .all(|(shard, &q)| shard.current_seq() == q);
+            // Second collect: every shard's `P` still on the slot its
+            // guard pins (which the guard keeps from being recycled) ⇒ no
+            // shard published between the last acquisition and the first
+            // validation read ⇒ linearizable.
+            let valid = guards.iter().all(|g| g.is_latest());
             if valid {
                 return ShardedSnapshot {
                     guards,

@@ -11,21 +11,24 @@
 //! count is 0.
 //!
 //! On the LAU-SPC store (`ShardedShared`, at S = 1 as `Leashed` and at
-//! S = 4 as `ShardedLeashed`) the θ buffers are recycled by the pool,
-//! but the count is not 0, and it is exactly what the protocol implies:
+//! S = 4 as `ShardedLeashed`) every ParameterVector slot, header and θ
+//! buffer together, is recycled by the pool, but the count is not 0, and
+//! it is exactly what the protocol implies:
 //!
-//! * every dirty-shard publication `Box`es a fresh `ParamVec` header,
-//!   kept in the shard's header arena until the store drops;
-//! * the header arena and the pool's free list are `SegQueue`s, and each
-//!   adds a segment every `SEG_CAP` (31) pushes: one push per
-//!   publication on each, so about `2 · dirty / 31` segments, give or
-//!   take one per queue for where its current segment stood;
+//! * each shard pool's free list is a `SegQueue`, which adds a segment
+//!   every `SEG_CAP` (31) pushes: one push per dirty-shard publication,
+//!   so about `dirty / 31` segments, give or take one per shard for where
+//!   its current segment stood;
 //! * at S > 1 every read's `snapshot` allocates its guard and sequence
 //!   `Vec`s.
 //!
-//! The dirty-shard total comes from the worker's own histogram. A
-//! header arena that recycled headers and segments would show here as
-//! this count dropping to 0.
+//! The dirty-shard total comes from the worker's own histogram. A free
+//! list that recycled its segments would show here as the S = 1 count
+//! dropping to 0.
+//!
+//! The queue frees a segment once drained, so what a run holds stays
+//! flat: the last test counts live bytes as well, and 18,000 more warm
+//! steps may leave at most one more segment per shard alive.
 
 use lsgd_core::baseline::{HogwildParams, LockedParams};
 use lsgd_core::heartbeat::HeartbeatBoard;
@@ -43,14 +46,27 @@ use std::sync::Arc;
 
 struct Counting;
 
-thread_local! {
-    /// `Some(n)` while this thread counts: `n` allocations so far.
-    static COUNT: Cell<Option<usize>> = const { Cell::new(None) };
+/// What this thread did while counting: allocations, and bytes allocated
+/// minus bytes freed.
+#[derive(Clone, Copy, Default)]
+struct Tally {
+    allocs: usize,
+    live: isize,
 }
 
-fn note() {
+thread_local! {
+    /// `Some` while this thread counts.
+    static COUNT: Cell<Option<Tally>> = const { Cell::new(None) };
+}
+
+fn note(allocs: usize, bytes: isize) {
     // `try_with`: the allocator also runs while thread-locals are torn down.
-    let _ = COUNT.try_with(|c| c.set(c.get().map(|n| n + 1)));
+    let _ = COUNT.try_with(|c| {
+        c.set(c.get().map(|t| Tally {
+            allocs: t.allocs + allocs,
+            live: t.live + bytes,
+        }))
+    });
 }
 
 // SAFETY: every method forwards to `System` with the caller's arguments
@@ -58,21 +74,22 @@ fn note() {
 // and never allocates.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        note();
+        note(1, layout.size() as isize);
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        note();
+        note(1, layout.size() as isize);
         System.alloc_zeroed(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        note();
+        note(1, new_size as isize - layout.size() as isize);
         System.realloc(ptr, layout, new_size)
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        note(0, -(layout.size() as isize));
         System.dealloc(ptr, layout)
     }
 }
@@ -80,9 +97,9 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static ALLOC: Counting = Counting;
 
-/// Allocations made by `f` on this thread.
-fn allocations(f: impl FnOnce()) -> usize {
-    COUNT.with(|c| c.set(Some(0)));
+/// What `f` allocated on this thread.
+fn tally(f: impl FnOnce()) -> Tally {
+    COUNT.with(|c| c.set(Some(Tally::default())));
     f();
     COUNT.with(|c| c.replace(None)).unwrap()
 }
@@ -90,15 +107,16 @@ fn allocations(f: impl FnOnce()) -> usize {
 const WARM_UP: usize = 50;
 const COUNTED: usize = 500;
 
-/// Steps one worker `WARM_UP` times, then `COUNTED` more; returns the
-/// allocations those counted steps made and the dirty shards they
-/// published (0 on a store that publishes no shards).
+/// Steps one worker `warm_up` times, then `counted` more; returns what
+/// those counted steps allocated and the dirty shards they published (0
+/// on a store that publishes no shards).
 fn warm_steps<P: Problem, S: ParamStore>(
     p: &P,
     store: &S,
     algorithm: Algorithm,
+    (warm_up, counted): (usize, usize),
     what: &str,
-) -> (usize, u64) {
+) -> (Tally, u64) {
     let cfg = TrainConfig {
         algorithm,
         eta: 0.05,
@@ -110,18 +128,18 @@ fn warm_steps<P: Problem, S: ParamStore>(
         worker_id: 0,
     };
     let mut worker = WorkerState::new(p, store, &cfg, ctx);
-    for _ in 0..WARM_UP {
+    for _ in 0..warm_up {
         assert_eq!(worker.step(), Step::Published, "{what}");
     }
     let dirty_before = dirty_total(&worker.stats().hists.dirty_shards);
-    let n = allocations(|| {
-        for _ in 0..COUNTED {
+    let n = tally(|| {
+        for _ in 0..counted {
             worker.step();
         }
     });
     assert_eq!(
         worker.stats().published,
-        (WARM_UP + COUNTED) as u64,
+        (warm_up + counted) as u64,
         "{what}"
     );
     let dirty = dirty_total(&worker.stats().hists.dirty_shards) - dirty_before;
@@ -140,7 +158,8 @@ fn assert_warm_steps_allocate_nothing<P: Problem, S: ParamStore>(
     algorithm: Algorithm,
     what: &str,
 ) {
-    let (n, _) = warm_steps(p, store, algorithm, what);
+    let (n, _) = warm_steps(p, store, algorithm, (WARM_UP, COUNTED), what);
+    let n = n.allocs;
     assert_eq!(n, 0, "{what}: {COUNTED} warm steps allocated {n} times");
 }
 
@@ -154,9 +173,9 @@ fn on_both_stores<P: Problem>(p: &P, what: &str) {
 }
 
 /// Asserts the allocations of `COUNTED` warm steps on `ShardedShared` at
-/// S = 1 and S = 4: one header per dirty-shard publication, the two
-/// snapshot `Vec`s per read at S > 1, and the queue segments, each of
-/// the 2·S queues within one segment of its pushes / `SEG_CAP`.
+/// S = 1 and S = 4: the two snapshot `Vec`s per read at S > 1, and the
+/// free-list segments, each of the S queues within one segment of its
+/// pushes / `SEG_CAP`.
 fn on_lau_spc_store<P: Problem>(p: &P, what: &str) {
     let theta0 = p.init_theta(1);
     let persistence = None;
@@ -168,16 +187,15 @@ fn on_lau_spc_store<P: Problem>(p: &P, what: &str) {
     for (shards, algorithm) in [(1, Algorithm::Leashed { persistence }), (4, sharded)] {
         let store = ShardedShared::new(&theta0, shards, Arc::new(MemoryGauge::new()), true);
         let what = format!("{what} S={shards}");
-        let (n, dirty) = warm_steps(p, &store, algorithm, &what);
-        let dirty = dirty as usize;
+        let (n, dirty) = warm_steps(p, &store, algorithm, (WARM_UP, COUNTED), &what);
+        let (n, dirty) = (n.allocs, dirty as usize);
         assert!(dirty >= COUNTED, "{what}: {dirty} dirty shards");
         let snapshot_vecs = if shards > 1 { 2 * COUNTED } else { 0 };
-        let fixed = format!("{n} allocations, {dirty} headers, {snapshot_vecs} snapshot Vecs");
-        let segments = n.checked_sub(dirty + snapshot_vecs).expect(&fixed);
-        let pushes = 2 * dirty;
+        let fixed = format!("{n} allocations, {snapshot_vecs} snapshot Vecs");
+        let segments = n.checked_sub(snapshot_vecs).expect(&fixed);
         assert!(
-            (segments * SEG_CAP).abs_diff(pushes) < 2 * shards * SEG_CAP,
-            "{what}: {fixed}, {segments} queue segments for {pushes} pushes"
+            (segments * SEG_CAP).abs_diff(dirty) < shards * SEG_CAP,
+            "{what}: {fixed}, {segments} queue segments for {dirty} pushes"
         );
     }
 }
@@ -202,6 +220,35 @@ fn warm_sparse_logreg_lau_spc_step_allocates_per_publication() {
 #[test]
 fn warm_tiny_mlp_lau_spc_step_allocates_per_publication() {
     on_lau_spc_store(&tiny_mlp(), "tiny_mlp");
+}
+
+/// Memory a LAU-SPC run holds stays flat in the number of publications:
+/// the live bytes of 18,000 warm steps after the first 2,000 grow by at
+/// most one free-list segment per shard.
+#[test]
+fn lau_spc_live_bytes_stay_flat_over_20k_publications() {
+    // A `SegQueue<usize>` segment: the successor pointer and `SEG_CAP`
+    // (value, state) slots.
+    const SEGMENT_BYTES: isize = ((1 + 2 * SEG_CAP) * std::mem::size_of::<usize>()) as isize;
+    let p = SparseLogRegProblem::new(sparse_logreg(400, 256, 8, 3), 8);
+    let theta0 = p.init_theta(1);
+    let persistence = None;
+    let sharded = Algorithm::ShardedLeashed {
+        persistence,
+        shards: 4,
+        snapshot: SnapshotMode::Fast,
+    };
+    for (shards, algorithm) in [(1, Algorithm::Leashed { persistence }), (4, sharded)] {
+        let store = ShardedShared::new(&theta0, shards, Arc::new(MemoryGauge::new()), true);
+        let what = format!("sparse_logreg S={shards}");
+        let (n, _) = warm_steps(&p, &store, algorithm, (2_000, 18_000), &what);
+        let bound = shards as isize * SEGMENT_BYTES;
+        assert!(
+            n.live <= bound,
+            "{what}: live bytes grew by {} over 18,000 publications (bound {bound})",
+            n.live
+        );
+    }
 }
 
 fn tiny_mlp() -> NnProblem {

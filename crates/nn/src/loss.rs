@@ -54,21 +54,6 @@ pub fn cross_entropy_loss_grad(logits: &Matrix, labels: &[u8], grad: &mut Matrix
     total * inv_batch
 }
 
-/// Fraction of rows whose argmax equals the label.
-pub fn accuracy(logits: &Matrix, labels: &[u8]) -> f32 {
-    assert_eq!(logits.rows(), labels.len());
-    if labels.is_empty() {
-        return 0.0;
-    }
-    let preds = logits.argmax_rows();
-    let correct = preds
-        .iter()
-        .zip(labels)
-        .filter(|(p, y)| **p == **y as usize)
-        .count();
-    correct as f32 / labels.len() as f32
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -121,13 +106,6 @@ mod tests {
         let l1 = cross_entropy_loss(&logits, &labels);
         let l2 = cross_entropy_loss_grad(&logits, &labels, &mut grad);
         assert!((l1 - l2).abs() < 1e-6);
-    }
-
-    #[test]
-    fn accuracy_counts_argmax_hits() {
-        let logits = Matrix::from_vec(3, 2, vec![0.9, 0.1, 0.2, 0.8, 0.6, 0.4]);
-        assert!((accuracy(&logits, &[0, 1, 1]) - 2.0 / 3.0).abs() < 1e-6);
-        assert!((accuracy(&logits, &[0, 1, 0]) - 1.0).abs() < 1e-6);
     }
 
     #[test]

@@ -173,12 +173,6 @@ impl Network {
         loss::cross_entropy_loss(logits, y)
     }
 
-    /// Classification accuracy of a labelled minibatch.
-    pub fn accuracy(&self, theta: &[f32], x: &Matrix, y: &[u8], ws: &mut Workspace) -> f32 {
-        let logits = self.forward(theta, x, ws);
-        loss::accuracy(logits, y)
-    }
-
     /// Computes the minibatch loss and writes the full flat gradient into
     /// `grad` — the `comp_grad` of the paper's Algorithms 2–4.
     ///

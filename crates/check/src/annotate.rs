@@ -10,7 +10,7 @@
 //!   happens-after every recorded access to the region
 //!   (use-after-free by another thread), later accesses to a retired
 //!   region, and — at the end of an execution — regions never retired
-//!   (leaks, unless [`crate::Config::check_leaks`] is off).
+//!   (leaks).
 //! * [`data_read`] / [`data_write`] record a non-atomic access to a
 //!   raw buffer (e.g. the `f32` parameter payload behind
 //!   `ParamVec::theta`) so it participates in happens-before race

@@ -42,13 +42,6 @@ impl VClock {
             self.0[i] = self.0[i].max(other.0[i]);
         }
     }
-
-    /// Whether every component of `self` is `<=` the matching component
-    /// of `other` (i.e. `self` happens-before-or-equals `other`).
-    #[inline]
-    pub fn le(&self, other: &VClock) -> bool {
-        (0..MAX_THREADS).all(|i| self.0[i] <= other.0[i])
-    }
 }
 
 #[cfg(test)]
@@ -62,12 +55,12 @@ mod tests {
         a.tick(0);
         a.tick(0);
         b.tick(1);
-        assert!(!a.le(&b));
-        assert!(!b.le(&a));
         let mut j = a;
         j.join(&b);
-        assert!(a.le(&j));
-        assert!(b.le(&j));
+        // The join is the least clock both inputs are `<=` to.
+        for t in 0..MAX_THREADS {
+            assert_eq!(j.get(t), a.get(t).max(b.get(t)));
+        }
         assert_eq!(j.get(0), 2);
         assert_eq!(j.get(1), 1);
     }

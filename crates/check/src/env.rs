@@ -65,11 +65,6 @@ pub fn parse<T: FromStr>(name: &str) -> Option<T> {
     }
 }
 
-/// [`parse`] with an inline default.
-pub fn parse_or<T: FromStr>(name: &str, default: T) -> T {
-    parse(name).unwrap_or(default)
-}
-
 /// Parses `name` as a positive (≥ 1) integer — the shape of every
 /// count-like knob (`LSGD_THREADS`, `LSGD_STRESS_THREADS`, …). Warns once on a
 /// malformed value *or* an explicit zero.
@@ -101,7 +96,7 @@ mod tests {
         assert_eq!(parse::<usize>("LSGD_ENV_TEST_UNSET"), None);
         std::env::set_var("LSGD_ENV_TEST_EMPTY", "");
         assert_eq!(var("LSGD_ENV_TEST_EMPTY"), None);
-        assert_eq!(parse_or::<usize>("LSGD_ENV_TEST_EMPTY", 7), 7);
+        assert_eq!(parse::<usize>("LSGD_ENV_TEST_EMPTY"), None);
     }
 
     #[test]
@@ -115,9 +110,9 @@ mod tests {
     fn malformed_value_warns_once_and_defaults() {
         std::env::set_var("LSGD_ENV_TEST_BAD", "fuor");
         let before = warned_count();
-        assert_eq!(parse_or::<usize>("LSGD_ENV_TEST_BAD", 3), 3);
+        assert_eq!(parse::<usize>("LSGD_ENV_TEST_BAD"), None);
         assert_eq!(warned_count(), before + 1, "first malformed read warns");
-        assert_eq!(parse_or::<usize>("LSGD_ENV_TEST_BAD", 3), 3);
+        assert_eq!(parse::<usize>("LSGD_ENV_TEST_BAD"), None);
         assert_eq!(warned_count(), before + 1, "repeat reads stay quiet");
     }
 

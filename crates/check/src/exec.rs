@@ -86,14 +86,6 @@ pub struct Config {
     /// Per-execution cap on schedule points, as a livelock guard.
     /// Default 100 000.
     pub max_steps: u64,
-    /// Treat an unsynchronized cross-thread `Relaxed` load (see
-    /// [`Report::relaxed`]) as a failure instead of a diagnostic.
-    /// Default `false`: such reads are legitimate in several audited
-    /// places (e.g. the queue's lagging tail hint).
-    pub fail_on_unsynced_relaxed: bool,
-    /// Fail an execution that ends with live (never-retired) regions
-    /// registered through [`crate::annotate::fresh`]. Default `true`.
-    pub check_leaks: bool,
 }
 
 impl Default for Config {
@@ -102,8 +94,6 @@ impl Default for Config {
             preemption_bound: Some(2),
             max_schedules: 500_000,
             max_steps: 100_000,
-            fail_on_unsynced_relaxed: false,
-            check_leaks: true,
         }
     }
 }
@@ -146,8 +136,9 @@ pub struct Report {
     /// The first failing schedule, if any.
     pub failure: Option<Failure>,
     /// Distinct sites where a `Relaxed` load observed a cross-thread
-    /// store with no happens-before edge to the loader. Diagnostic by
-    /// default; see [`Config::fail_on_unsynced_relaxed`].
+    /// store with no happens-before edge to the loader. A diagnostic,
+    /// never a failure: such reads are legitimate in several audited
+    /// places (e.g. the queue's lagging tail hint).
     pub relaxed: BTreeSet<String>,
 }
 
@@ -682,12 +673,6 @@ impl Exec {
         if flag_relaxed {
             st.relaxed
                 .insert(format!("{loc}: Relaxed load observes unsynchronized cross-thread store"));
-            if st.config.fail_on_unsynced_relaxed {
-                return Err(format!(
-                    "unsynchronized Relaxed load at {loc} (thread {tid}): \
-                     the observed store has no happens-before edge to this thread"
-                ));
-            }
         }
         Ok(())
     }
@@ -1113,7 +1098,7 @@ fn run_one(
     drop(_guard);
 
     let mut st = exec.lock();
-    if st.failure.is_none() && st.config.check_leaks {
+    if st.failure.is_none() {
         let leaked = st.regions.values().filter(|r| r.live).count();
         if leaked > 0 {
             st.failure = Some(format!(

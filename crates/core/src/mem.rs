@@ -8,21 +8,15 @@
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
-/// Live/peak byte accounting shared by one training run.
-///
-/// Optionally carries a soft **cap** ([`set_cap`](Self::set_cap)): the
-/// gauge itself never rejects anything — it only answers
-/// [`would_exceed`](Self::would_exceed), which the [`BufferPool`](crate::pool::BufferPool)
-/// (crate::pool) consults to back off (and eventually force through)
-/// under memory pressure instead of allocating unboundedly.
+/// Live/peak byte accounting shared by one training run. It only
+/// counts; what bounds a run's memory is the protocol (Lemma 2's
+/// [`outstanding_bound`](crate::paramvec::outstanding_bound)).
 #[derive(Debug, Default)]
 pub struct MemoryGauge {
     live: AtomicUsize,
     peak: AtomicUsize,
     total_allocs: AtomicU64,
     pool_reuses: AtomicU64,
-    /// Soft cap in bytes; 0 = uncapped.
-    cap: AtomicUsize,
 }
 
 impl MemoryGauge {
@@ -93,46 +87,11 @@ impl MemoryGauge {
         self.pool_reuses.load(Ordering::Relaxed)
     }
 
-    /// Sets the soft cap in bytes (`None` = uncapped). Advisory: the
-    /// gauge keeps counting past it; consumers decide how to react.
-    pub fn set_cap(&self, cap: Option<usize>) {
-        // 0 is the "uncapped" sentinel; an explicit 0-byte cap (which
-        // every buffer exceeds) is kept meaningful as a 1-byte cap.
-        let raw = match cap {
-            None => 0,
-            Some(0) => 1,
-            Some(c) => c,
-        };
-        // ORDERING: Relaxed — the cap is a configuration value read by
-        // the same advisory pressure checks as the statistics; a stale
-        // read only mistimes backoff by one allocation.
-        self.cap.store(raw, Ordering::Relaxed);
-    }
-
-    /// The soft cap, if one is set.
-    pub fn cap(&self) -> Option<usize> {
-        // ORDERING: Relaxed — see `set_cap`.
-        match self.cap.load(Ordering::Relaxed) {
-            0 => None,
-            c => Some(c),
-        }
-    }
-
-    /// Whether allocating `bytes` more would push `live` past the cap.
-    /// Always `false` when uncapped. Advisory — the answer can be stale
-    /// by the time the caller acts on it, which the pool's
-    /// backoff-then-force policy tolerates by design.
-    pub fn would_exceed(&self, bytes: usize) -> bool {
-        match self.cap() {
-            None => false,
-            Some(cap) => self.live().saturating_add(bytes) > cap,
-        }
-    }
 }
 
 /// RAII gauge accounting for worker-local buffers: the matching `sub`
 /// must run even when the worker unwinds from a contained panic, or the
-/// run's live-byte accounting (and any cap) leaks permanently.
+/// run's live-byte accounting leaks permanently.
 #[derive(Debug)]
 pub struct GaugeHold {
     gauge: Arc<MemoryGauge>,
@@ -204,29 +163,5 @@ mod tests {
         g.note_reuse();
         g.note_reuse();
         assert_eq!(g.pool_reuses(), 2);
-    }
-
-    #[test]
-    fn cap_is_advisory_and_optional() {
-        let g = MemoryGauge::new();
-        assert_eq!(g.cap(), None);
-        assert!(!g.would_exceed(usize::MAX), "uncapped never exceeds");
-
-        g.set_cap(Some(100));
-        assert_eq!(g.cap(), Some(100));
-        g.add(80);
-        assert!(!g.would_exceed(20));
-        assert!(g.would_exceed(21));
-        // The gauge itself never rejects: counting continues past the cap.
-        g.add(50);
-        assert_eq!(g.live(), 130);
-        assert!(g.would_exceed(1));
-
-        g.set_cap(None);
-        assert!(!g.would_exceed(1));
-        // An explicit 0-byte cap stays a cap (everything exceeds it).
-        g.set_cap(Some(0));
-        assert!(g.cap().is_some());
-        assert!(g.would_exceed(1));
     }
 }

@@ -88,14 +88,6 @@ impl BufferPool {
 
     /// Acquires a slot (recycled when possible). Buffer contents are
     /// unspecified; callers always fully overwrite.
-    ///
-    /// Under memory pressure — the gauge's soft cap would be exceeded,
-    /// or an injected `oom:` fault fires — the slow path briefly polls
-    /// the free list for a recyclable slot before allocating anyway.
-    /// The wait is strictly bounded: a worker may be holding the very
-    /// slot the cap is waiting for, so blocking here indefinitely
-    /// could deadlock the protocol. Waits and forced allocations are
-    /// counted (`pool.pressure_wait` / `pool.pressure_forced`).
     pub fn acquire(&self) -> *mut ParamVec {
         // Injection seam: an armed `stall:acquire` rule fires here.
         lsgd_fault::point(lsgd_fault::Site::PoolAcquire);
@@ -140,29 +132,8 @@ impl BufferPool {
         Some(slot)
     }
 
-    /// Empty-free-list slow path: allocate fresh, with the bounded
-    /// pressure wait described on [`acquire`](Self::acquire).
+    /// Empty-free-list slow path: allocates a fresh slot.
     fn alloc_fresh(&self) -> *mut ParamVec {
-        // How many free-list polls a pressured allocation performs
-        // before forcing through: a few cache-hot spins, then scheduler
-        // yields. Worst case is a handful of microseconds — liveness
-        // always beats the (advisory) cap.
-        const PRESSURE_POLLS: usize = 64;
-        const PRESSURE_SPINS: usize = 8;
-        if self.gauge.would_exceed(self.buf_bytes()) || lsgd_fault::oom_on_alloc() {
-            lsgd_trace::count(lsgd_trace::Counter::PoolPressureWait);
-            for poll in 0..PRESSURE_POLLS {
-                if let Some(slot) = self.pop_free() {
-                    return slot;
-                }
-                if poll < PRESSURE_SPINS {
-                    std::hint::spin_loop();
-                } else {
-                    std::thread::yield_now();
-                }
-            }
-            lsgd_trace::count(lsgd_trace::Counter::PoolPressureForced);
-        }
         let slot = ParamVec::alloc(self.dim);
         self.gauge.add(self.buf_bytes());
         self.slots.lock().push(slot as usize);
@@ -290,66 +261,6 @@ mod tests {
             assert_eq!(g.live(), 40);
         }
         assert_eq!(g.live(), 0, "pool drop must free unreturned buffers");
-    }
-
-    #[test]
-    fn capped_pool_recycles_under_pressure_but_never_deadlocks() {
-        let g = Arc::new(MemoryGauge::new());
-        let p = BufferPool::new(32, Arc::clone(&g));
-        g.set_cap(Some(2 * p.buf_bytes()));
-        let a = p.acquire();
-        let b = p.acquire();
-        assert_eq!(g.total_allocs(), 2);
-        // At the cap with a free buffer: acquire recycles instead of growing.
-        unsafe { p.release(a) };
-        let c = p.acquire();
-        assert_eq!(c, a);
-        assert_eq!(g.total_allocs(), 2, "pressure must prefer recycling");
-        // At the cap with nothing free: the bounded wait expires and the
-        // allocation is forced through — a stuck worker holding a buffer
-        // must never be able to wedge its peers.
-        let d = p.acquire();
-        assert_eq!(g.total_allocs(), 3, "bounded wait, then forced alloc");
-        assert!(g.live() > g.cap().unwrap(), "cap is advisory");
-        unsafe {
-            p.release(b);
-            p.release(c);
-            p.release(d);
-        }
-    }
-
-    #[test]
-    fn concurrent_pressure_drains_releases() {
-        // One thread releases while others sit in the pressure wait: the
-        // waiters should pick the freed buffers up instead of forcing.
-        let g = Arc::new(MemoryGauge::new());
-        let p = Arc::new(BufferPool::new(64, Arc::clone(&g)));
-        g.set_cap(Some(4 * p.buf_bytes()));
-        let held: Vec<usize> = (0..4).map(|_| p.acquire() as usize).collect();
-        std::thread::scope(|s| {
-            {
-                let p = Arc::clone(&p);
-                s.spawn(move || {
-                    for addr in held {
-                        std::thread::yield_now();
-                        unsafe { p.release(addr as *mut ParamVec) };
-                    }
-                });
-            }
-            for _ in 0..2 {
-                let p = Arc::clone(&p);
-                s.spawn(move || {
-                    for _ in 0..2 {
-                        let ptr = p.acquire();
-                        unsafe { p.release(ptr) };
-                    }
-                });
-            }
-        });
-        assert_eq!(p.outstanding(), 0);
-        // 4 initial allocations; the pressured acquires may force a few
-        // more, but the wait must have absorbed most of the demand.
-        assert!(g.total_allocs() <= 8, "allocs {}", g.total_allocs());
     }
 
     #[test]

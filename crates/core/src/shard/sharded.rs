@@ -195,7 +195,6 @@ impl ShardedShared {
                 // guards would pin reclamation) and take one fresh Fast
                 // collect, so the caller proceeds on the newest per-shard
                 // values instead of spinning or computing on an old view.
-                lsgd_trace::count(lsgd_trace::Counter::SnapshotInconsistent);
                 lsgd_trace::count(lsgd_trace::Counter::SnapshotDegraded);
                 guards.clear();
                 seqs.clear();

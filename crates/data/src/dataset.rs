@@ -85,35 +85,6 @@ impl Dataset {
     }
 }
 
-/// Stateful minibatch sampler bound to a dataset (one per worker thread;
-/// each worker seeds its own RNG stream, so parallel sampling is
-/// contention-free, like the paper's per-thread OpenMP sampling).
-pub struct Batcher<'a> {
-    data: &'a Dataset,
-    rng: SmallRng64,
-    x: Matrix,
-    y: Vec<u8>,
-}
-
-impl<'a> Batcher<'a> {
-    /// Creates a sampler yielding `batch`-sized minibatches.
-    pub fn new(data: &'a Dataset, batch: usize, seed: u64) -> Self {
-        assert!(batch > 0, "batch size must be positive");
-        Batcher {
-            data,
-            rng: SmallRng64::new(seed),
-            x: Matrix::zeros(batch, data.dim()),
-            y: Vec::with_capacity(batch),
-        }
-    }
-
-    /// Draws the next minibatch, returning views valid until the next call.
-    pub fn next_batch(&mut self) -> (&Matrix, &[u8]) {
-        self.data.sample_batch(&mut self.rng, &mut self.x, &mut self.y);
-        (&self.x, &self.y)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -165,29 +136,28 @@ mod tests {
         }
     }
 
+    /// One `batch`-row minibatch drawn with `rng`: (pixels, labels).
+    fn draw(d: &Dataset, rng: &mut SmallRng64, batch: usize) -> (Vec<f32>, Vec<u8>) {
+        let mut x = Matrix::zeros(batch, d.dim());
+        let mut y = Vec::new();
+        d.sample_batch(rng, &mut x, &mut y);
+        (x.as_slice().to_vec(), y)
+    }
+
     #[test]
     fn batcher_is_deterministic_per_seed() {
         let d = toy(20);
-        let mut b1 = Batcher::new(&d, 4, 9);
-        let mut b2 = Batcher::new(&d, 4, 9);
+        let (mut r1, mut r2) = (SmallRng64::new(9), SmallRng64::new(9));
         for _ in 0..5 {
-            let (x1, y1) = b1.next_batch();
-            let y1 = y1.to_vec();
-            let x1 = x1.clone();
-            let (x2, y2) = b2.next_batch();
-            assert_eq!(x1.as_slice(), x2.as_slice());
-            assert_eq!(y1, y2);
+            assert_eq!(draw(&d, &mut r1, 4), draw(&d, &mut r2, 4));
         }
     }
 
     #[test]
     fn batchers_with_different_seeds_differ() {
         let d = toy(50);
-        let mut b1 = Batcher::new(&d, 8, 1);
-        let mut b2 = Batcher::new(&d, 8, 2);
-        let (_, y1) = b1.next_batch();
-        let y1 = y1.to_vec();
-        let (_, y2) = b2.next_batch();
+        let (_, y1) = draw(&d, &mut SmallRng64::new(1), 8);
+        let (_, y2) = draw(&d, &mut SmallRng64::new(2), 8);
         assert_ne!(y1, y2, "different streams should diverge immediately");
     }
 }

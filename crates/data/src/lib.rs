@@ -27,6 +27,6 @@ pub mod regression;
 pub mod sparse_logreg;
 pub mod synth_digits;
 
-pub use dataset::{Batcher, Dataset};
+pub use dataset::Dataset;
 pub use sparse_logreg::SparseLogReg;
 pub use synth_digits::SynthDigits;

@@ -7,7 +7,7 @@
 //! crate plants **probes** at the five seams where the protocols are
 //! vulnerable — publish CAS loop, snapshot validation, queue pop, pool
 //! acquire, worker step boundary ([`Site`]) — and arms them with a
-//! replayable schedule of crashes, stalls, and memory pressure.
+//! replayable schedule of crashes and stalls.
 //!
 //! # Zero cost when off
 //!
@@ -24,7 +24,7 @@
 //! first probe fires, or call [`install`] programmatically:
 //!
 //! ```text
-//! LSGD_FAULT='crash:w2@step120;stall:publish,p=0.01,us=500;oom:after=64'
+//! LSGD_FAULT='crash:w2@step120;stall:publish,p=0.01,us=500'
 //! LSGD_FAULT_SEED=zix9  # base-36, like LSGD_MODEL_SEED
 //! ```
 //!
@@ -56,8 +56,6 @@ pub struct Tallies {
     pub crashes: u64,
     /// Injected stalls, per [`Site`] (indexed by `Site as usize`).
     pub stalls: [u64; SITES],
-    /// Allocations on which [`oom_on_alloc`] reported pressure.
-    pub ooms: u64,
 }
 
 impl Tallies {
@@ -71,21 +69,6 @@ impl Tallies {
 /// the model checker's seed encoding).
 pub fn parse_seed(s: &str) -> Option<u64> {
     u64::from_str_radix(s.trim(), 36).ok()
-}
-
-/// Formats a seed in base-36, the form `LSGD_FAULT_SEED` accepts.
-pub fn format_seed(mut seed: u64) -> String {
-    const DIGITS: &[u8; 36] = b"0123456789abcdefghijklmnopqrstuvwxyz";
-    if seed == 0 {
-        return "0".to_string();
-    }
-    let mut out = Vec::new();
-    while seed > 0 {
-        out.push(DIGITS[(seed % 36) as usize]);
-        seed /= 36;
-    }
-    out.reverse();
-    String::from_utf8(out).expect("base-36 digits are ASCII")
 }
 
 #[cfg(feature = "enabled")]
@@ -111,10 +94,7 @@ mod imp {
     /// The armed seed, read by threads when (re)seeding their stream.
     static SEED: AtomicU64 = AtomicU64::new(0);
 
-    /// Fresh-allocation counter for the `oom:after=<n>` rule.
-    static FRESH_ALLOCS: AtomicU64 = AtomicU64::new(0);
-
-    /// Fired-fault tallies (crashes, per-site stalls, ooms).
+    /// Fired-fault tallies (crashes, per-site stalls).
     static CRASHES: AtomicU64 = AtomicU64::new(0);
     static STALLS: [AtomicU64; SITES] = [
         AtomicU64::new(0),
@@ -123,7 +103,6 @@ mod imp {
         AtomicU64::new(0),
         AtomicU64::new(0),
     ];
-    static OOMS: AtomicU64 = AtomicU64::new(0);
 
     /// Ticket source for threads that never call `worker_tag`; offset
     /// past the u32 worker-id space so tickets can't collide with tags.
@@ -222,15 +201,11 @@ mod imp {
         // generation; SeqCst keeps this control-plane sequence simple.
         SEED.store(seed, Ordering::SeqCst);
         // ORDERING: SeqCst — see above (tally reset, same sequence).
-        FRESH_ALLOCS.store(0, Ordering::SeqCst);
-        // ORDERING: SeqCst — see above (tally reset, same sequence).
         CRASHES.store(0, Ordering::SeqCst);
         for s in &STALLS {
             // ORDERING: SeqCst — see above (tally reset, same sequence).
             s.store(0, Ordering::SeqCst);
         }
-        // ORDERING: SeqCst — see above (tally reset, same sequence).
-        OOMS.store(0, Ordering::SeqCst);
         // ORDERING: SeqCst — the bump is the publication point: threads
         // seeing the new generation re-fetch the plan under the mutex.
         GENERATION.fetch_add(1, Ordering::SeqCst);
@@ -282,8 +257,6 @@ mod imp {
             // ORDERING: Relaxed — same: report-time reads of monotone counters.
             crashes: CRASHES.load(Ordering::Relaxed),
             stalls,
-            // ORDERING: Relaxed — same: report-time reads of monotone counters.
-            ooms: OOMS.load(Ordering::Relaxed),
         }
     }
 
@@ -401,28 +374,6 @@ mod imp {
             panic!("lsgd_fault: injected crash (worker {worker}, step {step})");
         }
     }
-
-    pub fn oom_on_alloc() -> bool {
-        if !active() {
-            return false;
-        }
-        with_stream(|plan, _rng, _worker| {
-            let after = plan.oom_after?;
-            // ORDERING: Relaxed — the threshold needs a total count, not
-            // an ordering: fetch_add is atomic, and "pressure from the
-            // (after+1)-th fresh alloc onward" tolerates any interleave.
-            let n = FRESH_ALLOCS.fetch_add(1, Ordering::Relaxed);
-            if n >= after {
-                // ORDERING: Relaxed — monotone tally counter.
-                OOMS.fetch_add(1, Ordering::Relaxed);
-                Some(())
-            } else {
-                None
-            }
-        })
-        .flatten()
-        .is_some()
-    }
 }
 
 /// Whether a fault plan is armed (always `false` when the `enabled`
@@ -534,31 +485,14 @@ pub fn point(site: Site) {
     let _ = site;
 }
 
-/// Memory-pressure probe, called on each *fresh* pool allocation.
-/// Returns `true` when the armed `oom:after=<n>` rule says this
-/// allocation should be treated as hitting the memory cap.
-#[inline]
-pub fn oom_on_alloc() -> bool {
-    #[cfg(feature = "enabled")]
-    {
-        imp::oom_on_alloc()
-    }
-    #[cfg(not(feature = "enabled"))]
-    {
-        false
-    }
-}
-
 #[cfg(all(test, not(lsgd_model)))]
 mod tests {
     use super::*;
 
     #[test]
-    fn seed_format_round_trips() {
-        for seed in [0u64, 1, 35, 36, 1295, u64::MAX] {
-            let s = format_seed(seed);
-            assert_eq!(parse_seed(&s), Some(seed), "seed {seed} via {s:?}");
-        }
+    fn parse_seed_reads_base36() {
+        assert_eq!(parse_seed(" 0 "), Some(0));
+        assert_eq!(parse_seed("3w5e11264sgsf"), Some(u64::MAX));
         assert_eq!(parse_seed("zix9"), Some(35 * 36 * 36 * 36 + 18 * 36 * 36 + 33 * 36 + 9));
         assert_eq!(parse_seed("not a seed"), None);
     }

@@ -8,14 +8,12 @@
 //! stall:<site>[,p=<prob>][,us=<dur>]
 //!                          probe <site> busy-sleeps <dur> µs with prob
 //!                          <prob> (defaults: p=1, us=100)
-//! oom:after=<n>            after <n> fresh pool allocations, every further
-//!                          fresh allocation reports memory pressure
 //! ```
 //!
 //! Sites: `publish`, `snapshot`, `pop`, `acquire`, `step`. Example:
 //!
 //! ```text
-//! LSGD_FAULT='crash:w2@step120;stall:publish,p=0.01,us=500;oom:after=64'
+//! LSGD_FAULT='crash:w2@step120;stall:publish,p=0.01,us=500'
 //! ```
 //!
 //! Probabilistic draws are consumed from a per-worker stream fully
@@ -103,8 +101,6 @@ pub struct Plan {
     pub crashes: Vec<CrashRule>,
     /// Per-site stall rules (indexed by `Site as usize`).
     pub stalls: [Option<StallRule>; SITES],
-    /// `oom:after=<n>` threshold, if any.
-    pub oom_after: Option<u64>,
 }
 
 /// A spec-grammar error, pointing at the offending item.
@@ -147,14 +143,6 @@ impl Plan {
                     let (site, rule) = parse_stall(item, rest)?;
                     plan.stalls[site as usize] = Some(rule);
                 }
-                "oom" => {
-                    let arg = rest.trim();
-                    let n = arg
-                        .strip_prefix("after=")
-                        .and_then(|v| v.parse::<u64>().ok())
-                        .ok_or_else(|| err(item, "expected oom:after=<n>"))?;
-                    plan.oom_after = Some(n);
-                }
                 other => return Err(err(item, format!("unknown fault kind {other:?}"))),
             }
         }
@@ -163,7 +151,7 @@ impl Plan {
 
     /// True when the plan injects nothing.
     pub fn is_empty(&self) -> bool {
-        self.crashes.is_empty() && self.stalls.iter().all(Option::is_none) && self.oom_after.is_none()
+        self.crashes.is_empty() && self.stalls.iter().all(Option::is_none)
     }
 }
 
@@ -235,7 +223,7 @@ mod tests {
 
     #[test]
     fn parses_the_readme_example() {
-        let plan = Plan::parse("crash:w2@step120;stall:publish,p=0.01,us=500;oom:after=64")
+        let plan = Plan::parse("crash:w2@step120;stall:publish,p=0.01,us=500")
             .expect("spec parses");
         assert_eq!(
             plan.crashes,
@@ -246,7 +234,6 @@ mod tests {
             Some(StallRule { p: 0.01, us: 500 })
         );
         assert_eq!(plan.stalls[Site::QueuePop as usize], None);
-        assert_eq!(plan.oom_after, Some(64));
         assert!(!plan.is_empty());
     }
 
@@ -275,7 +262,7 @@ mod tests {
             "stall:everywhere",     // unknown site
             "stall:publish,q=1",    // unknown parameter
             "stall:publish,p=1.5",  // out-of-range probability
-            "oom:64",               // missing after=
+            "oom:after=64",         // retired kind
             "flood:all",            // unknown kind
             "justtext",             // no colon
         ] {

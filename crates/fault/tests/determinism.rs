@@ -58,18 +58,21 @@ fn different_seed_draws_a_different_sequence() {
 }
 
 #[test]
-fn install_resets_tallies_and_oom_counter() {
+fn install_resets_tallies() {
     let _guard = serial();
-    lsgd_fault::install("oom:after=3", 7).unwrap();
+    let spec = "stall:acquire,p=1,us=0";
+    lsgd_fault::install(spec, 7).unwrap();
     let _tag = lsgd_fault::worker_tag(0);
-    let pressured: Vec<bool> = (0..6).map(|_| lsgd_fault::oom_on_alloc()).collect();
-    assert_eq!(pressured, [false, false, false, true, true, true]);
-    assert_eq!(lsgd_fault::tallies().ooms, 3);
+    for _ in 0..3 {
+        lsgd_fault::point(Site::PoolAcquire);
+    }
+    assert_eq!(lsgd_fault::tallies().stalls[Site::PoolAcquire as usize], 3);
 
-    // Re-install: the alloc counter and tallies restart.
-    lsgd_fault::install("oom:after=3", 7).unwrap();
+    // Re-install: the tallies restart.
+    lsgd_fault::install(spec, 7).unwrap();
     assert_eq!(lsgd_fault::tallies(), Tallies::default());
-    assert!(!lsgd_fault::oom_on_alloc(), "counter restarted");
+    lsgd_fault::point(Site::PoolAcquire);
+    assert_eq!(lsgd_fault::tallies().stalls_total(), 1, "counting restarted");
     lsgd_fault::clear();
 }
 
@@ -102,12 +105,11 @@ fn crash_rules_target_only_the_tagged_worker() {
 #[test]
 fn clear_disarms_probes() {
     let _guard = serial();
-    lsgd_fault::install("stall:pop,p=1,us=0;oom:after=0", 0).unwrap();
+    lsgd_fault::install("stall:pop,p=1,us=0", 0).unwrap();
     assert!(lsgd_fault::active());
     lsgd_fault::clear();
     assert!(!lsgd_fault::active());
     let _tag = lsgd_fault::worker_tag(0);
     lsgd_fault::point(Site::QueuePop);
-    assert!(!lsgd_fault::oom_on_alloc());
     assert_eq!(lsgd_fault::tallies().stalls_total(), 0);
 }

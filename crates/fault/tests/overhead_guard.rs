@@ -19,21 +19,19 @@ fn disabled_build_has_no_fault_plane() {
     }
     assert_eq!(std::mem::size_of::<WorkerTag>(), 0, "WorkerTag must be a ZST");
     assert!(!lsgd_fault::active());
-    assert!(!lsgd_fault::oom_on_alloc());
     assert_eq!(lsgd_fault::tallies(), lsgd_fault::Tallies::default());
 }
 
 #[test]
 fn disabled_probes_are_inert() {
     // Even with a spec in the environment, probes must do nothing.
-    std::env::set_var("LSGD_FAULT", "stall:publish,p=1,us=1;oom:after=0");
+    std::env::set_var("LSGD_FAULT", "stall:publish,p=1,us=1");
     let _tag = lsgd_fault::worker_tag(0);
     for step in 0..100 {
         lsgd_fault::worker_step(step);
         for site in Site::ALL {
             lsgd_fault::point(site);
         }
-        assert!(!lsgd_fault::oom_on_alloc());
     }
     assert_eq!(lsgd_fault::tallies(), lsgd_fault::Tallies::default());
     assert!(!lsgd_fault::active());

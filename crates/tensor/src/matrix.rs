@@ -133,22 +133,13 @@ impl Matrix {
         self.cols = cols;
     }
 
-    /// Resizes the matrix, discarding contents, reusing the allocation when
-    /// possible. All elements are reset to zero.
-    pub fn resize_zeroed(&mut self, rows: usize, cols: usize) {
-        self.data.clear();
-        self.data.resize(rows * cols, 0.0);
-        self.rows = rows;
-        self.cols = cols;
-    }
-
     /// Resizes the matrix *without* resetting retained elements: contents
     /// are unspecified (a mix of stale values and zeros) and the caller
     /// must overwrite every element before reading any.
     ///
     /// This exists for the gradient hot path, where buffers like the
     /// activation stack are fully overwritten every iteration and the
-    /// `O(rows·cols)` zero-fill of [`Matrix::resize_zeroed`] was pure
+    /// `O(rows·cols)` zero-fill of a zeroing resize would be pure
     /// overhead per step. Steady-state calls with an unchanged shape cost
     /// nothing.
     pub fn resize_for_overwrite(&mut self, rows: usize, cols: usize) {
@@ -167,25 +158,6 @@ impl Matrix {
             }
         }
         out
-    }
-
-    /// Index (within each row) of the maximum element, one per row.
-    /// Ties resolve to the lowest index. Used for classification argmax.
-    pub fn argmax_rows(&self) -> Vec<usize> {
-        (0..self.rows)
-            .map(|r| {
-                let row = self.row(r);
-                let mut best = 0usize;
-                let mut best_v = row[0];
-                for (i, &v) in row.iter().enumerate().skip(1) {
-                    if v > best_v {
-                        best_v = v;
-                        best = i;
-                    }
-                }
-                best
-            })
-            .collect()
     }
 
     /// Maximum absolute difference between two same-shape matrices.
@@ -293,12 +265,6 @@ mod tests {
     }
 
     #[test]
-    fn argmax_rows_with_ties_picks_first() {
-        let m = Matrix::from_vec(2, 3, vec![1.0, 3.0, 3.0, -1.0, -5.0, -0.5]);
-        assert_eq!(m.argmax_rows(), vec![1, 2]);
-    }
-
-    #[test]
     fn reshape_preserves_data() {
         let mut m = Matrix::from_fn(2, 6, |r, c| (r * 6 + c) as f32);
         m.reshape(3, 4);
@@ -318,13 +284,5 @@ mod tests {
         let a = Matrix::from_vec(1, 3, vec![1.0, 2.0, 3.0]);
         let b = Matrix::from_vec(1, 3, vec![1.5, 2.0, 0.5]);
         assert_eq!(a.max_abs_diff(&b), 2.5);
-    }
-
-    #[test]
-    fn resize_zeroed_resets() {
-        let mut m = Matrix::from_vec(1, 2, vec![5.0, 6.0]);
-        m.resize_zeroed(2, 2);
-        assert_eq!(m.rows(), 2);
-        assert!(m.as_slice().iter().all(|&v| v == 0.0));
     }
 }

@@ -87,13 +87,6 @@ pub fn mean(x: &[f32]) -> f32 {
     }
 }
 
-/// True iff every element is finite (no NaN / ±Inf). Used by the trainer's
-/// crash detector.
-#[inline]
-pub fn all_finite(x: &[f32]) -> bool {
-    x.iter().all(|v| v.is_finite())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -130,14 +123,6 @@ mod tests {
     fn norms_and_distances() {
         assert!((norm2(&[3.0, 4.0]) - 5.0).abs() < 1e-7);
         assert!((dist2_sq(&[0.0, 0.0], &[3.0, 4.0]) - 25.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn all_finite_detects_nan_and_inf() {
-        assert!(all_finite(&[1.0, -2.0, 0.0]));
-        assert!(!all_finite(&[1.0, f32::NAN]));
-        assert!(!all_finite(&[f32::INFINITY]));
-        assert!(!all_finite(&[f32::NEG_INFINITY, 0.0]));
     }
 
     #[test]

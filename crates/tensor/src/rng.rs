@@ -133,14 +133,6 @@ impl SmallRng64 {
         self.cached_normal = Some((r * theta.sin()) as f32);
         (r * theta.cos()) as f32
     }
-
-    /// Fisher–Yates shuffle of a slice.
-    pub fn shuffle<T>(&mut self, xs: &mut [T]) {
-        for i in (1..xs.len()).rev() {
-            let j = self.next_below(i + 1);
-            xs.swap(i, j);
-        }
-    }
 }
 
 /// Largest finite `f32` strictly below `x` (requires `x` finite,
@@ -323,16 +315,5 @@ mod tests {
             buf.iter().map(|&v| (v as f64 - mean).powi(2)).sum::<f64>() / buf.len() as f64;
         assert!(mean.abs() < 1e-3, "mean {mean}");
         assert!((var.sqrt() - 0.01).abs() < 1e-3, "std {}", var.sqrt());
-    }
-
-    #[test]
-    fn shuffle_is_a_permutation() {
-        let mut r = SmallRng64::new(9);
-        let mut xs: Vec<usize> = (0..50).collect();
-        r.shuffle(&mut xs);
-        let mut sorted = xs.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..50).collect::<Vec<_>>());
-        assert_ne!(xs, (0..50).collect::<Vec<_>>(), "astronomically unlikely");
     }
 }

@@ -39,18 +39,10 @@ pub enum Counter {
     ReadRetry,
     /// A sharded Consistent snapshot failed validation and retried.
     SnapshotRetry,
-    /// A sharded snapshot was returned inconsistent (retries exhausted).
-    SnapshotInconsistent,
     /// A runtime helper parked on the task-queue condvar.
     Park,
     /// A parked runtime helper was woken.
     Unpark,
-    /// A pressured pool allocation waited on the free list (gauge cap
-    /// reached or an injected OOM).
-    PoolPressureWait,
-    /// A pressured pool allocation exhausted its bounded wait and was
-    /// forced through past the cap.
-    PoolPressureForced,
     /// A trainer worker panicked and was contained (run continued on
     /// the survivors).
     WorkerPanic,
@@ -64,7 +56,7 @@ pub enum Counter {
 
 impl Counter {
     /// Number of counter variants (array size of a [`CounterCell`]).
-    pub const COUNT: usize = 18;
+    pub const COUNT: usize = 15;
 
     /// All variants, in declaration order (index == discriminant).
     pub const ALL: [Counter; Counter::COUNT] = [
@@ -78,11 +70,8 @@ impl Counter {
         Counter::PublishAbort,
         Counter::ReadRetry,
         Counter::SnapshotRetry,
-        Counter::SnapshotInconsistent,
         Counter::Park,
         Counter::Unpark,
-        Counter::PoolPressureWait,
-        Counter::PoolPressureForced,
         Counter::WorkerPanic,
         Counter::HeartbeatStall,
         Counter::SnapshotDegraded,
@@ -101,11 +90,8 @@ impl Counter {
             Counter::PublishAbort => "publish.abort",
             Counter::ReadRetry => "read.stale_retry",
             Counter::SnapshotRetry => "snapshot.validate_retry",
-            Counter::SnapshotInconsistent => "snapshot.inconsistent",
             Counter::Park => "runtime.park",
             Counter::Unpark => "runtime.unpark",
-            Counter::PoolPressureWait => "pool.pressure_wait",
-            Counter::PoolPressureForced => "pool.pressure_forced",
             Counter::WorkerPanic => "trainer.worker_panic",
             Counter::HeartbeatStall => "trainer.heartbeat_stall",
             Counter::SnapshotDegraded => "snapshot.degraded_fast",

@@ -1,6 +1,6 @@
 //! Chaos suite: trains real (miniature) networks while the `lsgd_fault`
-//! plane injects crashes, stalls, and memory pressure at the protocol
-//! seams, and asserts the resilience contract end to end:
+//! plane injects crashes and stalls at the protocol seams, and asserts
+//! the resilience contract end to end:
 //!
 //! * an injected worker crash is **contained** — it lands in
 //!   `RunResult::worker_crashes`, survivors keep training, and the run
@@ -9,8 +9,7 @@
 //!   publication accounting) hold **under stalls and crashes**, not just
 //!   on the happy path;
 //! * the same `LSGD_FAULT_SEED` reproduces the same per-thread fault
-//!   schedule, and a different seed diverges;
-//! * `oom:` pressure degrades throughput, never correctness.
+//!   schedule, and a different seed diverges.
 //!
 //! Build with the umbrella `fault` feature — the whole file is compiled
 //! out otherwise (default builds carry no probes; the fault crate's
@@ -348,30 +347,3 @@ fn crash_at_step_replays_across_runs() {
     assert!(messages[0].contains("worker 0") && messages[0].contains("step 25"));
 }
 
-// ---------------------------------------------------------------------
-// Memory pressure
-// ---------------------------------------------------------------------
-
-/// `oom:after=<n>` forces the pool's pressure path (backoff, then forced
-/// allocation) on every later fresh allocation: the run must complete
-/// and converge anyway — pressure degrades throughput, not correctness.
-#[test]
-fn oom_pressure_degrades_throughput_not_correctness() {
-    let _plane = plane();
-    let _wd = Watchdog::arm("oom_pressure_degrades_throughput_not_correctness", STRESS_LIMIT);
-    let _armed = Armed::install("oom:after=2", 5);
-
-    let p = mini_mlp_problem();
-    let r = train(&p, &chaos_cfg(Algorithm::Leashed { persistence: None }, 3));
-
-    assert!(!r.crashed, "{}", r.summary());
-    assert!(r.worker_crashes.is_empty(), "{:?}", r.worker_crashes);
-    assert!(r.published > 0, "{}", r.summary());
-    assert!(r.final_loss.is_finite(), "{}", r.summary());
-    assert!(
-        fault::tallies().ooms > 0,
-        "a Leashed run allocates more than 2 fresh buffers; pressure must fire: {:?}",
-        fault::tallies()
-    );
-    assert!(r.fully_converged(), "pressure must not break convergence: {}", r.summary());
-}

@@ -4,8 +4,8 @@
 //! `--cfg lsgd_model` (and only inside a model execution).
 //!
 //! * [`fresh`] / [`retire`] bracket the lifetime of a heap region the
-//!   protocol manages manually (queue segments, parameter-vector
-//!   headers, pooled gradient buffers). The checker flags double
+//!   protocol manages manually (a ParameterVector slot's header and
+//!   its θ buffer). The checker flags double
 //!   frees, frees of never-registered regions, frees that are not
 //!   happens-after every recorded access to the region
 //!   (use-after-free by another thread), later accesses to a retired

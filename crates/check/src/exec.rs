@@ -138,7 +138,7 @@ pub struct Report {
     /// Distinct sites where a `Relaxed` load observed a cross-thread
     /// store with no happens-before edge to the loader. A diagnostic,
     /// never a failure: such reads are legitimate in several audited
-    /// places (e.g. the queue's lagging tail hint).
+    /// places (e.g. the pool's hint load of a free-bit word).
     pub relaxed: BTreeSet<String>,
 }
 

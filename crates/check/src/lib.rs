@@ -1,9 +1,10 @@
 //! `lsgd_check` — a loom-style deterministic concurrency model checker
 //! (plus an ordering-audit lint) for the Leashed-SGD lock-free core.
 //!
-//! The lock-free protocols this workspace implements — the segmented
-//! MPMC queue, LAU-SPC parameter publication with counted readers,
-//! consistent sharded snapshots, CAS-only buffer reclamation — are
+//! The lock-free protocols this workspace implements — LAU-SPC
+//! parameter publication with counted readers, consistent sharded
+//! snapshots, CAS-only slot reclamation, the slot pool's free-bit
+//! handoff, the trace rings — are
 //! correct only under specific atomic-ordering contracts. Stress tests
 //! sample a vanishing fraction of the interleavings those contracts
 //! must survive. This crate checks them *systematically*: the code
@@ -16,7 +17,7 @@
 //! # Using it
 //!
 //! ```text
-//! RUSTFLAGS="--cfg lsgd_model" cargo test -p lsgd_sync --test model_queue
+//! RUSTFLAGS="--cfg lsgd_model" cargo test -p lsgd_core --test model_pool
 //! ```
 //!
 //! A model test wraps a small concurrent scenario in [`model`]:
@@ -79,8 +80,8 @@ pub use exec::{Config, Failure, Report};
 
 /// Whether the calling thread is currently inside a model execution
 /// (always `false` in builds without `--cfg lsgd_model`). Shimmed code
-/// uses this to pick model-friendly parameters (e.g. a tiny segment
-/// capacity) and to force real yields in spin loops.
+/// uses this to turn off probes that would perturb exploration and to
+/// force real yields in spin loops.
 #[inline]
 pub fn model_active() -> bool {
     #[cfg(lsgd_model)]

@@ -16,7 +16,6 @@ pub struct MemoryGauge {
     live: AtomicUsize,
     peak: AtomicUsize,
     total_allocs: AtomicU64,
-    pool_reuses: AtomicU64,
 }
 
 impl MemoryGauge {
@@ -57,12 +56,6 @@ impl MemoryGauge {
         debug_assert!(prev >= bytes, "memory gauge underflow");
     }
 
-    /// Notes a buffer handed out from a recycling pool (no new allocation).
-    pub fn note_reuse(&self) {
-        // ORDERING: Relaxed — statistics only; see `add`.
-        self.pool_reuses.fetch_add(1, Ordering::Relaxed);
-    }
-
     /// Currently live bytes.
     pub fn live(&self) -> usize {
         // ORDERING: Relaxed — statistics only; see `add`.
@@ -80,13 +73,6 @@ impl MemoryGauge {
         // ORDERING: Relaxed — statistics only; see `add`.
         self.total_allocs.load(Ordering::Relaxed)
     }
-
-    /// Number of pool reuses (recycled buffers).
-    pub fn pool_reuses(&self) -> u64 {
-        // ORDERING: Relaxed — statistics only; see `add`.
-        self.pool_reuses.load(Ordering::Relaxed)
-    }
-
 }
 
 /// RAII gauge accounting for worker-local buffers: the matching `sub`
@@ -155,13 +141,5 @@ mod tests {
         assert!(g.peak() >= 8);
         assert!(g.peak() <= 32, "peak {} cannot exceed 4 threads × 8B", g.peak());
         assert_eq!(g.total_allocs(), 40_000);
-    }
-
-    #[test]
-    fn reuse_counter() {
-        let g = MemoryGauge::new();
-        g.note_reuse();
-        g.note_reuse();
-        assert_eq!(g.pool_reuses(), 2);
     }
 }

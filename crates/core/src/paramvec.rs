@@ -25,7 +25,7 @@
 //!
 //! A `ParamVec` is one pool slot: a header that owns its θ buffer. The
 //! pool allocates both together and frees them only when it drops, so a
-//! slot goes round publish → stale → free list → private → publish with
+//! slot goes round publish → stale → free → private → publish with
 //! no allocation. The header's reader count and its `STALE` and
 //! `DELETED` flags share one state word.
 //!
@@ -43,7 +43,7 @@
 //!   copy, and a successful CAS loses no update.
 //! * **A late increment is harmless.** A reader that loaded `P` may
 //!   increment the count only after the slot was replaced, reclaimed and
-//!   taken off the free list by a publisher. Re-acquiring a slot clears
+//!   claimed again by a publisher. Re-acquiring a slot clears
 //!   `STALE | DELETED` with one `fetch_and` that keeps the count, so the
 //!   late reader's decrement always balances. After its increment, the
 //!   reader re-loads `P` and backs off unless `P` still points at the
@@ -66,7 +66,8 @@
 //! * **Writes to a private buffer happen-before its publication.** The
 //!   publishing CAS is `AcqRel`; readers load `P` with `Acquire`. A
 //!   slot's previous owner's accesses happen-before its next owner's
-//!   through the pool's free list (push → pop is release/acquire).
+//!   through the slot's free bit in the pool (the release's Release
+//!   `fetch_or`, then the claim's Acquire `fetch_and`).
 
 use crate::pool::BufferPool;
 use lsgd_check::annotate;
@@ -92,9 +93,15 @@ pub struct ParamVec {
     buf: NonNull<f32>,
     /// Buffer length `d`.
     dim: usize,
+    /// This slot's index in its pool, which names its free bit.
+    index: usize,
+    /// Times the pool handed this slot out again. Deliberately std: a
+    /// diagnostic tally written only by the slot's current owner.
+    reuses: std::sync::atomic::AtomicU64,
 }
 
-// SAFETY: `t` and `state` are atomics and `dim` never changes. `buf` is
+// SAFETY: `t`, `state` and `reuses` are atomics, and `dim` and `index`
+// never change. `buf` is
 // the only raw field: the pool owns the allocation and frees it only on
 // drop, and the buffer is written only by the slot's private owner and
 // read only under the counted-reader protocol (module docs), so sending
@@ -105,8 +112,9 @@ unsafe impl Send for ParamVec {}
 unsafe impl Sync for ParamVec {}
 
 impl ParamVec {
-    /// Allocates a slot: a header and its zeroed `dim`-length buffer.
-    pub(crate) fn alloc(dim: usize) -> *mut ParamVec {
+    /// Allocates slot `index` of a pool: a header and its zeroed
+    /// `dim`-length buffer.
+    pub(crate) fn alloc(dim: usize, index: usize) -> *mut ParamVec {
         let buf: Box<[f32]> = vec![0.0f32; dim].into_boxed_slice();
         let buf = NonNull::new(Box::into_raw(buf) as *mut f32).expect("Box is non-null");
         let slot = Box::into_raw(Box::new(ParamVec {
@@ -114,6 +122,8 @@ impl ParamVec {
             state: AtomicU64::new(0),
             buf,
             dim,
+            index,
+            reuses: Default::default(),
         }));
         // Model checker: both regions are tracked until the pool frees
         // the slot, so any access after that is a use-after-free report.
@@ -139,14 +149,31 @@ impl ParamVec {
         )));
     }
 
-    /// Makes a slot taken off the free list usable again: clears
+    /// Makes a slot the pool just claimed usable again: clears
     /// `STALE | DELETED` and keeps the count of any late reader, whose
-    /// own decrement will balance it.
+    /// own decrement will balance it. Counts the reuse.
     pub(crate) fn reuse(&self) {
         // ORDERING: SeqCst — in the same total order as the late
         // readers' increments and `latest`'s re-load of `P`, which the
         // module's safety argument quantifies over.
         self.state.fetch_and(!(STALE | DELETED), Ordering::SeqCst);
+        // ORDERING: Relaxed — single-writer tally: successive owners are
+        // ordered by the free bit's release/acquire handoff, and readers
+        // sum it only after a join.
+        let n = self.reuses.load(Ordering::Relaxed);
+        // ORDERING: Relaxed — same single-writer argument as the load.
+        self.reuses.store(n + 1, Ordering::Relaxed);
+    }
+
+    /// This slot's index in its pool.
+    pub(crate) fn index(&self) -> usize {
+        self.index
+    }
+
+    /// Times the pool handed this slot out again.
+    pub(crate) fn reuses(&self) -> u64 {
+        // ORDERING: Relaxed — diagnostic; exact only after a join.
+        self.reuses.load(Ordering::Relaxed)
     }
 
     /// Sequence number of this vector.
@@ -631,7 +658,7 @@ mod tests {
         // outstanding (plus nothing else).
         assert_eq!(s.pool().outstanding(), 1);
         // Steady state must recycle rather than allocate.
-        assert!(s.pool().gauge().pool_reuses() >= 49);
+        assert!(s.pool().reuses() >= 49);
     }
 
     #[test]

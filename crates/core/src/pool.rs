@@ -4,50 +4,105 @@
 //! on recycling to bound memory (paper §III P2, Lemma 2). This pool
 //! provides the recycling. A slot is a [`ParamVec`] header that owns its
 //! θ buffer; both are allocated together on the pool's first demand and
-//! freed only when the pool drops. Slots that `safe_delete` releases go
-//! onto a lock-free free list and are handed back out by later
-//! acquires, so in steady state a publication allocates neither a header
-//! nor a buffer. The free list is an `lsgd_sync::SegQueue`, which still
-//! allocates a segment every 31 pushes and frees it once drained.
+//! freed only when the pool drops, so in steady state a publication
+//! allocates nothing.
 //!
-//! The recycle fast path (`acquire` hitting the free list, `release`)
-//! takes no lock. Cross-thread slot reuse is data-race-free because the
-//! queue guarantees that a `push(addr)` happens-before the `pop()`
-//! returning `addr` (release/acquire on the queue slot state; see
-//! `lsgd_sync::queue`'s memory-ordering contract), so the previous
-//! owner's last writes to the buffer are visible before the next
-//! owner's first writes. A reader may still hold a late increment on a
-//! released slot; [`acquire`](BufferPool::acquire) keeps its count (see
-//! [`paramvec`](crate::paramvec)'s safety model).
+//! Slots live in chunks of 64. Each chunk has one free-bit word: bit `i`
+//! set means slot `i` of the chunk is free. [`acquire`](BufferPool::acquire)
+//! claims the lowest set bit with a `fetch_and`; [`release`](BufferPool::release)
+//! sets the bit its slot's header names with a `fetch_or`. A bit names a
+//! slot, not a pointer, so there is no ABA. Only when no bit is free does
+//! `acquire` allocate, under a lock that nothing on the recycle path
+//! takes; every 64th allocation appends a chunk.
 //!
-//! The pool retains logical ownership of every slot it ever created and
-//! frees them all on drop, so nothing leaks even if callers lose track of
-//! outstanding slots (as happens to the final published vector of a run).
+//! Cross-thread slot reuse is data-race-free because the release's
+//! `fetch_or` is a Release RMW and the claim's `fetch_and` an Acquire one
+//! on the same word, so the previous owner's last writes to the buffer
+//! happen-before the next owner's first writes (`tests/model_pool.rs`
+//! checks exactly this, with a mutation sentinel). A reader may still
+//! hold a late increment on a released slot; [`acquire`](BufferPool::acquire)
+//! keeps its count (see [`paramvec`](crate::paramvec)'s safety model).
+//!
+//! The tallies take no shared write of their own. Outstanding slots are
+//! the slot count minus the free bits. Slots are allocated only when no
+//! bit is free, so the slot count is the high-water mark Lemma 2 bounds
+//! (larger than the exact peak only by releases in flight). Reuses are
+//! counted in each claimed slot's own header and summed on demand.
 
 use crate::mem::MemoryGauge;
 use crate::paramvec::ParamVec;
-use lsgd_sync::SegQueue;
-use parking_lot::Mutex;
-// Deliberately std (not the lsgd_check shims): `outstanding` and
-// `outstanding_peak` are diagnostic tallies outside the verified
-// protocol; keeping them off the model scheduler keeps model-state
-// space focused on the real handoff atomics. The `slots` Mutex is
-// likewise model-safe as plain parking_lot: it is only taken around
-// straight-line code with no shimmed operation (= no model schedule
-// point) inside the critical section, so a model thread can never be
-// descheduled while holding it.
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use lsgd_check::sync::{AtomicU64, Ordering};
+// Deliberately std (not the lsgd_check shims): the slot and chunk
+// pointers are written once, under `grow`, before any bit can name them,
+// so they carry no protocol of their own, and keeping them off the model
+// scheduler leaves no schedule point inside the `grow` critical section:
+// a model thread is never descheduled while holding it.
+use std::sync::atomic::AtomicPtr;
+use std::sync::{Arc, Mutex, PoisonError};
+
+/// Slots per chunk: one per bit of the free word.
+const CHUNK: usize = 64;
+
+/// 64 slots and the word of their free bits.
+struct Chunk {
+    /// Bit `i` set: slot `i` is free.
+    free: AtomicU64,
+    slots: [AtomicPtr<ParamVec>; CHUNK],
+    /// The next chunk, appended under `grow`; null until then.
+    next: AtomicPtr<Chunk>,
+}
+
+impl Chunk {
+    fn new() -> Chunk {
+        Chunk {
+            free: AtomicU64::new(0),
+            slots: std::array::from_fn(|_| AtomicPtr::default()),
+            next: AtomicPtr::default(),
+        }
+    }
+
+    fn next(&self) -> Option<&Chunk> {
+        // SAFETY: a non-null `next` is a chunk the pool frees only in its
+        // `Drop`.
+        unsafe { self.next.load(Ordering::Acquire).as_ref() }
+    }
+
+    /// Claims the lowest free slot, if any.
+    fn claim(&self) -> Option<*mut ParamVec> {
+        // ORDERING: Relaxed — only a hint of which bit to try; the
+        // `fetch_and` below is what claims, and it acquires.
+        let mut free = self.free.load(Ordering::Relaxed);
+        while free != 0 {
+            let bit = free.trailing_zeros() as usize;
+            // Acquire pairs with `release`'s Release `fetch_or` of this
+            // bit: the previous owner's writes happen-before ours.
+            let prev = self.free.fetch_and(!(1 << bit), Ordering::Acquire);
+            if prev & (1 << bit) != 0 {
+                return Some(self.slots[bit].load(Ordering::Acquire));
+            }
+            free = prev;
+        }
+        None
+    }
+}
+
+/// What one or more pools did (see [`ParamStore::pool_tally`](crate::ParamStore::pool_tally)).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct PoolTally {
+    /// Slots allocated: [`BufferPool::outstanding_peak`].
+    pub slots: usize,
+    /// Acquires served by a recycled slot: [`BufferPool::reuses`].
+    pub reuses: u64,
+}
 
 /// A recycling allocator of [`ParamVec`] slots of one fixed dimension.
 pub struct BufferPool {
     dim: usize,
-    free: SegQueue<usize>,
-    /// Every slot ever allocated (addresses), freed on drop. Locked only
-    /// on fresh allocation, never on the recycled fast path.
-    slots: Mutex<Vec<usize>>,
-    outstanding: AtomicUsize,
-    outstanding_peak: AtomicUsize,
+    /// The first chunk; later ones hang off its `next`.
+    chunks: Chunk,
+    /// Slots allocated so far. Locked only to allocate (and to read it),
+    /// never on the recycle path.
+    grow: Mutex<usize>,
     gauge: Arc<MemoryGauge>,
 }
 
@@ -58,10 +113,8 @@ impl BufferPool {
         assert!(dim > 0, "buffer dimension must be positive");
         BufferPool {
             dim,
-            free: SegQueue::new(),
-            slots: Mutex::new(Vec::new()),
-            outstanding: AtomicUsize::new(0),
-            outstanding_peak: AtomicUsize::new(0),
+            chunks: Chunk::new(),
+            grow: Mutex::new(0),
             gauge,
         }
     }
@@ -91,83 +144,94 @@ impl BufferPool {
     pub fn acquire(&self) -> *mut ParamVec {
         // Injection seam: an armed `stall:acquire` rule fires here.
         lsgd_fault::point(lsgd_fault::Site::PoolAcquire);
-        let slot = self.pop_free().unwrap_or_else(|| self.alloc_fresh());
-        // ORDERING: Relaxed — `outstanding`/`outstanding_peak` are
-        // diagnostic tallies that publish nothing; cross-thread exactness
-        // is only asserted after a `thread::scope` join, which is itself
-        // a synchronisation point. Slot handoff never reads them.
-        let out = self.outstanding.fetch_add(1, Ordering::Relaxed) + 1;
-        // ORDERING: Relaxed — see above; the peak CAS loop tolerates any
-        // interleaving and only ever ratchets upward.
-        let mut peak = self.outstanding_peak.load(Ordering::Relaxed);
-        while out > peak {
-            // ORDERING: Relaxed — see above.
-            match self.outstanding_peak.compare_exchange_weak(
-                peak,
-                out,
-                Ordering::Relaxed,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => break,
-                Err(p) => peak = p,
-            }
-        }
-        slot
-    }
-
-    /// Takes a released slot off the free list, made usable again.
-    fn pop_free(&self) -> Option<*mut ParamVec> {
-        // Ordering: the releasing thread's writes to the slot are
-        // visible here via the queue's push→pop release/acquire edge; no
-        // extra fence is needed before handing it to a new owner. The
-        // model checker verifies exactly this: a recycled buffer keeps
-        // its region identity (no re-fresh here), so the next owner's
-        // writes race with the previous owner's accesses unless the
-        // queue edge really orders them.
-        let slot = self.free.pop()? as *mut ParamVec;
-        self.gauge.note_reuse();
-        // SAFETY: every address on the free list is a live slot of this
-        // pool (slots are freed only in `drop`).
+        let Some(slot) = self.chunks().find_map(Chunk::claim) else {
+            return self.alloc_fresh();
+        };
+        // SAFETY: a claimed bit names a live slot of this pool (slots are
+        // freed only in `drop`), now owned by us.
         unsafe { (*slot).reuse() };
-        Some(slot)
-    }
-
-    /// Empty-free-list slow path: allocates a fresh slot.
-    fn alloc_fresh(&self) -> *mut ParamVec {
-        let slot = ParamVec::alloc(self.dim);
-        self.gauge.add(self.buf_bytes());
-        self.slots.lock().push(slot as usize);
         slot
     }
 
-    /// Returns a slot to the free list.
+    /// No-free-bit slow path: allocates a fresh slot, and a chunk for it
+    /// every 64 slots.
+    fn alloc_fresh(&self) -> *mut ParamVec {
+        let mut slots = self.grow.lock().unwrap_or_else(PoisonError::into_inner);
+        let index = *slots;
+        if index > 0 && index % CHUNK == 0 {
+            let chunk = Box::into_raw(Box::new(Chunk::new()));
+            self.chunk(index / CHUNK - 1)
+                .next
+                .store(chunk, Ordering::Release);
+        }
+        let slot = ParamVec::alloc(self.dim, index);
+        self.chunk(index / CHUNK).slots[index % CHUNK].store(slot, Ordering::Release);
+        *slots += 1;
+        self.gauge.add(self.buf_bytes());
+        slot
+    }
+
+    fn chunk(&self, n: usize) -> &Chunk {
+        self.chunks().nth(n).expect("a slot's chunk exists")
+    }
+
+    /// Returns a slot to the pool by setting its free bit.
     ///
     /// # Safety
     /// `slot` must have been produced by [`BufferPool::acquire`] on this
     /// pool, and its buffer must not be accessed after release.
     pub unsafe fn release(&self, slot: *mut ParamVec) {
         debug_assert!(!slot.is_null());
-        // ORDERING: Relaxed — diagnostic tally; see `acquire`.
-        self.outstanding.fetch_sub(1, Ordering::Relaxed);
-        // The queue's push is a release operation on the queue slot that
-        // carries the address, so this thread's final writes to the
-        // buffer happen-before the next `acquire` that pops it (see the
-        // module docs). The Relaxed counter above rides along: it orders
-        // nothing and needs to order nothing.
-        self.free.push(slot as usize);
+        let index = (*slot).index();
+        let free = &self.chunk(index / CHUNK).free;
+        let bit = 1 << (index % CHUNK);
+        // Release: this owner's final writes to the buffer happen-before
+        // the `fetch_and` that next claims the bit (see the module docs).
+        #[cfg(not(lsgd_mutate_relaxed_free_bit))]
+        free.fetch_or(bit, Ordering::Release);
+        // ORDERING: deliberately wrong — this cfg exists so the model
+        // checker's mutation test can prove it detects the weakened
+        // handoff (see crates/core/tests/model_pool.rs).
+        #[cfg(lsgd_mutate_relaxed_free_bit)]
+        free.fetch_or(bit, Ordering::Relaxed);
     }
 
-    /// Slots currently held by callers (not on the free list).
+    /// Every chunk, first to last.
+    fn chunks(&self) -> impl Iterator<Item = &Chunk> {
+        std::iter::successors(Some(&self.chunks), |c| c.next())
+    }
+
+    /// Every slot allocated so far.
+    fn slots(&self) -> impl Iterator<Item = *mut ParamVec> + '_ {
+        let slots = self.outstanding_peak();
+        let all = self.chunks().flat_map(|c| &c.slots);
+        all.take(slots).map(|s| s.load(Ordering::Acquire))
+    }
+
+    /// Slots currently held by callers (allocated and not free). Exact
+    /// only after a join: a slot allocated and released while this reads
+    /// can show as free and not yet counted.
     pub fn outstanding(&self) -> usize {
-        // ORDERING: Relaxed — diagnostic; exact only after a join.
-        self.outstanding.load(Ordering::Relaxed)
+        // ORDERING: Relaxed — a diagnostic tally, exact only after a join.
+        let free = self
+            .chunks()
+            .map(|c| c.free.load(Ordering::Relaxed).count_ones());
+        self.outstanding_peak()
+            .saturating_sub(free.sum::<u32>() as usize)
     }
 
-    /// High-water mark of concurrently outstanding slots — the quantity
-    /// Lemma 2 bounds by [`outstanding_bound`](crate::paramvec::outstanding_bound).
+    /// Slots allocated so far: the high-water mark of concurrently
+    /// outstanding slots that Lemma 2 bounds by
+    /// [`outstanding_bound`](crate::paramvec::outstanding_bound), since a
+    /// slot is allocated only when none is free.
     pub fn outstanding_peak(&self) -> usize {
-        // ORDERING: Relaxed — diagnostic; exact only after a join.
-        self.outstanding_peak.load(Ordering::Relaxed)
+        *self.grow.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Acquires served by a recycled slot. Exact only after a join.
+    pub fn reuses(&self) -> u64 {
+        // SAFETY: every slot lives until the pool drops.
+        self.slots().map(|s| unsafe { (*s).reuses() }).sum()
     }
 
     /// The memory gauge this pool reports to.
@@ -180,24 +244,31 @@ impl Drop for BufferPool {
     fn drop(&mut self) {
         // Free every slot the pool created, whether or not it was
         // returned — the pool outlives all users (it is dropped only
-        // after the training scope joins all workers). The free list
-        // holds a subset of `slots`, so this frees each exactly once.
-        for addr in std::mem::take(self.slots.get_mut()) {
-            // SAFETY: made by `ParamVec::alloc` in `alloc_fresh`, recorded
+        // after the training scope joins all workers).
+        for s in self.slots() {
+            // SAFETY: made by `ParamVec::alloc` in `alloc_fresh`, stored
             // once, and (post-join, `&mut self`) no longer in use.
-            unsafe { ParamVec::free(addr as *mut ParamVec) };
+            unsafe { ParamVec::free(s) };
             self.gauge.sub(self.buf_bytes());
+        }
+        let mut next = *self.chunks.next.get_mut();
+        while !next.is_null() {
+            // SAFETY: each appended chunk came from `Box::into_raw` in
+            // `alloc_fresh` and is linked exactly once.
+            let mut chunk = unsafe { Box::from_raw(next) };
+            next = *chunk.next.get_mut();
         }
     }
 }
 
-// SAFETY: the queue and the slot list store plain addresses; slot
-// ownership transfer is governed by the ParameterVector protocol (see
-// paramvec.rs safety notes).
+// SAFETY: the chunks hold plain slot addresses and atomics; slot
+// ownership transfer is governed by the free bits and the
+// ParameterVector protocol (see paramvec.rs safety notes).
 unsafe impl Send for BufferPool {}
-// SAFETY: `&self` methods touch only the lock-free queue, the slot list
-// under its lock, atomic counters, and the state word of a popped slot
-// (an atomic); the slots they hand out are owned per the same protocol.
+// SAFETY: `&self` methods touch only atomics, the slot count under its
+// lock, and the header of a slot they claimed (or, for `reuses`, an
+// atomic tally in any header); the slots they hand out are owned per the
+// same protocol.
 unsafe impl Sync for BufferPool {}
 
 #[cfg(test)]
@@ -217,7 +288,7 @@ mod tests {
         let b = p.acquire();
         assert_eq!(b, a, "freed buffer should be recycled");
         assert_eq!(p.gauge().total_allocs(), 1);
-        assert_eq!(p.gauge().pool_reuses(), 1);
+        assert_eq!(p.reuses(), 1);
         unsafe { p.release(b) };
     }
 
@@ -232,6 +303,31 @@ mod tests {
         assert_eq!(p.outstanding_peak(), 2);
         unsafe { p.release(b) };
         assert_eq!(p.outstanding(), 0);
+    }
+
+    #[test]
+    fn slots_across_three_chunks_recycle_without_growth() {
+        let p = pool(4);
+        let mut held: Vec<_> = (0..150).map(|_| p.acquire()).collect();
+        assert_eq!(p.outstanding(), 150);
+        for &s in &held {
+            unsafe { p.release(s) };
+        }
+        assert_eq!(p.outstanding(), 0);
+        let mut again: Vec<_> = (0..150).map(|_| p.acquire()).collect();
+        assert_eq!(
+            p.outstanding_peak(),
+            150,
+            "re-acquiring must not grow the pool"
+        );
+        assert_eq!(p.gauge().total_allocs(), 150);
+        assert_eq!(p.reuses(), 150);
+        held.sort_unstable();
+        again.sort_unstable();
+        assert_eq!(again, held, "every slot comes back, each once");
+        for s in again {
+            unsafe { p.release(s) };
+        }
     }
 
     #[test]
@@ -292,6 +388,6 @@ mod tests {
         assert_eq!(p.outstanding(), 0);
         assert!(p.outstanding_peak() <= 4 * 5);
         // Steady state should be dominated by reuse.
-        assert!(p.gauge().pool_reuses() > p.gauge().total_allocs());
+        assert!(p.reuses() > p.gauge().total_allocs());
     }
 }

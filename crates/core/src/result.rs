@@ -95,11 +95,12 @@ pub struct RunResult {
     pub wall: Duration,
     /// Peak live parameter-buffer bytes.
     pub mem_peak_bytes: usize,
-    /// Peak concurrently-outstanding pool buffers (Leashed; Lemma 2).
+    /// Slots the pools allocated: the high-water mark of outstanding
+    /// slots (Leashed; Lemma 2).
     pub pool_outstanding_peak: usize,
     /// Fresh parameter-buffer allocations during the run.
     pub mem_allocs: u64,
-    /// Buffer reuses served by the recycling pool.
+    /// Acquires served by a recycled pool slot.
     pub mem_reuses: u64,
     /// Per-phase latency histograms (snapshot-read / grad-compute / pack
     /// / publish / monitor-eval) with p50/p95/p99 — populated only for

@@ -10,8 +10,8 @@
 //! exploits. Splitting the vector into S fixed-width shards, each an
 //! independent publication domain running the same LAU-SPC protocol
 //! (per-shard sequence number `t`, reader-count/stale/deleted state-word
-//! reclamation, per-shard `AtomicPtr` head, per-shard slot pool over
-//! `lsgd_sync::SegQueue`), makes publication cost proportional to the
+//! reclamation, per-shard `AtomicPtr` head, per-shard slot pool with
+//! its free bits), makes publication cost proportional to the
 //! number of *dirty* shards: an update with k nonzero coordinates copies
 //! and CASes only the shards those coordinates land in.
 //!

@@ -5,7 +5,7 @@ use super::snapshot::{ShardedSnapshot, SnapshotMode};
 use crate::algorithm::Algorithm;
 use crate::mem::{GaugeHold, MemoryGauge};
 use crate::paramvec::{LeashedShared, PublishOutcome};
-use crate::pool::BufferPool;
+use crate::pool::{BufferPool, PoolTally};
 use crate::store::{Direction, ParamStore, StepOutcome};
 use lsgd_metrics::OnlineStats;
 use std::sync::Arc;
@@ -128,16 +128,6 @@ impl ShardedShared {
     /// The memory gauge all shard pools report to.
     pub fn gauge(&self) -> &Arc<MemoryGauge> {
         self.shards[0].pool().gauge()
-    }
-
-    /// Sum of the per-shard pool high-water marks — an upper bound on the
-    /// concurrently outstanding buffers across the whole vector (the
-    /// per-shard peaks need not coincide in time).
-    pub fn pool_outstanding_peak(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.pool().outstanding_peak())
-            .sum()
     }
 
     /// Acquires a multi-shard read. `Fast` performs one counted read per
@@ -423,8 +413,16 @@ impl ParamStore for ShardedShared {
         copies * self.dim * std::mem::size_of::<f32>()
     }
 
-    fn pool_outstanding_peak(&self) -> usize {
-        ShardedShared::pool_outstanding_peak(self)
+    /// Per-shard tallies summed. The slot total bounds the concurrently
+    /// outstanding slots across the whole vector from above (the
+    /// per-shard peaks need not coincide in time).
+    fn pool_tally(&self) -> PoolTally {
+        self.shards
+            .iter()
+            .fold(PoolTally::default(), |t, s| PoolTally {
+                slots: t.slots + s.pool().outstanding_peak(),
+                reuses: t.reuses + s.pool().reuses(),
+            })
     }
 
     fn degraded_reads(&self, w: &ShardedWorker) -> u64 {
@@ -627,8 +625,7 @@ mod tests {
 
     #[test]
     fn shards_share_one_gauge_and_recycle() {
-        let gauge = Arc::new(MemoryGauge::new());
-        let sh = ShardedShared::new(&vec![0.0; 64], 8, Arc::clone(&gauge), true);
+        let sh = ShardedShared::new(&vec![0.0; 64], 8, Arc::new(MemoryGauge::new()), true);
         let grad = vec![1.0f32; 64];
         for _ in 0..20 {
             sh.publish_dense(&grad, 0.1, None, None, |_| {});
@@ -638,6 +635,8 @@ mod tests {
             .map(|s| sh.shard(s).pool().outstanding())
             .sum();
         assert_eq!(outstanding, sh.num_shards());
-        assert!(gauge.pool_reuses() > 0, "recycling must engage");
+        let slot_bytes = 8 * std::mem::size_of::<f32>();
+        assert_eq!(sh.gauge().live(), sh.pool_tally().slots * slot_bytes);
+        assert!(sh.pool_tally().reuses > 0, "recycling must engage");
     }
 }

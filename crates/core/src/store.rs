@@ -18,6 +18,7 @@
 //! other stores hand out worker-owned scratch.
 
 use crate::algorithm::Algorithm;
+use crate::pool::PoolTally;
 use lsgd_metrics::OnlineStats;
 
 /// The update direction handed to [`ParamStore::publish`]; the store
@@ -90,10 +91,11 @@ pub trait ParamStore: Sync {
     /// stores that copy on read).
     fn worker_bytes(&self) -> usize;
 
-    /// High-water mark of concurrently outstanding pool buffers (0 for
+    /// What the store's slot pools did: slots allocated, the Lemma 2
+    /// high-water mark, and acquires served by a recycled slot (zero for
     /// stores without a pool).
-    fn pool_outstanding_peak(&self) -> usize {
-        0
+    fn pool_tally(&self) -> PoolTally {
+        PoolTally::default()
     }
 
     /// Reads by `worker` that asked for a consistent view and got a

@@ -435,6 +435,7 @@ fn run_on<P: Problem, S: ParamStore>(
     }
 
     let wall = start.elapsed();
+    let pools = store.pool_tally();
     RunResult {
         algorithm: cfg.algorithm,
         threads,
@@ -459,9 +460,9 @@ fn run_on<P: Problem, S: ParamStore>(
         iter_time: merged.iter_time,
         wall,
         mem_peak_bytes: gauge.peak(),
-        pool_outstanding_peak: store.pool_outstanding_peak(),
+        pool_outstanding_peak: pools.slots,
         mem_allocs: gauge.total_allocs(),
-        mem_reuses: gauge.pool_reuses(),
+        mem_reuses: pools.reuses,
         worker_crashes: crashes.into_inner().unwrap_or_else(|e| e.into_inner()),
         degraded_snapshots: merged.degraded,
         heartbeat_stalls,

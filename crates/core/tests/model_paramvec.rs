@@ -20,7 +20,7 @@
 use lsgd_check::thread;
 use lsgd_core::mem::MemoryGauge;
 #[cfg_attr(lsgd_mutate_skip_root_check, allow(unused_imports))]
-use lsgd_core::paramvec::{LeashedShared, PublishOutcome};
+use lsgd_core::paramvec::{outstanding_bound, LeashedShared, PublishOutcome};
 use lsgd_core::pool::BufferPool;
 use std::sync::Arc;
 
@@ -62,6 +62,10 @@ fn racing_publishers_lose_no_update_and_leak_no_buffer() {
             1,
             "displaced vectors must be reclaimed (exactly the published one lives)"
         );
+        assert!(
+            s.pool().outstanding_peak() <= outstanding_bound(2, 0),
+            "Lemma 2"
+        );
     });
 }
 
@@ -88,6 +92,10 @@ fn counted_reads_are_never_torn_and_never_dangle() {
         }
         writer.join().unwrap();
         assert_eq!(s.latest().theta(), &[1.0; DIM]);
+        assert!(
+            s.pool().outstanding_peak() <= outstanding_bound(1, 1),
+            "Lemma 2"
+        );
     });
 }
 
@@ -127,7 +135,7 @@ fn aborted_update_recycles_its_buffer_exactly_once() {
 }
 
 /// The first publication replaces the initial vector's slot; once
-/// unread, that slot comes off the free list as the second
+/// unread, that slot is claimed from the pool again as the second
 /// publication's private vector and is published again. A reader that
 /// loaded `P` before all that may land its increment anywhere in
 /// between; whatever it returns must be a published, untorn vector.
@@ -189,7 +197,7 @@ fn recycled_base_cannot_swallow_an_update() {
 
 /// THE mutation test: with `--cfg lsgd_mutate_skip_root_check`, a
 /// reader trusts its increment alone, so a late increment on a slot that
-/// a publisher has just taken off the free list lets it read a private
+/// a publisher has just claimed from the pool lets it read a private
 /// buffer while it is being written. The checker must report that race —
 /// proving a green run of the test above depends on the re-check.
 #[cfg(lsgd_mutate_skip_root_check)]

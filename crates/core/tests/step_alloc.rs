@@ -12,23 +12,12 @@
 //!
 //! On the LAU-SPC store (`ShardedShared`, at S = 1 as `Leashed` and at
 //! S = 4 as `ShardedLeashed`) every ParameterVector slot, header and θ
-//! buffer together, is recycled by the pool, but the count is not 0, and
-//! it is exactly what the protocol implies:
+//! buffer together, is recycled by the pool through its free bits, so
+//! the count is 0 at S = 1. At S > 1 it is exactly the two `Vec`s, guards
+//! and sequence numbers, that every read's `snapshot` allocates.
 //!
-//! * each shard pool's free list is a `SegQueue`, which adds a segment
-//!   every `SEG_CAP` (31) pushes: one push per dirty-shard publication,
-//!   so about `dirty / 31` segments, give or take one per shard for where
-//!   its current segment stood;
-//! * at S > 1 every read's `snapshot` allocates its guard and sequence
-//!   `Vec`s.
-//!
-//! The dirty-shard total comes from the worker's own histogram. A free
-//! list that recycled its segments would show here as the S = 1 count
-//! dropping to 0.
-//!
-//! The queue frees a segment once drained, so what a run holds stays
-//! flat: the last test counts live bytes as well, and 18,000 more warm
-//! steps may leave at most one more segment per shard alive.
+//! The last test counts live bytes as well: 18,000 more warm steps hold
+//! not one byte more.
 
 use lsgd_core::baseline::{HogwildParams, LockedParams};
 use lsgd_core::heartbeat::HeartbeatBoard;
@@ -38,8 +27,6 @@ use lsgd_core::trainer::{Step, WorkerCtx, WorkerState};
 use lsgd_core::{ParamStore, ShardedShared};
 use lsgd_data::blobs::gaussian_blobs;
 use lsgd_data::sparse_logreg::sparse_logreg;
-use lsgd_metrics::Histogram;
-use lsgd_sync::queue::SEG_CAP;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::Arc;
@@ -108,15 +95,14 @@ const WARM_UP: usize = 50;
 const COUNTED: usize = 500;
 
 /// Steps one worker `warm_up` times, then `counted` more; returns what
-/// those counted steps allocated and the dirty shards they published (0
-/// on a store that publishes no shards).
+/// those counted steps allocated.
 fn warm_steps<P: Problem, S: ParamStore>(
     p: &P,
     store: &S,
     algorithm: Algorithm,
     (warm_up, counted): (usize, usize),
     what: &str,
-) -> (Tally, u64) {
+) -> Tally {
     let cfg = TrainConfig {
         algorithm,
         eta: 0.05,
@@ -131,7 +117,6 @@ fn warm_steps<P: Problem, S: ParamStore>(
     for _ in 0..warm_up {
         assert_eq!(worker.step(), Step::Published, "{what}");
     }
-    let dirty_before = dirty_total(&worker.stats().hists.dirty_shards);
     let n = tally(|| {
         for _ in 0..counted {
             worker.step();
@@ -142,13 +127,7 @@ fn warm_steps<P: Problem, S: ParamStore>(
         (warm_up + counted) as u64,
         "{what}"
     );
-    let dirty = dirty_total(&worker.stats().hists.dirty_shards) - dirty_before;
-    (n, dirty)
-}
-
-/// Sum of the recorded dirty-shard counts.
-fn dirty_total(h: &Histogram) -> u64 {
-    (0..=h.max() as usize).map(|v| v as u64 * h.bin(v)).sum()
+    n
 }
 
 /// Asserts that `COUNTED` warm steps allocate nothing.
@@ -158,8 +137,7 @@ fn assert_warm_steps_allocate_nothing<P: Problem, S: ParamStore>(
     algorithm: Algorithm,
     what: &str,
 ) {
-    let (n, _) = warm_steps(p, store, algorithm, (WARM_UP, COUNTED), what);
-    let n = n.allocs;
+    let n = warm_steps(p, store, algorithm, (WARM_UP, COUNTED), what).allocs;
     assert_eq!(n, 0, "{what}: {COUNTED} warm steps allocated {n} times");
 }
 
@@ -173,9 +151,7 @@ fn on_both_stores<P: Problem>(p: &P, what: &str) {
 }
 
 /// Asserts the allocations of `COUNTED` warm steps on `ShardedShared` at
-/// S = 1 and S = 4: the two snapshot `Vec`s per read at S > 1, and the
-/// free-list segments, each of the S queues within one segment of its
-/// pushes / `SEG_CAP`.
+/// S = 1 and S = 4: none, and the two snapshot `Vec`s per read at S > 1.
 fn on_lau_spc_store<P: Problem>(p: &P, what: &str) {
     let theta0 = p.init_theta(1);
     let persistence = None;
@@ -187,15 +163,11 @@ fn on_lau_spc_store<P: Problem>(p: &P, what: &str) {
     for (shards, algorithm) in [(1, Algorithm::Leashed { persistence }), (4, sharded)] {
         let store = ShardedShared::new(&theta0, shards, Arc::new(MemoryGauge::new()), true);
         let what = format!("{what} S={shards}");
-        let (n, dirty) = warm_steps(p, &store, algorithm, (WARM_UP, COUNTED), &what);
-        let (n, dirty) = (n.allocs, dirty as usize);
-        assert!(dirty >= COUNTED, "{what}: {dirty} dirty shards");
+        let n = warm_steps(p, &store, algorithm, (WARM_UP, COUNTED), &what).allocs;
         let snapshot_vecs = if shards > 1 { 2 * COUNTED } else { 0 };
-        let fixed = format!("{n} allocations, {snapshot_vecs} snapshot Vecs");
-        let segments = n.checked_sub(snapshot_vecs).expect(&fixed);
-        assert!(
-            (segments * SEG_CAP).abs_diff(dirty) < shards * SEG_CAP,
-            "{what}: {fixed}, {segments} queue segments for {dirty} pushes"
+        assert_eq!(
+            n, snapshot_vecs,
+            "{what}: {COUNTED} warm steps allocated {n} times"
         );
     }
 }
@@ -223,13 +195,9 @@ fn warm_tiny_mlp_lau_spc_step_allocates_per_publication() {
 }
 
 /// Memory a LAU-SPC run holds stays flat in the number of publications:
-/// the live bytes of 18,000 warm steps after the first 2,000 grow by at
-/// most one free-list segment per shard.
+/// 18,000 warm steps after the first 2,000 leave no byte more live.
 #[test]
 fn lau_spc_live_bytes_stay_flat_over_20k_publications() {
-    // A `SegQueue<usize>` segment: the successor pointer and `SEG_CAP`
-    // (value, state) slots.
-    const SEGMENT_BYTES: isize = ((1 + 2 * SEG_CAP) * std::mem::size_of::<usize>()) as isize;
     let p = SparseLogRegProblem::new(sparse_logreg(400, 256, 8, 3), 8);
     let theta0 = p.init_theta(1);
     let persistence = None;
@@ -241,11 +209,10 @@ fn lau_spc_live_bytes_stay_flat_over_20k_publications() {
     for (shards, algorithm) in [(1, Algorithm::Leashed { persistence }), (4, sharded)] {
         let store = ShardedShared::new(&theta0, shards, Arc::new(MemoryGauge::new()), true);
         let what = format!("sparse_logreg S={shards}");
-        let (n, _) = warm_steps(&p, &store, algorithm, (2_000, 18_000), &what);
-        let bound = shards as isize * SEGMENT_BYTES;
+        let n = warm_steps(&p, &store, algorithm, (2_000, 18_000), &what);
         assert!(
-            n.live <= bound,
-            "{what}: live bytes grew by {} over 18,000 publications (bound {bound})",
+            n.live <= 0,
+            "{what}: live bytes grew by {} over 18,000 publications",
             n.live
         );
     }

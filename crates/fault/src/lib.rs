@@ -4,9 +4,9 @@
 //! Lock-free resilience claims ("a crashed worker cannot wedge the
 //! run", "snapshot validation degrades instead of spinning forever")
 //! are only as good as the faults they were exercised against. This
-//! crate plants **probes** at the five seams where the protocols are
-//! vulnerable — publish CAS loop, snapshot validation, queue pop, pool
-//! acquire, worker step boundary ([`Site`]) — and arms them with a
+//! crate plants **probes** at the four seams where the protocols are
+//! vulnerable — publish CAS loop, snapshot validation, pool acquire,
+//! worker step boundary ([`Site`]) — and arms them with a
 //! replayable schedule of crashes and stalls.
 //!
 //! # Zero cost when off
@@ -97,7 +97,6 @@ mod imp {
     /// Fired-fault tallies (crashes, per-site stalls).
     static CRASHES: AtomicU64 = AtomicU64::new(0);
     static STALLS: [AtomicU64; SITES] = [
-        AtomicU64::new(0),
         AtomicU64::new(0),
         AtomicU64::new(0),
         AtomicU64::new(0),

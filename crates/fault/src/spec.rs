@@ -10,7 +10,7 @@
 //!                          <prob> (defaults: p=1, us=100)
 //! ```
 //!
-//! Sites: `publish`, `snapshot`, `pop`, `acquire`, `step`. Example:
+//! Sites: `publish`, `snapshot`, `acquire`, `step`. Example:
 //!
 //! ```text
 //! LSGD_FAULT='crash:w2@step120;stall:publish,p=0.01,us=500'
@@ -30,23 +30,20 @@ pub enum Site {
     Publish = 0,
     /// Inside the sharded snapshot's collect/validate loop.
     SnapshotValidate = 1,
-    /// `lsgd_sync::SegQueue::pop`.
-    QueuePop = 2,
     /// `BufferPool::acquire`.
-    PoolAcquire = 3,
+    PoolAcquire = 2,
     /// The trainer worker's step boundary.
-    WorkerStep = 4,
+    WorkerStep = 3,
 }
 
 /// Number of [`Site`] variants.
-pub const SITES: usize = 5;
+pub const SITES: usize = 4;
 
 impl Site {
     /// All sites, in discriminant order.
     pub const ALL: [Site; SITES] = [
         Site::Publish,
         Site::SnapshotValidate,
-        Site::QueuePop,
         Site::PoolAcquire,
         Site::WorkerStep,
     ];
@@ -56,7 +53,6 @@ impl Site {
         match self {
             Site::Publish => "publish",
             Site::SnapshotValidate => "snapshot",
-            Site::QueuePop => "pop",
             Site::PoolAcquire => "acquire",
             Site::WorkerStep => "step",
         }
@@ -233,14 +229,14 @@ mod tests {
             plan.stalls[Site::Publish as usize],
             Some(StallRule { p: 0.01, us: 500 })
         );
-        assert_eq!(plan.stalls[Site::QueuePop as usize], None);
+        assert_eq!(plan.stalls[Site::PoolAcquire as usize], None);
         assert!(!plan.is_empty());
     }
 
     #[test]
     fn stall_defaults_and_whitespace() {
-        let plan = Plan::parse(" stall:pop ; crash:w0@p=0.5 ;").expect("spec parses");
-        assert_eq!(plan.stalls[Site::QueuePop as usize], Some(StallRule { p: 1.0, us: 100 }));
+        let plan = Plan::parse(" stall:acquire ; crash:w0@p=0.5 ;").expect("spec parses");
+        assert_eq!(plan.stalls[Site::PoolAcquire as usize], Some(StallRule { p: 1.0, us: 100 }));
         assert_eq!(plan.crashes[0].when, CrashWhen::WithProb(0.5));
         assert!(Plan::parse("").expect("empty spec is valid").is_empty());
     }
@@ -260,6 +256,7 @@ mod tests {
             "crash:w1@stepx",       // non-integer step
             "crash:w1@sometimes",   // unknown trigger
             "stall:everywhere",     // unknown site
+            "stall:pop",            // retired site
             "stall:publish,q=1",    // unknown parameter
             "stall:publish,p=1.5",  // out-of-range probability
             "oom:after=64",         // retired kind

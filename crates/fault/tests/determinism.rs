@@ -105,11 +105,11 @@ fn crash_rules_target_only_the_tagged_worker() {
 #[test]
 fn clear_disarms_probes() {
     let _guard = serial();
-    lsgd_fault::install("stall:pop,p=1,us=0", 0).unwrap();
+    lsgd_fault::install("stall:acquire,p=1,us=0", 0).unwrap();
     assert!(lsgd_fault::active());
     lsgd_fault::clear();
     assert!(!lsgd_fault::active());
     let _tag = lsgd_fault::worker_tag(0);
-    lsgd_fault::point(Site::QueuePop);
+    lsgd_fault::point(Site::PoolAcquire);
     assert_eq!(lsgd_fault::tallies().stalls_total(), 0);
 }

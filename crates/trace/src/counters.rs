@@ -13,18 +13,12 @@
 use lsgd_check::sync::{AtomicU64, Ordering};
 
 /// Every protocol event the instrumentation layer counts. The variants
-/// mirror the four instrumented layers: `lsgd_sync::SegQueue`,
-/// `LeashedShared`/`ShardedShared` publication, the `lsgd_runtime`
-/// scheduler, and snapshot reads.
+/// mirror the instrumented layers: `LeashedShared`/`ShardedShared`
+/// publication, snapshot reads, the `lsgd_runtime` scheduler, and the
+/// trainer's workers and monitor.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(usize)]
 pub enum Counter {
-    /// `SegQueue::pop` found the queue empty.
-    QueueEmptyPop,
-    /// `SegQueue::push` lost a CAS and retried.
-    QueuePushRetry,
-    /// `SegQueue::pop` lost a CAS and retried.
-    QueuePopRetry,
     /// A dense (full-vector) publish was issued.
     PublishDense,
     /// A sparse (delta-indexed) publish was issued.
@@ -56,13 +50,10 @@ pub enum Counter {
 
 impl Counter {
     /// Number of counter variants (array size of a [`CounterCell`]).
-    pub const COUNT: usize = 15;
+    pub const COUNT: usize = 12;
 
     /// All variants, in declaration order (index == discriminant).
     pub const ALL: [Counter; Counter::COUNT] = [
-        Counter::QueueEmptyPop,
-        Counter::QueuePushRetry,
-        Counter::QueuePopRetry,
         Counter::PublishDense,
         Counter::PublishSparse,
         Counter::PublishAttempt,
@@ -80,9 +71,6 @@ impl Counter {
     /// Stable dotted name used in reports and the Chrome-trace export.
     pub fn name(self) -> &'static str {
         match self {
-            Counter::QueueEmptyPop => "queue.empty_pop",
-            Counter::QueuePushRetry => "queue.push_cas_retry",
-            Counter::QueuePopRetry => "queue.pop_cas_retry",
             Counter::PublishDense => "publish.dense",
             Counter::PublishSparse => "publish.sparse",
             Counter::PublishAttempt => "publish.attempt",
@@ -179,6 +167,5 @@ mod tests {
         let snap = cell.snapshot();
         assert_eq!(snap[Counter::PublishRetry as usize], 5);
         assert_eq!(snap[Counter::Park as usize], 1);
-        assert_eq!(snap[Counter::QueueEmptyPop as usize], 0);
     }
 }

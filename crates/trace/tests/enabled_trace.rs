@@ -46,7 +46,6 @@ fn traced_run_end_to_end() {
 
     assert_eq!(dump.counter(Counter::PublishAttempt), 20);
     assert_eq!(dump.counter(Counter::PublishRetry), 6);
-    assert_eq!(dump.counter(Counter::QueueEmptyPop), 0);
     let grad = dump.phases.get(Phase::GradCompute).expect("phase stats collected");
     assert_eq!(grad.count(), 20);
     let publish = dump.phases.get(Phase::Publish).expect("phase stats collected");

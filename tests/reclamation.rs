@@ -1,12 +1,14 @@
-//! Memory-reclamation safety and bounds under load (paper Lemma 2).
+//! Memory-reclamation safety and bounds under load (paper Lemma 2), and
+//! the slot pool's exclusive handoff.
 
 mod common;
 
-use common::{Watchdog, STRESS_LIMIT};
+use common::{stress_threads, Watchdog, STRESS_LIMIT};
 use leashed_sgd::core::mem::MemoryGauge;
 use leashed_sgd::core::paramvec::{outstanding_bound, LeashedShared};
 use leashed_sgd::core::pool::BufferPool;
-use std::sync::Arc;
+use std::collections::HashSet;
+use std::sync::{Arc, Mutex};
 
 fn make(dim: usize) -> (Arc<MemoryGauge>, LeashedShared) {
     let gauge = Arc::new(MemoryGauge::new());
@@ -59,7 +61,7 @@ fn steady_state_recycles_rather_than_allocates() {
         "single-threaded run should allocate O(1) buffers, got {}",
         gauge.total_allocs()
     );
-    assert!(gauge.pool_reuses() >= 1_999);
+    assert!(s.pool().reuses() >= 1_999);
 }
 
 /// Everything is reclaimed when the shared state is dropped: no leaks,
@@ -137,4 +139,48 @@ fn gauge_peak_dominates_every_live_sample() {
     for &sample in &samples {
         assert!(sample <= peak, "sample {sample} above recorded peak {peak}");
     }
+}
+
+/// The buffer pool must never hand the same pointer to two *live*
+/// acquirers — the concurrent counterpart of the single-thread proptest.
+/// A shared registry of live addresses is checked on every acquire.
+#[test]
+fn pool_never_double_hands_a_live_buffer() {
+    let _watchdog = Watchdog::arm("pool_never_double_hands_a_live_buffer", STRESS_LIMIT);
+    let threads = stress_threads().max(4);
+    let pool = Arc::new(BufferPool::new(64, Arc::new(MemoryGauge::new())));
+    let live: Arc<Mutex<HashSet<usize>>> = Arc::new(Mutex::new(HashSet::new()));
+
+    std::thread::scope(|s| {
+        for t in 0..threads {
+            let pool = Arc::clone(&pool);
+            let live = Arc::clone(&live);
+            s.spawn(move || {
+                let mut held = Vec::new();
+                for i in 0..3_000usize {
+                    let ptr = pool.acquire();
+                    {
+                        let mut set = live.lock().unwrap();
+                        assert!(
+                            set.insert(ptr as usize),
+                            "pool handed live buffer {ptr:?} out twice"
+                        );
+                    }
+                    held.push(ptr);
+                    // Vary hold depth so free-list pressure oscillates.
+                    if held.len() > 1 + (i + t) % 4 {
+                        let ptr = held.remove(0);
+                        live.lock().unwrap().remove(&(ptr as usize));
+                        unsafe { pool.release(ptr) };
+                    }
+                }
+                for ptr in held {
+                    live.lock().unwrap().remove(&(ptr as usize));
+                    unsafe { pool.release(ptr) };
+                }
+            });
+        }
+    });
+    assert_eq!(pool.outstanding(), 0);
+    assert!(live.lock().unwrap().is_empty());
 }
